@@ -12,11 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra, exp_action, orbits
+from . import algebra, exp_action, kirillov, orbits
 from .errors import AsymmetryError, DomainError, EvaluationError
-
-# Sign-predicate expression -> coordinate whose sign it constrains.
-_SIGN_COORD = {"sigma*s > 0": 4, "delta*t > 0": 3, "gamma*z > 0": 2}
 
 _NOTICE = ("this report checks the set-theoretic orbit partition only; "
            "transverse-measure functionals on the leaf space have no finite "
@@ -86,6 +83,8 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
     """
     alg = algebra.build_algebra(family, params)
     pairs = int(pairs)
+    if pairs < 1:
+        raise DomainError(f"pair count must be at least 1, got {pairs}")
     rng = np.random.default_rng(int(seed))
     n = 2 * pairs
     pts = rng.uniform(-radius, radius, size=(n, 5))
@@ -106,8 +105,7 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
             expect = True
         elif i % 5 == 4:
             desc_a = orbits.classify_orbit(alg.family, alg.params, Fa)
-            j = (_SIGN_COORD.get(desc_a.signs[0].expr, 2)
-                 if desc_a.signs else 2)
+            j = desc_a.signs[0].coord if desc_a.signs else 2
             Fb = Fa.copy()
             Fb[j] = -Fb[j]
             expect = False
@@ -176,6 +174,9 @@ def local_triviality_probe(family, params, case_index, n: int = 100,
     remaining coordinates.
     """
     alg = algebra.build_algebra(family, params)
+    n = int(n)
+    if n < 1:
+        raise DomainError(f"sample count must be at least 1, got {n}")
     if base is None:
         base = orbits.canonical_bases(alg.family, case_index,
                                       sign_variants=False)[0]
@@ -189,22 +190,15 @@ def local_triviality_probe(family, params, case_index, n: int = 100,
         raise DomainError(
             f"case {case_index} of family {alg.family} is a single point; "
             "the chart probe needs a two-dimensional orbit")
-    sample = exp_action.sample_orbit(alg, base, int(n), seed=int(seed),
-                                     radius=radius)
-    chart_pairs = list(itertools.combinations(range(5), 2))
-    for q in sample.points:
-        J = np.stack([con.grad(q) for con in desc.constraints])
-        sv = np.linalg.svd(J, compute_uv=False)
-        thr = rank_tol * max(1.0, float(sv[0]))
-        if int(np.count_nonzero(sv > thr)) != 3:
-            return False
-        found = False
-        for (i, j) in chart_pairs:
-            cols = [k for k in range(5) if k != i and k != j]
-            sub_sv = np.linalg.svd(J[:, cols], compute_uv=False)
-            if float(sub_sv[2]) > thr:
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    pts = exp_action.sample_orbit(alg, base, n, seed=int(seed),
+                                  radius=radius).points
+    J = np.stack([con.grad(pts) for con in desc.constraints], axis=1)
+    ranks, thr = kirillov.svd_ranks(J, rank_tol)
+    if np.any(ranks != 3):
+        return False
+    # a chart drops two coordinates; the other three columns must be
+    # nonsingular at the threshold of the full Jacobian
+    charted = np.zeros(n, dtype=bool)
+    for cols in itertools.combinations(range(5), 3):
+        charted |= kirillov.svd_ranks(J[:, :, cols], rank_tol, thr)[0] == 3
+    return bool(np.all(charted))

@@ -34,6 +34,25 @@ def kirillov_forms(alg: algebra.LieAlgebra, Fs: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,nk->nij", alg.c, Fs)
 
 
+def svd_ranks(M, tol: float, thr=None):
+    """(ranks, thresholds) of a matrix or an (..., m, k) stack of them.
+
+    A rank counts the singular values exceeding the matrix's threshold,
+    tol * max(1, largest singular value) unless thresholds are given (a
+    submatrix tested against the threshold of its parent). Thresholds keep
+    a trailing axis of length 1. Every numeric rank decision of the
+    package is made here.
+    """
+    if not tol > 0:
+        raise DomainError("rank tolerance must be positive")
+    sv = np.linalg.svd(M, compute_uv=False)
+    if thr is None:
+        # a slice, not an indexed column, so a matrix without singular
+        # values (a zero dimension) has rank 0
+        thr = tol * np.maximum(1.0, sv[..., :1])
+    return (sv > thr).sum(axis=-1), thr
+
+
 def numeric_rank_info(m, tol: float = 1e-9):
     """(rank, adjusted): SVD rank with evenness forced for skew inputs.
 
@@ -44,12 +63,7 @@ def numeric_rank_info(m, tol: float = 1e-9):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise DomainError("numeric_rank expects a matrix")
-    if tol <= 0:
-        raise DomainError("rank tolerance must be positive")
-    sv = np.linalg.svd(m, compute_uv=False)
-    top = float(sv[0]) if sv.size else 0.0
-    thr = tol * max(1.0, top)
-    rank = int(np.count_nonzero(sv > thr))
+    rank = int(svd_ranks(m, tol)[0])
     if m.shape[0] == m.shape[1] and rank % 2 == 1 and np.array_equal(m, -m.T):
         return rank - 1, True
     return rank, False
@@ -66,9 +80,7 @@ def orbit_dimension(alg: algebra.LieAlgebra, F, tol: float = 1e-9) -> int:
 
 def _batch_skew_ranks(B: np.ndarray, tol: float):
     """Even-forced ranks for an (n, 5, 5) stack of exactly skew matrices."""
-    sv = np.linalg.svd(B, compute_uv=False)
-    thr = tol * np.maximum(1.0, sv[:, 0])
-    ranks = (sv > thr[:, None]).sum(axis=1)
+    ranks, _ = svd_ranks(B, tol)
     odd = ranks % 2 == 1
     ranks = ranks - odd
     return ranks.astype(int), int(odd.sum())

@@ -94,6 +94,17 @@ def test_verify_props_json_single_case():
     assert doc["provenance"][0]["adopted"] == "corrected"
 
 
+def test_vacuous_sample_counts_exit_2():
+    for args in (("verify-props", "--family", "5.3.4", "--n", "0"),
+                 ("check-foliation", "--family", "5.3.2", "--pairs", "0",
+                  "--members", "0"),
+                 ("check-foliation", "--family", "5.3.2", "--pairs", "3",
+                  "--members", "0")):
+        r = run_cli(*args, "--seed", "3")
+        assert r.returncode == 2, args
+        assert r.stderr.startswith("error: ") and r.stdout == ""
+
+
 def test_sample_orbit_csv():
     r = run_cli("sample-orbit", "--family", "5.3.3", "--covector",
                 "0,0,1,1,1", "--n", "4", "--seed", "9")

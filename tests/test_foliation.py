@@ -70,3 +70,12 @@ def test_local_triviality_rejects_mismatched_base():
     with pytest.raises(DomainError):
         kb.local_triviality_probe("5.3.2", None, 8, n=5, seed=0,
                                   base=[1, 1, 0, 0, 1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kb.partition_check("5.3.2", None, pairs=0, seed=0),
+    lambda: kb.local_triviality_probe("5.3.2", None, 8, n=0, seed=0),
+])
+def test_vacuous_sample_counts_are_refused(call):
+    with pytest.raises(DomainError):
+        call()

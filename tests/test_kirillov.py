@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import korbit as kb
+from korbit.errors import DomainError
 
 from conftest import CANONICAL, elimination_rank
 
@@ -128,3 +129,24 @@ def test_md_scan_json_schema():
                 "violations", "zero_rank_failures"):
         assert key in rep
     assert all(isinstance(k, str) for k in rep["histogram"])
+
+
+_CASE8_BASE = [1.0, 1.0, 1.0, 1.0, 1.0]
+RANK_TOL_ENTRY_POINTS = {
+    "numeric_rank_info": lambda tol: kb.numeric_rank_info(np.eye(3), tol),
+    "md_scan": lambda tol: kb.md_scan("5.3.1", None, n=200, seed=1,
+                                      rank_tol=tol),
+    "verify_proposition": lambda tol: kb.verify_proposition(
+        "5.3.2", None, 8, n=5, seed=1, rank_tol=tol),
+    "jacobian_rank_check": lambda tol: kb.jacobian_rank_check(
+        kb.classify_orbit("5.3.2", None, _CASE8_BASE), _CASE8_BASE, tol),
+    "local_triviality_probe": lambda tol: kb.local_triviality_probe(
+        "5.3.2", None, 8, n=5, seed=1, rank_tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+@pytest.mark.parametrize("entry", sorted(RANK_TOL_ENTRY_POINTS))
+def test_rank_tolerance_must_be_positive(entry, tol):
+    with pytest.raises(DomainError, match="rank tolerance"):
+        RANK_TOL_ENTRY_POINTS[entry](tol)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -100,8 +101,9 @@ def test_membership_dim_zero():
 
 def test_residuals_raise_on_unevaluable_points():
     desc = kb.classify_orbit("5.3.1", P531, [0, 0, 1, 0, 1])  # case 6
-    with pytest.raises(EvaluationError):
-        kb.constraint_residuals(desc, [0.0, 0.0, 1.0, 0.0, -1.0])
+    for s in (-1.0, math.nan):
+        with pytest.raises(EvaluationError):
+            kb.constraint_residuals(desc, [0.0, 0.0, 1.0, 0.0, s])
     # is_member folds that into a refusal
     assert not kb.is_member(desc, [0.0, 0.0, 1.0, 0.0, -1.0])
 
@@ -245,3 +247,115 @@ def test_membership_holds_along_moves(g, d, s, sg, sd, ss):
     desc = kb.classify_orbit("5.3.2", None, F)
     q = kb.coadjoint_move(alg, F, np.array([0.7, -0.5, 0.2, 0.1, -0.9]))
     assert kb.is_member(desc, q)
+
+
+def test_verify_refuses_empty_sample():
+    with pytest.raises(DomainError):
+        kb.verify_proposition("5.3.2", None, 8, n=0, seed=0)
+
+
+# Display strings are read as numpy expressions: "lhs = rhs" plus trailing
+# "w = ..." / "b = ..." definitions, evaluated last clause first.
+_DISPLAY_SCOPE = {"log": np.log, "exp": np.exp, "hypot": np.hypot,
+                  "sin": np.sin, "cos": np.cos, "Re": np.real, "Im": np.imag,
+                  "i": 1j}
+_DEFINITION = re.compile(r", (?=[bw] = )")
+
+
+def _display_scope(desc, P):
+    scope = dict(_DISPLAY_SCOPE)
+    scope.update(zip(("alpha", "beta", "gamma", "delta", "sigma"),
+                     map(float, desc.base)))
+    scope.update((k.replace("lambda", "lam"), v) for k, v in desc.params.items())
+    scope.update(zip("xyzts", P.T))
+    return scope
+
+
+def _display_value(expr, scope):
+    """(lhs - rhs, |lhs| + |rhs|) of a display equation."""
+    eq, *defs = _DEFINITION.split(expr.replace("lambda", "lam"))
+    scope = dict(scope)
+    for d in reversed(defs):
+        name, _, rhs = d.partition(" = ")
+        scope[name] = eval(rhs, scope)
+    lhs, _, rhs = eq.partition(" = ")
+    lhs, rhs = eval(lhs, scope), eval(rhs, scope)
+    return lhs - rhs, np.abs(lhs) + np.abs(rhs)
+
+
+def test_display_strings_match_constraint_functions():
+    rng = np.random.default_rng(17)
+    checked = 0
+    # lambda = 1 in both 5.3.8 entries of CANONICAL would hide a misplaced lambda
+    for fam, params in CANONICAL + [("5.3.8", {"lambda": -2.0, "phi": 1.0})]:
+        alg = kb.build_algebra(fam, params)
+        for c in kb.case_indices(fam):
+            for base in kb.canonical_bases(fam, c):
+                desc = kb.classify_orbit(fam, params, base)
+                on = kb.sample_orbit(alg, base, 12, seed=c, radius=1.5).points
+                # off-orbit points too, so that fn is not ~0; a relative
+                # perturbation keeps every sign and guard of the base
+                P = np.vstack([on, on * (1.0 + 0.05 * rng.uniform(-1, 1, on.shape))])
+                scope = _display_scope(desc, P)
+                for con in desc.constraints:
+                    if "winding angle" in con.expr:
+                        continue  # prose definition of b
+                    val, mag = _display_value(con.expr, scope)
+                    fn = con.fn(P)
+                    assert np.all(np.abs(val - fn) <= 1e-12 * (1.0 + mag)), \
+                        (fam, c, base, con.expr)
+                    checked += 1
+                for sp in desc.signs:
+                    lhs, _, zero = sp.expr.partition(" > ")
+                    assert zero == "0"
+                    val = eval(lhs.replace("lambda", "lam"), scope)
+                    assert np.all(np.abs(val - sp.fn(P)) <= 1e-12 * (1.0 + np.abs(val)))
+    assert checked > 500
+
+
+def _row_reference(alg, desc, row, tol=1e-9, step=1e-6):
+    """(rank, tangency, FD error) at one (1, 5) row: the per-point loop the
+    batched checks replace. Rows stay arrays so that numpy evaluates the
+    constraint functions with the same array loops as for a stack."""
+    q = row[0]
+    J = np.stack([con.grad(row)[0] for con in desc.constraints])
+    sv = np.linalg.svd(J, compute_uv=False)
+    rank = int(np.count_nonzero(sv > tol * max(1.0, float(sv[0]))))
+    B = kb.kirillov_form(alg, q).b
+    scale = 1.0 + float(np.max(np.abs(q)))
+    tangency = 0.0
+    fd_err = 0.0
+    for con in desc.constraints:
+        G = con.grad(row)[0]
+        tangency = max(tangency, float(np.max(np.abs(B @ G))) / scale)
+        denom = max(1.0, float(np.max(np.abs(G))))
+        for j in range(5):
+            rp = row.copy()
+            rp[0, j] += step
+            rm = row.copy()
+            rm[0, j] -= step
+            fd = (con.fn(rp)[0] - con.fn(rm)[0]) / (2.0 * step)
+            fd_err = max(fd_err, float(abs(fd - G[j])) / denom)
+    return rank, tangency, fd_err
+
+
+def test_batched_checks_match_row_loop():
+    for fam, params in CANONICAL:
+        alg = kb.build_algebra(fam, params)
+        for c in kb.case_indices(fam):
+            for base in kb.canonical_bases(fam, c)[:3]:
+                desc = kb.classify_orbit(fam, params, base)
+                P = kb.sample_orbit(alg, base, 15, seed=5, radius=1.5).points
+                ranks = kb.jacobian_rank_check(desc, P)
+                tangency = kb.tangency_residual(alg, desc, P)
+                fd_err = kb.gradient_fd_error(desc, P)
+                assert ranks.shape == tangency.shape == fd_err.shape == (15,)
+                for k in range(len(P)):
+                    rank, tan_ref, fd_ref = _row_reference(alg, desc, P[k:k + 1])
+                    assert ranks[k] == rank, (fam, c, k)
+                    assert abs(tangency[k] - tan_ref) <= 1e-15, (fam, c, k)
+                    assert abs(fd_err[k] - fd_ref) <= 1e-15, (fam, c, k)
+                    # a single point is the n = 1 case of the stack
+                    assert kb.jacobian_rank_check(desc, P[k]) == ranks[k]
+                    assert kb.tangency_residual(alg, desc, P[k]) == tangency[k]
+                    assert kb.gradient_fd_error(desc, P[k]) == fd_err[k]
