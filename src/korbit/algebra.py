@@ -5,6 +5,13 @@ span(X3, X4, X5) abelian, [X1, X2] = X3, ad_{X1} vanishing on the ideal,
 and ad_{X2} acting on the ideal by a family-specific 3x3 matrix. Dual
 coordinates are written (alpha, beta, gamma, delta, sigma) for a base
 covector and (x, y, z, t, s) for a running point of its orbit.
+
+Each family is one row of the table _FAMILIES: its tag, its parameter
+names with their defaults, its domain entries (display strings such as
+"lambda1 != lambda2" or "phi in (0, pi)"), the parameter whose zero is
+accepted with a ParameterWarning, and the ad_{X2} template as the catalog
+prints it. Parameter validation, ad2_matrix, the catalog and the public
+FAMILY_TAGS, PARAM_NAMES and DEFAULT_PARAMS are all derived from the row.
 """
 
 import math
@@ -16,33 +23,76 @@ import numpy as np
 
 from .errors import DomainError, ParameterWarning
 
-FAMILY_TAGS = (
-    "5.3.1", "5.3.2", "5.3.3", "5.3.4", "5.3.5", "5.3.6", "5.3.7", "5.3.8",
-)
 
-PARAM_NAMES = {
-    "5.3.1": ("lambda1", "lambda2"),
-    "5.3.2": ("lambda",),
-    "5.3.3": ("lambda",),
-    "5.3.4": (),
-    "5.3.5": ("lambda",),
-    "5.3.6": ("lambda",),
-    "5.3.7": (),
-    "5.3.8": ("lambda", "phi"),
-}
+@dataclass(frozen=True)
+class Family:
+    """One catalog row; see the module docstring."""
+    tag: str
+    defaults: dict      # parameter name -> default, in --params order
+    domain: tuple       # "p != v" or "p in (lo, hi)", checked in order
+    zero_warning: str | None  # parameter whose zero degenerates the cases
+    ad_x2: tuple        # 3x3 template: numbers, parameters, [-]cos/sin(phi)
 
+
+_FAMILIES = {row.tag: row for row in (
+    Family("5.3.1", {"lambda1": 2.0, "lambda2": 3.0},
+           ("lambda1 != 1", "lambda2 != 0", "lambda2 != 1",
+            "lambda1 != lambda2"),
+           "lambda1", (("lambda1", 0, 0), (0, "lambda2", 0), (0, 0, 1))),
+    Family("5.3.2", {"lambda": 2.0}, ("lambda != 0", "lambda != 1"),
+           None, ((1, 0, 0), (0, 1, 0), (0, 0, "lambda"))),
+    Family("5.3.3", {"lambda": 2.0}, ("lambda != 1",),
+           "lambda", (("lambda", 0, 0), (0, 1, 0), (0, 0, 1))),
+    Family("5.3.4", {}, (), None, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    Family("5.3.5", {"lambda": 2.0}, ("lambda != 1",),
+           "lambda", (("lambda", 0, 0), (0, 1, 1), (0, 0, 1))),
+    Family("5.3.6", {"lambda": 2.0}, ("lambda != 0", "lambda != 1"),
+           None, ((1, 1, 0), (0, 1, 0), (0, 0, "lambda"))),
+    Family("5.3.7", {}, (), None, ((1, 1, 0), (0, 1, 1), (0, 0, 1))),
+    Family("5.3.8", {"lambda": 1.0, "phi": math.pi / 3.0},
+           ("lambda != 0", "phi in (0, pi)"),
+           None, (("cos(phi)", "-sin(phi)", 0), ("sin(phi)", "cos(phi)", 0),
+                  (0, 0, "lambda"))),
+)}
+
+
+def _compile(term):
+    """p -> value of a catalog term: a number, pi, a parameter, or
+    [-]f(parameter) for a function f of the math module."""
+    if not isinstance(term, str) or term[0].isdigit() or term == "pi":
+        value = math.pi if term == "pi" else float(term)
+        return lambda p: value
+    if term[0] == "-":
+        positive = _compile(term[1:])
+        return lambda p: -positive(p)
+    if term[-1] == ")":
+        fn, arg = term[:-1].split("(")
+        f = getattr(math, fn)
+        return lambda p: f(p[arg])
+    return lambda p: p[term]
+
+
+def _domain_test(entry):
+    """p -> whether p satisfies 'name != v' or 'name in (lo, hi)' (open)."""
+    name, op, rhs = entry.split(" ", 2)
+    if op == "!=":
+        other = _compile(rhs)
+        return lambda p: p[name] != other(p)
+    lo, hi = (_compile(v) for v in rhs.strip("()").split(", "))
+    return lambda p: lo(p) < p[name] < hi(p)
+
+
+# The row strings compiled once; validate_params and render_ad2 run these.
+_DOMAIN_TESTS = {tag: [(e, _domain_test(e)) for e in row.domain]
+                 for tag, row in _FAMILIES.items()}
+_AD2_TERMS = {tag: [[_compile(v) for v in r] for r in row.ad_x2]
+              for tag, row in _FAMILIES.items()}
+
+FAMILY_TAGS = tuple(_FAMILIES)
+PARAM_NAMES = {tag: tuple(row.defaults) for tag, row in _FAMILIES.items()}
 # Used by the CLI when --params is omitted; the library API always takes
 # explicit parameters for parameterized families.
-DEFAULT_PARAMS = {
-    "5.3.1": {"lambda1": 2.0, "lambda2": 3.0},
-    "5.3.2": {"lambda": 2.0},
-    "5.3.3": {"lambda": 2.0},
-    "5.3.4": {},
-    "5.3.5": {"lambda": 2.0},
-    "5.3.6": {"lambda": 2.0},
-    "5.3.7": {},
-    "5.3.8": {"lambda": 1.0, "phi": math.pi / 3.0},
-}
+DEFAULT_PARAMS = {tag: dict(row.defaults) for tag, row in _FAMILIES.items()}
 
 
 def normalize_family(tag) -> str:
@@ -56,6 +106,11 @@ def normalize_family(tag) -> str:
         raise DomainError(f"unknown family tag {tag!r}; expected one of "
                           + ", ".join(FAMILY_TAGS))
     return t
+
+
+def family_row(family) -> Family:
+    """The table row of a family tag ('5.3.k' or 'G5.3.k')."""
+    return _FAMILIES[normalize_family(family)]
 
 
 def _as_float(name, value):
@@ -83,16 +138,17 @@ def params_from_sequence(family, values) -> dict:
 def validate_params(family, params=None) -> dict:
     """Check family parameters against their domain; return a canonical dict.
 
-    Raises DomainError naming the violated constraint. params=None selects
-    the catalog defaults. Degenerate-but-accepted values (a zero first
-    eigenvalue for families 5.3.1, 5.3.3, 5.3.5) emit a ParameterWarning
-    because the generic orbit case equations lose a relation there; see
-    classify_orbit.
+    Raises DomainError naming the first violated domain entry of the
+    family's row. params=None selects the catalog defaults. A zero value
+    of the row's warning parameter (a first ideal eigenvalue) is accepted
+    with a ParameterWarning because the generic orbit case equations lose
+    a relation there; see classify_orbit.
     """
-    family = normalize_family(family)
+    row = family_row(family)
+    family = row.tag
     names = PARAM_NAMES[family]
     if params is None:
-        params = dict(DEFAULT_PARAMS[family])
+        params = dict(row.defaults)
     if not isinstance(params, dict):
         params = params_from_sequence(family, params)
     missing = [n for n in names if n not in params]
@@ -103,87 +159,28 @@ def validate_params(family, params=None) -> dict:
         raise DomainError(f"family {family} does not take parameter(s) {', '.join(extra)}")
     p = {n: _as_float(n, params[n]) for n in names}
 
-    if family == "5.3.1":
-        l1, l2 = p["lambda1"], p["lambda2"]
-        if l1 == 1.0:
-            raise DomainError("family 5.3.1 requires lambda1 != 1")
-        if l2 == 0.0:
-            raise DomainError("family 5.3.1 requires lambda2 != 0")
-        if l2 == 1.0:
-            raise DomainError("family 5.3.1 requires lambda2 != 1")
-        if l1 == l2:
-            raise DomainError("family 5.3.1 requires lambda1 != lambda2")
-        if l1 == 0.0:
-            warnings.warn(
-                "family 5.3.1 with lambda1 = 0 is accepted, but the generic "
-                "orbit case equations degenerate; classify_orbit refuses "
-                "cases with gamma != 0 for these parameters",
-                ParameterWarning, stacklevel=2)
-    elif family == "5.3.2":
-        if p["lambda"] == 0.0:
-            raise DomainError("family 5.3.2 requires lambda != 0")
-        if p["lambda"] == 1.0:
-            raise DomainError("family 5.3.2 requires lambda != 1")
-    elif family == "5.3.3":
-        if p["lambda"] == 1.0:
-            raise DomainError("family 5.3.3 requires lambda != 1")
-        if p["lambda"] == 0.0:
-            warnings.warn(
-                "family 5.3.3 with lambda = 0 is accepted, but the generic "
-                "orbit case equations degenerate; classify_orbit refuses "
-                "cases with gamma != 0 for these parameters",
-                ParameterWarning, stacklevel=2)
-    elif family == "5.3.5":
-        if p["lambda"] == 1.0:
-            raise DomainError("family 5.3.5 requires lambda != 1")
-        if p["lambda"] == 0.0:
-            warnings.warn(
-                "family 5.3.5 with lambda = 0 is accepted, but the generic "
-                "orbit case equations degenerate; classify_orbit refuses "
-                "cases with gamma != 0 for these parameters",
-                ParameterWarning, stacklevel=2)
-    elif family == "5.3.6":
-        if p["lambda"] == 0.0:
-            raise DomainError("family 5.3.6 requires lambda != 0")
-        if p["lambda"] == 1.0:
-            raise DomainError("family 5.3.6 requires lambda != 1")
-    elif family == "5.3.8":
-        if p["lambda"] == 0.0:
-            raise DomainError("family 5.3.8 requires lambda != 0")
-        if not 0.0 < p["phi"] < math.pi:
-            raise DomainError("family 5.3.8 requires phi in the open interval (0, pi)")
+    for entry, holds in _DOMAIN_TESTS[family]:
+        if not holds(p):
+            raise DomainError(f"family {family} requires {entry}")
+    if row.zero_warning is not None and p[row.zero_warning] == 0.0:
+        warnings.warn(
+            f"family {family} with {row.zero_warning} = 0 is accepted, but "
+            "the generic orbit case equations degenerate; classify_orbit "
+            "refuses cases with gamma != 0 for these parameters",
+            ParameterWarning, stacklevel=2)
     return p
+
+
+def render_ad2(family, p) -> np.ndarray:
+    """ad_{X2} on the ideal from the row's template; p must be a
+    validate_params result (no checks are repeated here)."""
+    return np.array([[term(p) for term in r] for r in _AD2_TERMS[family]])
 
 
 def ad2_matrix(family, params) -> np.ndarray:
     """The 3x3 matrix of ad_{X2} on the derived ideal, columns = images of X3..X5."""
     family = normalize_family(family)
-    p = validate_params(family, params)
-    if family == "5.3.1":
-        return np.diag([p["lambda1"], p["lambda2"], 1.0])
-    if family == "5.3.2":
-        return np.diag([1.0, 1.0, p["lambda"]])
-    if family == "5.3.3":
-        return np.diag([p["lambda"], 1.0, 1.0])
-    if family == "5.3.4":
-        return np.eye(3)
-    if family == "5.3.5":
-        return np.array([[p["lambda"], 0.0, 0.0],
-                         [0.0, 1.0, 1.0],
-                         [0.0, 0.0, 1.0]])
-    if family == "5.3.6":
-        return np.array([[1.0, 1.0, 0.0],
-                         [0.0, 1.0, 0.0],
-                         [0.0, 0.0, p["lambda"]]])
-    if family == "5.3.7":
-        return np.array([[1.0, 1.0, 0.0],
-                         [0.0, 1.0, 1.0],
-                         [0.0, 0.0, 1.0]])
-    # 5.3.8
-    c, s = math.cos(p["phi"]), math.sin(p["phi"])
-    return np.array([[c, -s, 0.0],
-                     [s, c, 0.0],
-                     [0.0, 0.0, p["lambda"]]])
+    return render_ad2(family, validate_params(family, params))
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,7 @@ def build_algebra(family, params=None) -> LieAlgebra:
     c = np.zeros((5, 5, 5))
     c[0, 1, 2] = 1.0
     c[1, 0, 2] = -1.0
-    A = ad2_matrix(family, p)
+    A = render_ad2(family, p)
     for j in range(3):
         for i in range(3):
             if A[i, j] != 0.0:
@@ -260,79 +257,19 @@ def jacobi_residual(alg: LieAlgebra) -> float:
     return worst
 
 
-_CATALOG = [
-    {
-        "tag": "5.3.1",
-        "name": "G5.3.1",
-        "parameters": ["lambda1", "lambda2"],
-        "constraints": [
-            "lambda1 != 1", "lambda2 != 0", "lambda2 != 1",
-            "lambda1 != lambda2",
-            "lambda1 = 0 accepted with a warning (orbit case equations degenerate)",
-        ],
-        "ad_x2": [["lambda1", 0, 0], [0, "lambda2", 0], [0, 0, 1]],
-    },
-    {
-        "tag": "5.3.2",
-        "name": "G5.3.2",
-        "parameters": ["lambda"],
-        "constraints": ["lambda != 0", "lambda != 1"],
-        "ad_x2": [[1, 0, 0], [0, 1, 0], [0, 0, "lambda"]],
-    },
-    {
-        "tag": "5.3.3",
-        "name": "G5.3.3",
-        "parameters": ["lambda"],
-        "constraints": ["lambda != 1"],
-        "ad_x2": [["lambda", 0, 0], [0, 1, 0], [0, 0, 1]],
-    },
-    {
-        "tag": "5.3.4",
-        "name": "G5.3.4",
-        "parameters": [],
-        "constraints": [],
-        "ad_x2": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-    },
-    {
-        "tag": "5.3.5",
-        "name": "G5.3.5",
-        "parameters": ["lambda"],
-        "constraints": ["lambda != 1"],
-        "ad_x2": [["lambda", 0, 0], [0, 1, 1], [0, 0, 1]],
-    },
-    {
-        "tag": "5.3.6",
-        "name": "G5.3.6",
-        "parameters": ["lambda"],
-        "constraints": ["lambda != 0", "lambda != 1"],
-        "ad_x2": [[1, 1, 0], [0, 1, 0], [0, 0, "lambda"]],
-    },
-    {
-        "tag": "5.3.7",
-        "name": "G5.3.7",
-        "parameters": [],
-        "constraints": [],
-        "ad_x2": [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
-    },
-    {
-        "tag": "5.3.8",
-        "name": "G5.3.8",
-        "parameters": ["lambda", "phi"],
-        "constraints": ["lambda != 0", "phi in (0, pi)"],
-        "ad_x2": [["cos(phi)", "-sin(phi)", 0],
-                  ["sin(phi)", "cos(phi)", 0],
-                  [0, 0, "lambda"]],
-    },
-]
-
-
 def family_catalog() -> dict:
     """Machine-readable catalog: tags, parameter names, domain constraints,
     and the ad_{X2} matrix template for each family."""
     entries = []
-    for row in _CATALOG:
-        entry = {k: (list(v) if isinstance(v, list) else v) for k, v in row.items()}
-        entry["defaults"] = dict(DEFAULT_PARAMS[row["tag"]])
-        entries.append(entry)
+    for row in _FAMILIES.values():
+        constraints = list(row.domain)
+        if row.zero_warning is not None:
+            constraints.append(f"{row.zero_warning} = 0 accepted with a warning "
+                               "(orbit case equations degenerate)")
+        entries.append({"tag": row.tag, "name": "G" + row.tag,
+                        "parameters": list(row.defaults),
+                        "constraints": constraints,
+                        "ad_x2": [list(r) for r in row.ad_x2],
+                        "defaults": dict(row.defaults)})
     return {"basis": "X1..X5, derived ideal = span(X3, X4, X5), [X1, X2] = X3",
             "families": entries}

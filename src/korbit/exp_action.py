@@ -183,7 +183,7 @@ def exp_ad_closed(family, params, U) -> ExpAdMatrix:
     U = algebra.as_vector5(U, "algebra element")
     a, b = U[0], U[1]
     w = U[2:]
-    A = algebra.ad2_matrix(family, p)
+    A = algebra.render_ad2(family, p)
     E3, P3 = _closed_blocks(family, p, float(b))
     V = np.zeros((3, 2))
     V[0, 0] = -b
@@ -201,7 +201,7 @@ def coadjoint_move(alg: algebra.LieAlgebra, F, U) -> np.ndarray:
     return exp_ad(alg, U).m.T @ F
 
 
-def coadjoint_move_531(params, F, U, literal_y: bool = False) -> np.ndarray:
+def coadjoint_move_531(params, F, U) -> np.ndarray:
     """Closed-form coadjoint motion for family 5.3.1 (diagonal action).
 
     With U = (a, b, c, d, f) and F = (alpha, beta, gamma, delta, sigma):
@@ -212,10 +212,6 @@ def coadjoint_move_531(params, F, U, literal_y: bool = False) -> np.ndarray:
         z = gamma * e^(b*lambda1)
         t = delta * e^(b*lambda2)
         s = sigma * e^b
-
-    literal_y=True swaps lambda2 for lambda1 in the delta term of y; the
-    variant is kept only so tests can demonstrate it deviates from the
-    generic exponential route.
     """
     p = algebra.validate_params("5.3.1", params)
     F = algebra.as_vector5(F, "covector")
@@ -224,9 +220,8 @@ def coadjoint_move_531(params, F, U, literal_y: bool = False) -> np.ndarray:
     a, b, c, d, f = (float(v) for v in U)
     al, be, ga, de, si = (float(v) for v in F)
     x = al - ga * phi_series(l1, b)
-    dl = l1 if literal_y else l2
     y = (be + ga * (a - c * l1) * _phi1(b * l1)
-         - de * d * dl * _phi1(b * dl)
+         - de * d * l2 * _phi1(b * l2)
          - si * f * _phi1(b))
     z = ga * math.exp(b * l1)
     t = de * math.exp(b * l2)
@@ -259,9 +254,13 @@ class OrbitSample:
             "points": [[float(v) for v in row] for row in self.points],
         }
 
-    def to_csv(self) -> str:
-        from . import reports
-        return reports.points_to_csv(self.points)
+
+def as_radius(radius) -> float:
+    """A sampling radius, which must be finite and positive."""
+    r = float(radius)
+    if not (math.isfinite(r) and r > 0.0):
+        raise DomainError(f"sampling radius must be finite and positive, got {r!r}")
+    return r
 
 
 def sample_orbit(alg: algebra.LieAlgebra, F, n: int, seed: int,
@@ -275,12 +274,11 @@ def sample_orbit(alg: algebra.LieAlgebra, F, n: int, seed: int,
     n = int(n)
     if n < 0:
         raise DomainError("sample count must be nonnegative")
-    if not (math.isfinite(radius) and radius > 0):
-        raise DomainError("sampling radius must be positive")
+    radius = as_radius(radius)
     rng = np.random.default_rng(int(seed))
     Us = rng.uniform(-radius, radius, size=(n, 5))
     pts = np.empty((n, 5))
     for k in range(n):
         pts[k] = coadjoint_move(alg, F, Us[k])
     return OrbitSample(family=alg.family, params=dict(alg.params),
-                       base=F, points=pts, seed=int(seed), radius=float(radius))
+                       base=F, points=pts, seed=int(seed), radius=radius)

@@ -85,6 +85,7 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
     pairs = int(pairs)
     if pairs < 1:
         raise DomainError(f"pair count must be at least 1, got {pairs}")
+    radius = exp_action.as_radius(radius)
     rng = np.random.default_rng(int(seed))
     n = 2 * pairs
     pts = rng.uniform(-radius, radius, size=(n, 5))
@@ -158,7 +159,7 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
                                   f"{sep:.3e} from the partner descriptor"})
     return StratumReport(
         family=alg.family, params=dict(alg.params), pairs=pairs,
-        seed=int(seed), radius=float(radius), tol=float(tol), n=n,
+        seed=int(seed), radius=radius, tol=float(tol), n=n,
         generic=generic, fixed_point=fixed, same_leaf_pairs=same_leaf,
         disjoint_pairs=disjoint, min_separation=min_sep, failures=failures)
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra
+from . import algebra, exp_action
 from .errors import DomainError
 
 
@@ -136,8 +136,9 @@ def md_scan(family, params, n: int, seed: int, rank_tol: float = 1e-9,
     """
     alg = algebra.build_algebra(family, params)
     n = int(n)
-    if n < 0:
-        raise DomainError("sample count must be nonnegative")
+    if n < 1:
+        raise DomainError(f"sample count must be at least 1, got {n}")
+    radius = exp_action.as_radius(radius)
     rng = np.random.default_rng(int(seed))
     Fs = rng.uniform(-radius, radius, size=(n, 5))
     share = n // len(_SCAN_PATTERNS)
@@ -173,7 +174,7 @@ def md_scan(family, params, n: int, seed: int, rank_tol: float = 1e-9,
                                   "covector": [float(v) for v in block[i]],
                                   "rank": int(ranks[i])})
     return MdReport(family=alg.family, params=dict(alg.params), n=n,
-                    seed=int(seed), radius=float(radius),
+                    seed=int(seed), radius=radius,
                     rank_tol=float(rank_tol), histogram=hist,
                     violations=violations, zero_rank_failures=zero_failures,
                     rank_rounding_adjustments=adjustments)

@@ -498,9 +498,6 @@ _ROWS = (
 
 _CASES = {(fam, case): row for fams, case, row in _ROWS for fam in fams.split()}
 
-# Families whose case 5-8 equations divide by the first ideal eigenvalue.
-_FIRST_EIGENVALUE = {"5.3.1": "lambda1", "5.3.3": "lambda", "5.3.5": "lambda"}
-
 
 def _case_of(family, ga, de, si) -> int:
     case_index = (1 + (4 if ga != 0.0 else 0) + (2 if de != 0.0 else 0)
@@ -530,13 +527,13 @@ def classify_orbit(family, params, F, snap_tol: float = 0.0) -> OrbitDescriptor:
     ga, de, si = base[_Z], base[_T], base[_S]
 
     case_index = _case_of(family, ga, de, si)
-    if case_index >= 5 and family in _FIRST_EIGENVALUE:
-        pname = _FIRST_EIGENVALUE[family]
-        if p[pname] == 0.0:
-            raise DomainError(
-                f"family {family} with {pname} = 0: cases with gamma != 0 have "
-                "no valid closed-form constraint set (the x coordinate "
-                "decouples from z); rank and dimension checks remain available")
+    # the case 5-8 equations divide by the row's warning parameter
+    pname = algebra.family_row(family).zero_warning
+    if case_index >= 5 and pname is not None and p[pname] == 0.0:
+        raise DomainError(
+            f"family {family} with {pname} = 0: cases with gamma != 0 have "
+            "no valid closed-form constraint set (the x coordinate "
+            "decouples from z); rank and dimension checks remain available")
 
     row = _CASES[family, case_index]
     v = _namespace(base, p)

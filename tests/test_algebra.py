@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import korbit as kb
 from korbit.errors import DomainError, ParameterWarning
 
 from conftest import CANONICAL
+from test_acceptance import JACOBI_GRID
 
 FAMS = list(kb.FAMILY_TAGS)
 
@@ -23,6 +25,83 @@ def test_catalog_lists_all_families():
     for e in cat["families"]:
         assert set(e["defaults"]) == set(e["parameters"])
         assert len(e["ad_x2"]) == 3
+
+
+# The catalog's template vocabulary, evaluated without the package's code.
+_TEMPLATE_TERMS = {"cos(phi)": lambda p: math.cos(p["phi"]),
+                   "sin(phi)": lambda p: math.sin(p["phi"]),
+                   "-sin(phi)": lambda p: -math.sin(p["phi"])}
+
+
+def _catalog_value(term, p):
+    if isinstance(term, int):
+        return float(term)
+    if term in _TEMPLATE_TERMS:
+        return _TEMPLATE_TERMS[term](p)
+    if term in p:
+        return p[term]
+    return math.pi if term == "pi" else float(term)
+
+
+def _entry_holds(entry, p):
+    name, op, rhs = entry.split(" ", 2)
+    if op == "!=":
+        return p[name] != _catalog_value(rhs, p)
+    lo, hi = (_catalog_value(v, p) for v in rhs.strip("()").split(", "))
+    return lo < p[name] < hi
+
+
+def _entry_breakers(entry, p):
+    # parameter sets that violate this entry: the value it excludes, or
+    # each endpoint of its open interval
+    name, op, rhs = entry.split(" ", 2)
+    values = rhs.strip("()").split(", ") if op == "in" else [rhs]
+    return [{**p, name: _catalog_value(v, p)} for v in values]
+
+
+# (delta, sigma) of the four cases with gamma != 0
+_GAMMA_CASES = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+
+
+@pytest.mark.parametrize("entry", kb.family_catalog()["families"],
+                         ids=lambda e: e["tag"])
+def test_catalog_agrees_with_behaviour(entry):
+    tag, defaults = entry["tag"], entry["defaults"]
+    for vals in [None] + [v for v in JACOBI_GRID[tag] if v]:
+        p = kb.validate_params(tag, vals)
+        want = np.array([[_catalog_value(v, p) for v in row]
+                         for row in entry["ad_x2"]])
+        assert kb.ad2_matrix(tag, p).tobytes() == want.tobytes(), (tag, p)
+
+    domain = [c for c in entry["constraints"] if "accepted with a warning" not in c]
+    assert all(_entry_holds(c, defaults) for c in domain)
+    for c in domain:
+        for bad in _entry_breakers(c, defaults):
+            assert [d for d in domain if not _entry_holds(d, bad)] == [c]
+            with pytest.raises(DomainError) as err:
+                kb.validate_params(tag, bad)
+            assert str(err.value) == f"family {tag} requires {c}"
+
+    for name in entry["parameters"]:
+        listed = (f"{name} = 0 accepted with a warning (orbit case equations "
+                  "degenerate)") in entry["constraints"]
+        p = {**defaults, name: 0.0}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                kb.validate_params(tag, p)
+            except DomainError:
+                assert not listed, (tag, name)
+                continue
+            refused = []
+            for de, si in _GAMMA_CASES:
+                try:
+                    kb.classify_orbit(tag, p, [0.5, -1.0, 1.0, de, si])
+                except DomainError:
+                    refused.append((de, si))
+        warned = any(w.category is ParameterWarning for w in caught)
+        assert warned == listed, (tag, name)
+        assert refused == (_GAMMA_CASES if listed else []), (tag, name)
 
 
 def test_normalize_family_accepts_both_spellings():

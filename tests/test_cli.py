@@ -99,7 +99,11 @@ def test_vacuous_sample_counts_exit_2():
                  ("check-foliation", "--family", "5.3.2", "--pairs", "0",
                   "--members", "0"),
                  ("check-foliation", "--family", "5.3.2", "--pairs", "3",
-                  "--members", "0")):
+                  "--members", "0"),
+                 ("check-foliation", "--family", "5.3.2", "--radius", "0"),
+                 ("scan-md", "--family", "5.3.4", "--n", "0"),
+                 ("scan-md", "--family", "5.3.4", "--radius", "0"),
+                 ("scan-md", "--family", "5.3.4", "--radius", "-1")):
         r = run_cli(*args, "--seed", "3")
         assert r.returncode == 2, args
         assert r.stderr.startswith("error: ") and r.stdout == ""

@@ -141,16 +141,26 @@ def test_coadjoint_sketch_matches_matrix_route():
         assert np.max(np.abs(a - b)) <= 1e-11 * (1.0 + np.max(np.abs(a)))
 
 
+def _literal_y_531(params, F, U):
+    # y of the 5.3.1 motion in its literal transcription: the delta term
+    # carries the first eigenvalue lambda1 where the matrix route has lambda2
+    l1 = params["lambda1"]
+    a, b, c, d, f = U
+    al, be, ga, de, si = F
+    return (be + ga * (a - c * l1) * phi1_sum(b * l1)
+            - de * d * l1 * phi1_sum(b * l1) - si * f * phi1_sum(b))
+
+
 def test_coadjoint_sketch_literal_variant_deviates():
-    # the literal variant keeps the first eigenvalue in the delta term of y;
-    # it disagrees with the matrix route whenever d*delta != 0
+    # the literal variant disagrees with the matrix route whenever d*delta != 0
     params = {"lambda1": 2.0, "lambda2": 3.0}
     F = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
     U = np.array([0.0, 0.5, 0.0, 1.0, 0.0])
     alg = kb.build_algebra("5.3.1", params)
     right = kb.coadjoint_move(alg, F, U)
     fixed = kb.coadjoint_move_531(params, F, U)
-    literal = kb.coadjoint_move_531(params, F, U, literal_y=True)
+    literal = fixed.copy()
+    literal[1] = _literal_y_531(params, F, U)
     assert np.max(np.abs(fixed - right)) < 1e-12
     assert abs(literal[1] - right[1]) > 1e-2
 

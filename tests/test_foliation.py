@@ -75,6 +75,13 @@ def test_local_triviality_rejects_mismatched_base():
 @pytest.mark.parametrize("call", [
     lambda: kb.partition_check("5.3.2", None, pairs=0, seed=0),
     lambda: kb.local_triviality_probe("5.3.2", None, 8, n=0, seed=0),
+    lambda: kb.partition_check("5.3.2", None, pairs=3, seed=0, radius=0.0),
+    lambda: kb.partition_check("5.3.2", None, pairs=3, seed=0, radius=-1.0),
+    lambda: kb.md_scan("5.3.1", None, n=0, seed=1),
+    lambda: kb.md_scan("5.3.1", None, n=0, seed=1, rank_tol=-1),
+    lambda: kb.md_scan("5.3.1", None, n=8, seed=1, radius=0.0),
+    lambda: kb.md_scan("5.3.1", None, n=8, seed=1, radius=-1.0),
+    lambda: kb.md_scan("5.3.1", None, n=8, seed=1, radius=float("inf")),
 ])
 def test_vacuous_sample_counts_are_refused(call):
     with pytest.raises(DomainError):
