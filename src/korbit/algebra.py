@@ -226,6 +226,18 @@ def as_vector5(v, what="vector") -> np.ndarray:
     return arr
 
 
+def as_stack5(v, what="vector") -> np.ndarray:
+    """One finite vector (5,) or an (n, 5) stack of them, unchanged in shape."""
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim == 1:
+        return as_vector5(arr, what)
+    if arr.ndim != 2 or arr.shape[1] != 5:
+        raise DomainError(f"{what} must have shape (5,) or (n, 5), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{what} must have finite coordinates")
+    return arr
+
+
 def bracket(alg: LieAlgebra, U, V) -> np.ndarray:
     """Lie bracket [U, V] in basis coordinates.
 
@@ -240,9 +252,13 @@ def bracket(alg: LieAlgebra, U, V) -> np.ndarray:
 
 
 def ad_matrix(alg: LieAlgebra, U) -> np.ndarray:
-    """Matrix of ad_U = [U, .] acting on coordinate columns."""
-    U = as_vector5(U, "algebra element")
-    return np.einsum("i,ijk->kj", U, alg.c)
+    """Matrix of ad_U = [U, .] acting on coordinate columns.
+
+    U is one element (5,) or an (n, 5) stack; the result is (5, 5) or
+    (n, 5, 5).
+    """
+    U = as_stack5(U, "algebra element")
+    return np.einsum("...i,ijk->...kj", U, alg.c)
 
 
 def jacobi_residual(alg: LieAlgebra) -> float:

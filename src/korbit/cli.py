@@ -10,6 +10,7 @@ output.
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -399,6 +400,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Options whose value is a comma-separated number list.
+_LIST_OPTIONS = ("--params", "--covector")
+
+
+def _attach_negative_values(argv):
+    """Spell '--params -2,0.5' as '--params=-2,0.5'.
+
+    argparse reads a token that starts with '-' as an option unless it is a
+    single plain number, so value lists such as '-2,0.5' or '-1,1,1,1,1'
+    would be refused.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in _LIST_OPTIONS and re.match(r"-\.?\d", arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 _DISPATCH = {
     "list-families": _cmd_list_families,
     "classify": _cmd_classify,
@@ -411,7 +432,9 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_attach_negative_values(argv))
     _check_threads()
     cfg = _load_config(args.config)
     opt = _Options(args, cfg)

@@ -5,6 +5,12 @@ exponential is block lower-triangular with an identity 2x2 block, a 3x3
 block exp(b*A) (A = ad_{X2} on the ideal, b = X2-coefficient), and a 3x2
 coupling block phi1(b*A) @ V. Closed forms per family reduce to the scalar
 functions phi1(x) = (e^x - 1)/x and its derivatives.
+
+The generic route is batched: exp_ad and coadjoint_move take one element
+U of shape (5,) or an (n, 5) stack and return (5, 5) / (n, 5, 5) and
+(5,) / (n, 5). One element is the n = 1 case of the same code, and
+sample_orbit moves its whole draw in one call. The closed-form route,
+exp_ad_closed, takes one element.
 """
 
 import math
@@ -81,20 +87,33 @@ def phi_series(lam: float, b: float) -> float:
 def _expm(M: np.ndarray) -> np.ndarray:
     """Scaling-and-squaring exponential with an order-13 series core.
 
-    Scales by powers of two until the infinity norm is at most 0.5; the
-    order-13 Taylor remainder is then below 1e-15.
+    M is one 5x5 matrix or an (n, 5, 5) stack. Each matrix is scaled by
+    its own power of two, 2^s, until its infinity norm is at most 0.5 (the
+    order-13 Taylor remainder is then below 1e-15), and squared s times.
+    The squarings all matrices need run on the whole stack, the rest on
+    the rows that need them.
     """
-    norm = float(np.linalg.norm(M, np.inf))
-    s = 0
-    if norm > _EXP_NORM_TARGET:
-        s = int(math.ceil(math.log2(norm / _EXP_NORM_TARGET)))
-    A = M / (2.0 ** s)
-    eye = np.eye(M.shape[0])
-    R = np.eye(M.shape[0])
-    for k in range(_EXP_SERIES_ORDER, 0, -1):
-        R = eye + (A @ R) / k
-    for _ in range(s):
+    norm = np.abs(M).sum(axis=-1).max(axis=-1)
+    counts = [math.ceil(math.log2(v / _EXP_NORM_TARGET))
+              if v > _EXP_NORM_TARGET else 0 for v in np.ravel(norm).tolist()]
+    common, most = min(counts, default=0), max(counts, default=0)
+    if most > common:  # a stack whose rows differ in count
+        counts = np.array(counts)
+        A = np.ldexp(M, -counts[:, None, None])
+    else:
+        A = M / (2.0 ** common)
+    eye = np.eye(5)
+    R = eye + A / _EXP_SERIES_ORDER  # A @ I == A
+    for k in range(_EXP_SERIES_ORDER - 1, 0, -1):
+        R = A @ R
+        R /= k
+        R += eye
+    for _ in range(common):
         R = R @ R
+    for j in range(common, most):
+        rows = counts > j
+        Rj = R[rows]
+        R[rows] = Rj @ Rj
     return R
 
 
@@ -106,7 +125,10 @@ class ExpAdMatrix:
 
 
 def exp_ad(alg: algebra.LieAlgebra, U) -> ExpAdMatrix:
-    """exp(ad_U) by the generic scaling-and-squaring route."""
+    """exp(ad_U) by the generic scaling-and-squaring route.
+
+    U is one element (5,) or an (n, 5) stack; m is (5, 5) or (n, 5, 5).
+    """
     return ExpAdMatrix(m=_expm(algebra.ad_matrix(alg, U)), source="generic")
 
 
@@ -196,9 +218,13 @@ def exp_ad_closed(family, params, U) -> ExpAdMatrix:
 
 
 def coadjoint_move(alg: algebra.LieAlgebra, F, U) -> np.ndarray:
-    """Coordinates of the coadjoint image of F under exp(U)."""
+    """Coordinates of the coadjoint image of F under exp(U).
+
+    U is one element (5,) or an (n, 5) stack; the result is (5,) or
+    (n, 5), row k the image under exp(U[k]).
+    """
     F = algebra.as_vector5(F, "covector")
-    return exp_ad(alg, U).m.T @ F
+    return F @ exp_ad(alg, U).m
 
 
 def coadjoint_move_531(params, F, U) -> np.ndarray:
@@ -268,7 +294,7 @@ def sample_orbit(alg: algebra.LieAlgebra, F, n: int, seed: int,
     """Sample n coadjoint images of F along elements drawn uniformly from
     the coordinate cube [-radius, radius]^5 by a seeded generator.
 
-    Deterministic for a given seed (single draw pass, sequential moves).
+    Deterministic for a given seed: one (n, 5) draw, moved in one call.
     """
     F = algebra.as_vector5(F, "covector")
     n = int(n)
@@ -277,8 +303,6 @@ def sample_orbit(alg: algebra.LieAlgebra, F, n: int, seed: int,
     radius = as_radius(radius)
     rng = np.random.default_rng(int(seed))
     Us = rng.uniform(-radius, radius, size=(n, 5))
-    pts = np.empty((n, 5))
-    for k in range(n):
-        pts[k] = coadjoint_move(alg, F, Us[k])
+    pts = coadjoint_move(alg, F, Us)
     return OrbitSample(family=alg.family, params=dict(alg.params),
                        base=F, points=pts, seed=int(seed), radius=radius)

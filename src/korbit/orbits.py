@@ -601,14 +601,8 @@ def _guard_mask(desc, P):
 
 def _stack(p):
     """(n, 5) stack of finite points, and whether p was a single point."""
-    P = np.asarray(p, dtype=float)
-    if P.ndim == 1:
-        return algebra.as_vector5(P, "point")[None, :], True
-    if P.ndim != 2 or P.shape[1] != 5:
-        raise DomainError(f"points must have shape (5,) or (n, 5), got {P.shape}")
-    if not np.all(np.isfinite(P)):
-        raise DomainError("points must have finite coordinates")
-    return P, False
+    P = algebra.as_stack5(p, "point")
+    return (P[None, :], True) if P.ndim == 1 else (P, False)
 
 
 def constraint_residuals(desc: OrbitDescriptor, p) -> np.ndarray:
@@ -650,13 +644,18 @@ def tangency_residual(alg: algebra.LieAlgebra, desc: OrbitDescriptor, p):
     for one point, an array of one value per row for an (n, 5) stack.
     """
     P, single = _stack(p)
-    B = kirillov.kirillov_forms(alg, P)
+    worst = _tangency_rows(desc, P, kirillov.kirillov_forms(alg, P))
+    return float(worst[0]) if single else worst
+
+
+def _tangency_rows(desc: OrbitDescriptor, P, B):
+    """tangency_residual of an (n, 5) stack whose Kirillov forms are B."""
     scale = 1.0 + np.max(np.abs(P), axis=-1)
     worst = np.zeros(P.shape[0])
     for con in desc.constraints:
         v = np.einsum("nij,nj->ni", B, con.grad(P))
         worst = np.fmax(worst, np.max(np.abs(v), axis=-1) / scale)
-    return float(worst[0]) if single else worst
+    return worst
 
 
 def jacobian_rank_check(desc: OrbitDescriptor, p, tol: float = 1e-9):
@@ -829,15 +828,15 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
 
         if np.any(mask):
             Pm = P[mask]
+            forms = kirillov.kirillov_forms(alg, Pm)
             max_residual = max(max_residual, float(np.max(np.abs(
                 constraint_residuals(desc, Pm)))))
             tangency_max = max(tangency_max, float(np.max(
-                tangency_residual(alg, desc, Pm))))
+                _tangency_rows(desc, Pm, forms))))
             if desc.dim == 2:
                 ranks = jacobian_rank_check(desc, Pm, rank_tol)
                 jacobian_failures += int(np.count_nonzero(ranks != 3))
-            ranks_b, _ = kirillov._batch_skew_ranks(
-                kirillov.kirillov_forms(alg, Pm), rank_tol)
+            ranks_b, _ = kirillov._batch_skew_ranks(forms, rank_tol)
             dimension_mismatches += int(np.count_nonzero(ranks_b != desc.dim))
             grad_worst = max(grad_worst, float(np.max(
                 gradient_fd_error(desc, Pm, grad_step))))

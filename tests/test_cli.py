@@ -47,6 +47,26 @@ def test_classify_named_params():
     assert r.stdout.startswith("case 2,")
 
 
+@pytest.mark.parametrize("command,rest", [
+    ("classify", ("--covector", "-1,1,1,1,1", "--format", "json")),
+    ("sample-orbit", ("--covector", "-.5,1,-2,1,1", "--n", "3",
+                      "--seed", "1", "--format", "json")),
+    ("scan-md", ("--n", "300", "--seed", "1")),
+    ("verify-props", ("--case", "8", "--n", "20", "--seed", "1")),
+    ("check-foliation", ("--pairs", "3", "--members", "5", "--seed", "1")),
+])
+def test_negative_values_in_either_spelling(command, rest):
+    # '--params -2,0.5' starts like an option; it must read as '--params=...'
+    spaced = [command, "--family", "5.3.1", "--params", "-2,0.5", *rest]
+    joined = (" ".join(spaced).replace("--params ", "--params=")
+              .replace("--covector ", "--covector=").split())
+    a = run_cli(*spaced)
+    b = run_cli(*joined)
+    assert a.stderr == b.stderr == ""
+    assert a.returncode == b.returncode and a.returncode in (0, 1)
+    assert a.stdout == b.stdout and a.stdout
+
+
 def test_usage_errors_exit_2():
     assert run_cli("classify", "--family", "5.3.9",
                    "--covector", "0,0,1,1,1").returncode == 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,3 +210,79 @@ def test_sample_orbit_rejects_bad_arguments():
         kb.sample_orbit(alg, [1, 1, 1, 1, 1], 10, seed=0, radius=0.0)
     empty = kb.sample_orbit(alg, [1, 1, 1, 1, 1], 0, seed=0)
     assert empty.points.shape == (0, 5)
+
+
+def _expm_per_matrix(M):
+    # The one-matrix scaling-and-squaring algorithm that the stacked
+    # exponential replaced, kept as the reference for the stacked code.
+    norm = float(np.linalg.norm(M, np.inf))
+    s = 0
+    if norm > 0.5:
+        s = int(math.ceil(math.log2(norm / 0.5)))
+    A = M / (2.0 ** s)
+    eye = np.eye(M.shape[0])
+    R = np.eye(M.shape[0])
+    for k in range(13, 0, -1):
+        R = eye + (A @ R) / k
+    for _ in range(s):
+        R = R @ R
+    return R
+
+
+def _assert_rows_close(got, want):
+    # 1e-15 relative to each row's largest entry: other BLAS builds may
+    # round the stacked products differently
+    axes = tuple(range(1, want.ndim))
+    scale = np.max(np.abs(want), axis=axes, keepdims=True)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("fam,params", CANONICAL)
+def test_stacked_motion_matches_per_point_algorithm(fam, params):
+    rng = np.random.default_rng(61)
+    alg = kb.build_algebra(fam, params)
+    # 100 rows per radius, interleaved, so one stack mixes squaring counts
+    radii = np.repeat([1e-3, 0.3, 2.0, 8.0, 40.0], 100)
+    Us = rng.uniform(-1.0, 1.0, (500, 5)) * rng.permutation(radii)[:, None]
+    F = rng.uniform(-2.5, 2.5, 5)
+    M = kb.ad_matrix(alg, Us)
+    norms = np.linalg.norm(M, np.inf, axis=(1, 2))
+    counts = {int(math.ceil(math.log2(v / 0.5))) if v > 0.5 else 0
+              for v in norms}
+    assert set(range(8)) <= counts
+    want = np.array([_expm_per_matrix(m) for m in M])
+    for n in (0, 1, 2, 500):
+        E = kb.exp_ad(alg, Us[:n]).m
+        _assert_rows_close(E, want[:n])
+        _assert_rows_close(kb.coadjoint_move(alg, F, Us[:n]),
+                           np.array([m.T @ F for m in want[:n]]).reshape(n, 5))
+    # each stacked row is the n = 1 result of the same code
+    E = kb.exp_ad(alg, Us).m
+    G = kb.coadjoint_move(alg, F, Us)
+    for k in range(0, 500, 7):
+        _assert_rows_close(E[k:k + 1], kb.exp_ad(alg, Us[k]).m[None])
+        _assert_rows_close(G[k:k + 1], kb.coadjoint_move(alg, F, Us[k])[None])
+
+
+def test_stacked_motion_edges():
+    alg = kb.build_algebra("5.3.7", None)
+    F = np.array([0.5, -1.25, 0.75, 2.0, -0.5])
+    assert kb.exp_ad(alg, np.zeros((0, 5))).m.shape == (0, 5, 5)
+    assert kb.coadjoint_move(alg, F, np.zeros((0, 5))).shape == (0, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zero = kb.exp_ad(alg, np.zeros((3, 5))).m
+    assert np.array_equal(zero, np.broadcast_to(np.eye(5), (3, 5, 5)))
+    for bad in (np.ones((3, 4)), np.ones((2, 3, 5)), np.ones(4)):
+        with pytest.raises(DomainError):
+            kb.exp_ad(alg, bad)
+        with pytest.raises(DomainError):
+            kb.coadjoint_move(alg, F, bad)
+    for value in (np.nan, np.inf):
+        U = np.ones((4, 5))
+        U[2, 3] = value
+        with pytest.raises(DomainError):
+            kb.ad_matrix(alg, U)
+        with pytest.raises(DomainError):
+            kb.coadjoint_move(alg, F, U)
