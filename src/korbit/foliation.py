@@ -5,25 +5,30 @@ The generic stratum (union of the two-dimensional orbits) is the set of
 covectors with (gamma, delta, sigma) != 0; everything else is a fixed
 point. Pair checks inject known same-orbit pairs and known mirror-stratum
 pairs among the random ones so both outcomes are exercised.
+A disjoint pair's probes are one stack: only rows admitted by the partner
+descriptor's membership mask (guards and signs) get residuals.
 """
 
+import dataclasses
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import algebra, exp_action, kirillov, orbits
-from .errors import AsymmetryError, DomainError, EvaluationError
+from .errors import AsymmetryError, DomainError
 
 _NOTICE = ("this report checks the set-theoretic orbit partition only; "
            "transverse-measure functionals on the leaf space have no finite "
            "sampling content and are not probed")
 
 
-def generic_stratum_contains(F) -> bool:
-    """True when F lies on a two-dimensional orbit: (gamma, delta, sigma) != 0."""
-    F = algebra.as_vector5(F, "covector")
-    return bool(F[2] != 0.0 or F[3] != 0.0 or F[4] != 0.0)
+def generic_stratum_contains(F):
+    """Whether F lies on a two-dimensional orbit, (gamma, delta, sigma) != 0:
+    a bool for one covector, one per row for an (n, 5) stack."""
+    F = algebra.as_stack5(F, "covector")
+    inside = np.any(F[..., 2:] != 0.0, axis=-1)
+    return bool(inside) if F.ndim == 1 else inside
 
 
 @dataclass
@@ -49,23 +54,8 @@ class StratumReport:
         return not self.failures and self.generic + self.fixed_point == self.n
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": dict(self.params),
-            "pairs": self.pairs,
-            "seed": self.seed,
-            "radius": self.radius,
-            "tol": self.tol,
-            "n": self.n,
-            "generic": self.generic,
-            "fixed_point": self.fixed_point,
-            "same_leaf_pairs": self.same_leaf_pairs,
-            "disjoint_pairs": self.disjoint_pairs,
-            "min_separation": self.min_separation,
-            "failures": list(self.failures),
-            "notice": self.notice,
-            "passed": self.passed,
-        }
+        # keys in field order, then the verdict
+        return dict(dataclasses.asdict(self), passed=self.passed)
 
 
 def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
@@ -76,21 +66,22 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
 
     Every 5th pair is replaced by a known same-orbit pair (a coadjoint move
     of the first member) and every following 5th by a mirror pair (the
-    stratum-sign coordinate flipped). For pairs on distinct orbits, 50
-    points of the first orbit are probed against the second descriptor; a
-    probe closer than 10*tol in normalized residual is a failure, as is any
-    probe that passes full membership.
+    stratum-sign coordinate flipped). For pairs on distinct orbits,
+    probe_points points of the first orbit are probed against the second
+    descriptor; a probe closer than 10*tol in normalized residual is a
+    failure, as is any probe that passes full membership.
     """
     alg = algebra.build_algebra(family, params)
-    pairs = int(pairs)
+    pairs, probe_points = int(pairs), int(probe_points)
     if pairs < 1:
         raise DomainError(f"pair count must be at least 1, got {pairs}")
+    if probe_points < 1:
+        raise DomainError(f"probe count must be at least 1, got {probe_points}")
     radius = exp_action.as_radius(radius)
     rng = np.random.default_rng(int(seed))
     n = 2 * pairs
     pts = rng.uniform(-radius, radius, size=(n, 5))
-    generic = sum(1 for i in range(n) if generic_stratum_contains(pts[i]))
-    fixed = n - generic
+    generic = int(np.count_nonzero(generic_stratum_contains(pts)))
 
     failures = []
     min_sep = None
@@ -135,32 +126,28 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
         probe = exp_action.sample_orbit(
             alg, Fa, probe_points, seed=int(seed) + 104729 + i,
             radius=1.5).points
-        for q in probe:
-            for sp in desc_b.signs:
-                if not float(sp.fn(q)) > 0.0:
-                    break
+        # probes failing a sign or guard of desc_b lie in another stratum
+        probe = probe[orbits._admitted(desc_b, probe)[1]]
+        sep = np.max(np.abs(orbits._residual_rows(desc_b, probe)), axis=-1)
+        if len(sep):
+            low = float(np.min(sep))
+            min_sep = low if min_sep is None else min(min_sep, low)
+        near = sep < 10.0 * tol  # in probe order
+        for q, d in zip(probe[near], sep[near]):
+            if d < tol:
+                failures.append({
+                    "pair": i, "kind": "overlap",
+                    "detail": f"orbit point {list(map(float, q))} is a "
+                              f"member of the partner descriptor"})
             else:
-                try:
-                    r = orbits.constraint_residuals(desc_b, q)
-                except EvaluationError:
-                    continue  # structurally separated (different stratum)
-                sep = float(np.max(np.abs(r)))
-                if min_sep is None or sep < min_sep:
-                    min_sep = sep
-                if sep < tol:
-                    failures.append({
-                        "pair": i, "kind": "overlap",
-                        "detail": f"orbit point {list(map(float, q))} is a "
-                                  f"member of the partner descriptor"})
-                elif sep < 10.0 * tol:
-                    failures.append({
-                        "pair": i, "kind": "margin",
-                        "detail": f"orbit point at normalized residual "
-                                  f"{sep:.3e} from the partner descriptor"})
+                failures.append({
+                    "pair": i, "kind": "margin",
+                    "detail": f"orbit point at normalized residual "
+                              f"{d:.3e} from the partner descriptor"})
     return StratumReport(
         family=alg.family, params=dict(alg.params), pairs=pairs,
         seed=int(seed), radius=radius, tol=float(tol), n=n,
-        generic=generic, fixed_point=fixed, same_leaf_pairs=same_leaf,
+        generic=generic, fixed_point=n - generic, same_leaf_pairs=same_leaf,
         disjoint_pairs=disjoint, min_separation=min_sep, failures=failures)
 
 
@@ -193,7 +180,7 @@ def local_triviality_probe(family, params, case_index, n: int = 100,
             "the chart probe needs a two-dimensional orbit")
     pts = exp_action.sample_orbit(alg, base, n, seed=int(seed),
                                   radius=radius).points
-    J = np.stack([con.grad(pts) for con in desc.constraints], axis=1)
+    J = orbits._jacobian(desc, pts)
     ranks, thr = kirillov.svd_ranks(J, rank_tol)
     if np.any(ranks != 3):
         return False

@@ -20,8 +20,9 @@ table row; rows shared by several families are written once. Family
 5.3.8 case 3 is the one row whose specs are a builder function.
 
 The checks (residuals, tangency, Jacobian rank, finite-difference
-gradients) take one point or an (n, 5) stack; a single point is the n = 1
-case, and verify_proposition runs them on whole samples.
+gradients) and the membership mask (guards, then signs, each in one loop)
+take one point or an (n, 5) stack; a single point is the n = 1 case, and
+verify_proposition runs them on whole samples.
 """
 
 import dataclasses
@@ -581,28 +582,41 @@ def descriptor_summary(desc: OrbitDescriptor) -> dict:
     }
 
 
-def _check_guards(desc, P):
+def _guards(desc, P):
+    """(constraint, guard, rows of P where it is > 0, NaN failing) per guard."""
     for con in desc.constraints:
         for g in con.guards:
-            val = np.asarray(g.fn(P))
-            if not np.all(val > 0.0):  # NaN included
-                raise EvaluationError(
-                    f"cannot evaluate {con.expr!r}: requires {g.expr}")
+            yield con, g, np.asarray(g.fn(P)) > 0.0
 
 
-def _guard_mask(desc, P):
-    """Boolean mask of batch rows where every guard is strictly positive."""
-    ok = np.ones(P.shape[:-1], dtype=bool)
-    for con in desc.constraints:
-        for g in con.guards:
-            ok &= np.asarray(g.fn(P)) > 0.0
-    return ok
+def _admitted(desc, P):
+    """Rows of P passing every guard (residuals are defined), and rows also
+    passing every strict sign predicate (admitted as members)."""
+    guarded = np.ones(P.shape[:-1], dtype=bool)
+    for _, _, ok in _guards(desc, P):
+        guarded &= ok
+    admitted = guarded.copy()
+    for sp in desc.signs:
+        admitted &= np.asarray(sp.fn(P)) > 0.0
+    return guarded, admitted
+
+
+def _residual_rows(desc, P):
+    """Normalized residuals of points whose guards hold (not checked)."""
+    scale = 1.0 + np.max(np.abs(P), axis=-1)
+    res = np.stack([con.fn(P) for con in desc.constraints], axis=-1)
+    return res / scale[..., None]
 
 
 def _stack(p):
     """(n, 5) stack of finite points, and whether p was a single point."""
     P = algebra.as_stack5(p, "point")
     return (P[None, :], True) if P.ndim == 1 else (P, False)
+
+
+def _jacobian(desc, P):
+    """(n, constraints, 5) stack of constraint gradients at the rows of P."""
+    return np.stack([con.grad(P) for con in desc.constraints], axis=1)
 
 
 def constraint_residuals(desc: OrbitDescriptor, p) -> np.ndarray:
@@ -614,10 +628,11 @@ def constraint_residuals(desc: OrbitDescriptor, p) -> np.ndarray:
     P = np.asarray(p, dtype=float)
     if P.shape[-1] != 5:
         raise DomainError("point must have 5 coordinates")
-    _check_guards(desc, P)
-    scale = 1.0 + np.max(np.abs(P), axis=-1)
-    res = np.stack([con.fn(P) for con in desc.constraints], axis=-1)
-    return res / scale[..., None]
+    for con, g, ok in _guards(desc, P):
+        if not np.all(ok):
+            raise EvaluationError(
+                f"cannot evaluate {con.expr!r}: requires {g.expr}")
+    return _residual_rows(desc, P)
 
 
 def is_member(desc: OrbitDescriptor, p, tol: float = 1e-8) -> bool:
@@ -625,15 +640,9 @@ def is_member(desc: OrbitDescriptor, p, tol: float = 1e-8) -> bool:
 
     Unevaluable points (guard violations) are non-members, not errors.
     """
-    P = algebra.as_vector5(p, "point")
-    for sp in desc.signs:
-        if not float(sp.fn(P)) > 0.0:
-            return False
-    try:
-        r = constraint_residuals(desc, P)
-    except EvaluationError:
-        return False
-    return bool(np.all(np.abs(r) < tol))
+    P = algebra.as_vector5(p, "point")[None, :]
+    return bool(_admitted(desc, P)[1][0]
+                and np.all(np.abs(_residual_rows(desc, P)) < tol))
 
 
 def tangency_residual(alg: algebra.LieAlgebra, desc: OrbitDescriptor, p):
@@ -644,18 +653,14 @@ def tangency_residual(alg: algebra.LieAlgebra, desc: OrbitDescriptor, p):
     for one point, an array of one value per row for an (n, 5) stack.
     """
     P, single = _stack(p)
-    worst = _tangency_rows(desc, P, kirillov.kirillov_forms(alg, P))
+    worst = _tangency_rows(P, kirillov.kirillov_forms(alg, P), _jacobian(desc, P))
     return float(worst[0]) if single else worst
 
 
-def _tangency_rows(desc: OrbitDescriptor, P, B):
-    """tangency_residual of an (n, 5) stack whose Kirillov forms are B."""
-    scale = 1.0 + np.max(np.abs(P), axis=-1)
-    worst = np.zeros(P.shape[0])
-    for con in desc.constraints:
-        v = np.einsum("nij,nj->ni", B, con.grad(P))
-        worst = np.fmax(worst, np.max(np.abs(v), axis=-1) / scale)
-    return worst
+def _tangency_rows(P, B, J):
+    """tangency_residual of P, with Kirillov forms B and Jacobians J."""
+    v = np.einsum("nij,ncj->nci", B, J)
+    return np.max(np.abs(v), axis=(1, 2)) / (1.0 + np.max(np.abs(P), axis=-1))
 
 
 def jacobian_rank_check(desc: OrbitDescriptor, p, tol: float = 1e-9):
@@ -664,21 +669,34 @@ def jacobian_rank_check(desc: OrbitDescriptor, p, tol: float = 1e-9):
     An int for one point, an array of one rank per row for an (n, 5) stack.
     """
     P, single = _stack(p)
-    J = np.stack([con.grad(P) for con in desc.constraints], axis=1)
-    ranks, _ = kirillov.svd_ranks(J, tol)
+    ranks, _ = kirillov.svd_ranks(_jacobian(desc, P), tol)
     return int(ranks[0]) if single else ranks
+
+
+def _fd_step(step) -> float:
+    step = float(step)
+    if not (math.isfinite(step) and step > 0.0):
+        raise DomainError(f"FD step must be finite and positive, got {step}")
+    return step
 
 
 def gradient_fd_error(desc: OrbitDescriptor, p, step: float = 1e-6):
     """Max relative deviation of analytic gradients from central differences.
 
     A float for one point, an array of one value per row for an (n, 5)
-    stack.
+    stack. A difference that is not finite (a step across a guard) makes
+    the row's value non-finite instead of being skipped.
     """
     P, single = _stack(p)
+    worst = _fd_rows(desc, P, _jacobian(desc, P), _fd_step(step))
+    return float(worst[0]) if single else worst
+
+
+def _fd_rows(desc, P, J, step):
+    """gradient_fd_error of an (n, 5) stack with constraint Jacobians J."""
     worst = np.zeros(P.shape[0])
-    for con in desc.constraints:
-        G = con.grad(P)
+    for c, con in enumerate(desc.constraints):
+        G = J[:, c, :]
         denom = np.maximum(1.0, np.max(np.abs(G), axis=-1))
         for j in range(5):
             Pp = P.copy()
@@ -686,8 +704,8 @@ def gradient_fd_error(desc: OrbitDescriptor, p, step: float = 1e-6):
             Pm = P.copy()
             Pm[:, j] -= step
             fd = (con.fn(Pp) - con.fn(Pm)) / (2.0 * step)
-            worst = np.fmax(worst, np.abs(fd - G[:, j]) / denom)
-    return float(worst[0]) if single else worst
+            worst = np.maximum(worst, np.abs(fd - G[:, j]) / denom)
+    return worst
 
 
 def orbits_equal(alg: algebra.LieAlgebra, F1, F2, tol: float = 1e-8) -> bool:
@@ -736,8 +754,8 @@ def _adjudication_entry(desc, P, mask, scale):
     def worst(slot):
         if slot is None or not np.any(mask):
             return None
-        return max(float(np.max(np.abs(con.fn(P[mask]) / scale[mask])))
-                   for con in _slot(cons, slot, v))
+        return float(np.max([np.max(np.abs(con.fn(P[mask]) / scale[mask]))
+                             for con in _slot(cons, slot, v)]))
 
     return {
         "equation": "; ".join(c.expr for c in _slot(cons, adj.equation, v)),
@@ -798,6 +816,7 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
     n = int(n)
     if n < 1:
         raise DomainError(f"sample count must be at least 1, got {n}")
+    grad_step = _fd_step(grad_step)
     if base is not None:
         bases = [algebra.as_vector5(base, "base covector")]
     else:
@@ -811,8 +830,8 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
     grad_worst = 0.0
     prov_acc = {}
 
-    for k, B in enumerate(bases):
-        desc = classify_orbit(family, p, B)
+    descs = [classify_orbit(family, p, B) for B in bases]
+    for k, (B, desc) in enumerate(zip(bases, descs)):
         if desc.case_index != case_index:
             raise DomainError(
                 f"base {list(map(float, B))} lies in case {desc.case_index}, "
@@ -820,40 +839,33 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
         P = exp_action.sample_orbit(alg, B, n, seed=int(seed) + 7919 * k,
                                     radius=radius).points
         scale = 1.0 + np.max(np.abs(P), axis=-1)
-        mask = _guard_mask(desc, P)
-        sign_violations += int(P.shape[0] - int(mask.sum()))
-        for sp in desc.signs:
-            vals = np.asarray(sp.fn(P))
-            sign_violations += int(np.count_nonzero(~(vals > 0.0) & mask))
+        mask, admitted = _admitted(desc, P)
+        sign_violations += int(P.shape[0] - np.count_nonzero(admitted))
 
         if np.any(mask):
+            # the checks run on every guarded row; np.max keeps a NaN
             Pm = P[mask]
             forms = kirillov.kirillov_forms(alg, Pm)
-            max_residual = max(max_residual, float(np.max(np.abs(
-                constraint_residuals(desc, Pm)))))
-            tangency_max = max(tangency_max, float(np.max(
-                _tangency_rows(desc, Pm, forms))))
+            J = _jacobian(desc, Pm)
+            max_residual = float(np.max(np.abs(_residual_rows(desc, Pm)),
+                                        initial=max_residual))
+            tangency_max = float(np.max(_tangency_rows(Pm, forms, J),
+                                        initial=tangency_max))
             if desc.dim == 2:
-                ranks = jacobian_rank_check(desc, Pm, rank_tol)
+                ranks, _ = kirillov.svd_ranks(J, rank_tol)
                 jacobian_failures += int(np.count_nonzero(ranks != 3))
             ranks_b, _ = kirillov._batch_skew_ranks(forms, rank_tol)
             dimension_mismatches += int(np.count_nonzero(ranks_b != desc.dim))
-            grad_worst = max(grad_worst, float(np.max(
-                gradient_fd_error(desc, Pm, grad_step))))
+            grad_worst = float(np.max(_fd_rows(desc, Pm, J, grad_step),
+                                      initial=grad_worst))
 
         entry = _adjudication_entry(desc, P, mask, scale)
-        if entry is None:
-            continue
-        key = entry["equation"]
-        if key in prov_acc:
-            old = prov_acc[key]
+        if entry is not None:
+            old = prov_acc.setdefault(entry["equation"], entry)
             for slot in ("literal_residual", "corrected_residual"):
-                a, b = old[slot], entry[slot]
-                old[slot] = b if a is None else (a if b is None else max(a, b))
-        else:
-            prov_acc[key] = entry
+                vals = [r for r in (old[slot], entry[slot]) if r is not None]
+                old[slot] = float(np.max(vals)) if vals else None
 
-    desc0 = classify_orbit(family, p, bases[0])
     passed = (max_residual < member_tol and tangency_max < tangency_tol
               and sign_violations == 0 and jacobian_failures == 0
               and dimension_mismatches == 0 and grad_worst < grad_tol)
@@ -863,7 +875,7 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
         bases=[[float(v) for v in b] for b in bases],
         n=n, seed=int(seed), radius=float(radius),
         member_tol=float(member_tol), tangency_tol=float(tangency_tol),
-        rank_tol=float(rank_tol), shape=desc0.shape, dim=desc0.dim,
+        rank_tol=float(rank_tol), shape=descs[0].shape, dim=descs[0].dim,
         max_residual=max_residual, tangency_max=tangency_max,
         sign_violations=sign_violations, jacobian_failures=jacobian_failures,
         dimension_mismatches=dimension_mismatches,

@@ -254,6 +254,42 @@ def test_verify_refuses_empty_sample():
         kb.verify_proposition("5.3.2", None, 8, n=0, seed=0)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-6, math.nan, math.inf])
+def test_fd_step_must_be_finite_and_positive(step):
+    # a zero or NaN step made every difference NaN, and the NaNs were dropped
+    with pytest.raises(DomainError):
+        kb.verify_proposition("5.3.1", None, 8, n=50, seed=7, grad_step=step)
+    desc = kb.classify_orbit("5.3.1", P531, [1, 1, 1, 1, 1])
+    with pytest.raises(DomainError):
+        kb.gradient_fd_error(desc, [1.0, 1.0, 1.0, 1.0, 1.0], step=step)
+
+
+def test_fd_difference_across_a_guard_is_not_dropped():
+    desc = kb.classify_orbit("5.3.6", None, [1, 1, 1, 1, 0])  # log(z/gamma)
+    p = [0.0, 1.0, 5e-7, 0.0, 0.0]  # z - step < 0
+    assert kb.constraint_residuals(desc, p).shape == (3,)  # guards hold at p
+    with np.errstate(invalid="ignore"):
+        assert not math.isfinite(kb.gradient_fd_error(desc, p))
+        # at radius 6 some steps of case 7 cross s/sigma > 0
+        rep = kb.verify_proposition("5.3.1", P531, 7, n=50, seed=1, radius=6.0)
+    assert math.isnan(rep.gradient_max_rel_err)
+    assert not rep.passed
+
+
+def test_rejected_points_are_never_evaluated():
+    # 5.3.6 case 6: sign sigma*s > 0, guard z/gamma > 0 under log(z/gamma)
+    desc = kb.classify_orbit("5.3.6", None, [1, 1, 1, 0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not kb.is_member(desc, [1.0, 0.0, -1.0, 0.0, 1.0])  # guard
+        assert not kb.is_member(desc, [1.0, 0.0, 1.0, 0.0, -1.0])  # sign
+        assert not kb.is_member(desc, [1.0, 0.0, -1.0, 0.0, -1.0])  # both
+    with pytest.raises(EvaluationError,
+                       match=r"^cannot evaluate 't = z\*log\(z/gamma\)': "
+                             r"requires z/gamma > 0$"):
+        kb.constraint_residuals(desc, [1.0, 0.0, -1.0, 0.0, 1.0])
+
+
 # Display strings are read as numpy expressions: "lhs = rhs" plus trailing
 # "w = ..." / "b = ..." definitions, evaluated last clause first.
 _DISPLAY_SCOPE = {"log": np.log, "exp": np.exp, "hypot": np.hypot,
