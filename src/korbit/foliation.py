@@ -90,19 +90,20 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
     for i in range(pairs):
         Fa = pts[2 * i].copy()
         Fb = pts[2 * i + 1].copy()
+        desc_a = orbits.classify_orbit(alg.family, alg.params, Fa)
         expect = None
         if i % 5 == 3:
             U = rng.uniform(-1.5, 1.5, size=5)
             Fb = exp_action.coadjoint_move(alg, Fa, U)
             expect = True
         elif i % 5 == 4:
-            desc_a = orbits.classify_orbit(alg.family, alg.params, Fa)
             j = desc_a.signs[0].coord if desc_a.signs else 2
             Fb = Fa.copy()
             Fb[j] = -Fb[j]
             expect = False
+        desc_b = orbits.classify_orbit(alg.family, alg.params, Fb)
         try:
-            eq = orbits.orbits_equal(alg, Fa, Fb, tol)
+            eq = orbits._mutual_membership(desc_a, desc_b, Fa, Fb, tol)
         except AsymmetryError as exc:
             failures.append({"pair": i, "kind": "asymmetry",
                              "detail": str(exc)})
@@ -122,7 +123,6 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
             same_leaf += 1
             continue
         disjoint += 1
-        desc_b = orbits.classify_orbit(alg.family, alg.params, Fb)
         probe = exp_action.sample_orbit(
             alg, Fa, probe_points, seed=int(seed) + 104729 + i,
             radius=1.5).points

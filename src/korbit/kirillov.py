@@ -3,8 +3,14 @@
 For every covector F the form B_F(X, Y) = <F, [X, Y]> is skew; the defining
 property of these families is that its rank is 0 or 2 everywhere, with
 rank 0 exactly on the gamma = delta = sigma = 0 stratum.
+
+Kirillov ranks come from Pfaffians (skew_ranks), so they are even by
+construction; svd_ranks decides the ranks of every other matrix. The scan
+report's rank_rounding_adjustments is therefore always 0 and is kept only
+for payload compatibility.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +47,7 @@ def svd_ranks(M, tol: float, thr=None):
     tol * max(1, largest singular value) unless thresholds are given (a
     submatrix tested against the threshold of its parent). Thresholds keep
     a trailing axis of length 1. Every numeric rank decision of the
-    package is made here.
+    package other than a Kirillov form's (skew_ranks) is made here.
     """
     if not tol > 0:
         raise DomainError("rank tolerance must be positive")
@@ -73,17 +79,44 @@ def numeric_rank(m, tol: float = 1e-9) -> int:
     return numeric_rank_info(m, tol)[0]
 
 
+def skew_ranks(B, tol: float) -> np.ndarray:
+    """Even ranks (0, 2 or 4) of an (n, 5, 5) stack of exactly skew forms.
+
+    A 5x5 skew form has singular values w1, w1, w2, w2, 0 with
+    w1^2 + w2^2 = |B|_F^2 / 2 and w1 * w2 = |pf|, where pf holds its five
+    4x4 principal Pfaffians (Wimmer, ACM TOMS 38(4), 2012). Each pair
+    counts against svd_ranks' threshold tol * max(1, w1). Only the strict
+    upper triangle is read, so skewness is the caller's guarantee.
+    """
+    if not tol > 0:
+        raise DomainError("rank tolerance must be positive")
+    B = np.asarray(B, dtype=float)
+    if B.ndim != 3 or B.shape[1:] != (5, 5):
+        raise DomainError(
+            f"skew_ranks expects an (n, 5, 5) stack, got shape {B.shape}")
+    # one (n,) vector per entry keeps every temporary at n floats
+    E = B.transpose(1, 2, 0)
+    s = sum(E[i, j] * E[i, j]
+            for i, j in itertools.combinations(range(5), 2))  # w1^2 + w2^2
+    p2 = 0.0
+    for a, b, c, d in itertools.combinations(range(5), 4):
+        # the 4x4 principal Pfaffian on rows and columns a < b < c < d
+        pf = E[a, b] * E[c, d] - E[a, c] * E[b, d] + E[a, d] * E[b, c]
+        p2 = p2 + pf * pf
+    p = np.sqrt(p2)  # w1 * w2
+    # w1 +- w2 = sqrt(s +- 2p); rounding can leave s - 2p just below 0
+    w1 = 0.5 * (np.sqrt(s + 2.0 * p) + np.sqrt(np.maximum(s - 2.0 * p, 0.0)))
+    if not np.all(np.isfinite(w1)):
+        raise DomainError("skew_ranks needs finite forms with finite "
+                          "squared Pfaffians")
+    thr = tol * np.maximum(1.0, w1)
+    # w2 > thr, written without dividing by w1, which is 0 on a zero form
+    return 2 * (w1 > thr) + 2 * (p > thr * w1)
+
+
 def orbit_dimension(alg: algebra.LieAlgebra, F, tol: float = 1e-9) -> int:
     """Dimension of the coadjoint orbit through F = rank of B_F."""
-    return numeric_rank(kirillov_form(alg, F).b, tol)
-
-
-def _batch_skew_ranks(B: np.ndarray, tol: float):
-    """Even-forced ranks for an (n, 5, 5) stack of exactly skew matrices."""
-    ranks, _ = svd_ranks(B, tol)
-    odd = ranks % 2 == 1
-    ranks = ranks - odd
-    return ranks.astype(int), int(odd.sum())
+    return int(skew_ranks(kirillov_form(alg, F).b[None], tol)[0])
 
 
 # Zero-coordinate index subsets of (gamma, delta, sigma) forced in the scan,
@@ -93,7 +126,11 @@ _SCAN_PATTERNS = ((), (2,), (3,), (4,), (2, 3), (2, 4), (3, 4), (2, 3, 4))
 
 @dataclass
 class MdReport:
-    """Result of a rank-degeneracy scan over sampled covectors."""
+    """Result of a rank-degeneracy scan over sampled covectors.
+
+    rank_rounding_adjustments is always 0, since Pfaffian ranks are even;
+    it is kept only for payload compatibility.
+    """
     family: str
     params: dict
     n: int
@@ -151,13 +188,11 @@ def md_scan(family, params, n: int, seed: int, rank_tol: float = 1e-9,
     violations = []
     zero_failures = []
     hist = {}
-    adjustments = 0
     chunk = 20000
     for lo in range(0, n, chunk):
         block = Fs[lo:lo + chunk]
         B = kirillov_forms(alg, block)
-        ranks, adj = _batch_skew_ranks(B, rank_tol)
-        adjustments += adj
+        ranks = skew_ranks(B, rank_tol)
         vals, counts = np.unique(ranks, return_counts=True)
         for v, cnt in zip(vals, counts):
             hist[int(v)] = hist.get(int(v), 0) + int(cnt)
@@ -176,5 +211,4 @@ def md_scan(family, params, n: int, seed: int, rank_tol: float = 1e-9,
     return MdReport(family=alg.family, params=dict(alg.params), n=n,
                     seed=int(seed), radius=radius,
                     rank_tol=float(rank_tol), histogram=hist,
-                    violations=violations, zero_rank_failures=zero_failures,
-                    rank_rounding_adjustments=adjustments)
+                    violations=violations, zero_rank_failures=zero_failures)

@@ -710,13 +710,18 @@ def _fd_rows(desc, P, J, step):
 
 def orbits_equal(alg: algebra.LieAlgebra, F1, F2, tol: float = 1e-8) -> bool:
     """Mutual membership check; both directions must agree."""
-    d1 = classify_orbit(alg.family, alg.params, F1)
-    d2 = classify_orbit(alg.family, alg.params, F2)
+    return _mutual_membership(classify_orbit(alg.family, alg.params, F1),
+                              classify_orbit(alg.family, alg.params, F2),
+                              F1, F2, tol)
+
+
+def _mutual_membership(d1, d2, F1, F2, tol) -> bool:
+    """orbits_equal of F1 and F2, given their descriptors d1 and d2."""
     a = is_member(d1, F2, tol)
     b = is_member(d2, F1, tol)
     if a != b:
         raise AsymmetryError(
-            f"orbit membership disagreed for family {alg.family}: "
+            f"orbit membership disagreed for family {d1.family}: "
             f"{list(map(float, np.asarray(F1, float)))} vs "
             f"{list(map(float, np.asarray(F2, float)))} ({a} / {b})")
     return a
@@ -854,8 +859,8 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
             if desc.dim == 2:
                 ranks, _ = kirillov.svd_ranks(J, rank_tol)
                 jacobian_failures += int(np.count_nonzero(ranks != 3))
-            ranks_b, _ = kirillov._batch_skew_ranks(forms, rank_tol)
-            dimension_mismatches += int(np.count_nonzero(ranks_b != desc.dim))
+            dimension_mismatches += int(np.count_nonzero(
+                kirillov.skew_ranks(forms, rank_tol) != desc.dim))
             grad_worst = float(np.max(_fd_rows(desc, Pm, J, grad_step),
                                       initial=grad_worst))
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import korbit as kb
+from korbit import kirillov
 from korbit.errors import DomainError
 
 from conftest import CANONICAL, elimination_rank
@@ -131,8 +133,129 @@ def test_md_scan_json_schema():
     assert all(isinstance(k, str) for k in rep["histogram"])
 
 
+def _even_svd_ranks(B, tol):
+    """Oracle: SVD ranks rounded down to even."""
+    ranks, _ = kirillov.svd_ranks(B, tol)
+    return ranks - ranks % 2
+
+
+def _skew_stack(rng, w):
+    """Exactly skew 5x5 forms with singular values w1, w1, w2, w2, 0 per
+    row of w, in random orthonormal coordinates."""
+    n = len(w)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, 5, 5)))
+    D = np.zeros((n, 5, 5))
+    D[:, 0, 1], D[:, 2, 3] = w[:, 0], w[:, 1]
+    M = Q @ (D - D.transpose(0, 2, 1)) @ Q.transpose(0, 2, 1)
+    upper = np.triu(M, 1)
+    return upper - upper.transpose(0, 2, 1)
+
+
+def _assert_matches_oracle(B, tol):
+    with np.errstate(all="raise"):  # a zero form must not warn either
+        ranks = kirillov.skew_ranks(B, tol)
+    assert np.array_equal(ranks, _even_svd_ranks(B, tol))
+    return ranks
+
+
+def test_skew_ranks_match_svd_oracle():
+    rng = np.random.default_rng(11)
+    n = 4000
+    for tol in (1e-9, 1e-6):
+        # random forms of rank 0, 2 and 4 with w1 spread over 1e-12..1e6
+        for rank in (0, 2, 4):
+            w = np.sort(rng.uniform(0.01, 1.0, (n, 2)), axis=1)[:, ::-1]
+            w *= 10.0 ** rng.uniform(-12.0, 6.0, (n, 1))
+            w[:, rank // 2:] = 0.0
+            _assert_matches_oracle(_skew_stack(rng, w), tol)
+        # equal pairs w1 = w2, where s - 2p rounds to either side of 0
+        w = np.repeat(10.0 ** rng.uniform(-12.0, 6.0, (n, 1)), 2, axis=1)
+        _assert_matches_oracle(_skew_stack(rng, w), tol)
+        # w2 = tol * w1 * (1 +- 1e-3): every w2 decision sits at the
+        # threshold tol * w1 (w1 >= 1), on both sides
+        w1 = 10.0 ** rng.uniform(0.0, 6.0, n)
+        side = rng.choice([-1.0, 1.0], n)
+        w = np.column_stack([w1, tol * w1 * (1.0 + 1e-3 * side)])
+        ranks = _assert_matches_oracle(_skew_stack(rng, w), tol)
+        assert np.array_equal(ranks, np.where(side > 0, 4, 2))
+        # w1 = tol * (1 +- 1e-3) < 1: the w1 decision at the threshold tol
+        w = np.column_stack([tol * (1.0 + 1e-3 * side), np.zeros(n)])
+        ranks = _assert_matches_oracle(_skew_stack(rng, w), tol)
+        assert np.array_equal(ranks, np.where(side > 0, 2, 0))
+    # Kirillov forms of every family on all eight zero patterns of
+    # (gamma, delta, sigma)
+    for fam, params in CANONICAL:
+        alg = kb.build_algebra(fam, params)
+        for zeros in itertools.product((False, True), repeat=3):
+            F = rng.uniform(-10.0, 10.0, (200, 5))
+            F[:, 2:][:, list(zeros)] = 0.0
+            ranks = _assert_matches_oracle(kb.kirillov_forms(alg, F), 1e-9)
+            assert np.all(ranks == (0 if all(zeros) else 2))
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (2, 4, 4), (2, 5, 4), (1, 1, 5, 5)])
+def test_skew_ranks_refuses_non_stack(shape):
+    with pytest.raises(DomainError, match=r"\(n, 5, 5\) stack"):
+        kirillov.skew_ranks(np.zeros(shape), 1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, np.nan, 1e200])
+def test_skew_ranks_refuses_non_finite_form(value):
+    B = np.zeros((2, 5, 5))
+    B[1, 0, 1], B[1, 1, 0] = value, -value
+    with pytest.raises(DomainError, match="finite"):
+        kirillov.skew_ranks(B, 1e-9)
+
+
+# md_scan's zero-coordinate subsets of (gamma, delta, sigma), written out
+# again so the reference below shares no code with the scan
+_SCAN_ZEROS = ((), (2,), (3,), (4,), (2, 3), (2, 4), (3, 4), (2, 3, 4))
+
+
+def _svd_scan_payload(family, params, n, seed, rank_tol, radius=10.0):
+    """md_scan's payload with every rank from an even-rounded SVD."""
+    alg = kb.build_algebra(family, params)
+    Fs = np.random.default_rng(seed).uniform(-radius, radius, (n, 5))
+    share = n // 8
+    for k, zeros in enumerate(_SCAN_ZEROS[1:]):
+        lo = n - 7 * share + k * share
+        Fs[lo:lo + share, list(zeros)] = 0.0
+    hist, violations, zero_failures = {}, [], []
+    for lo in range(0, n, 20000):
+        block = Fs[lo:lo + 20000]
+        ranks = _even_svd_ranks(kb.kirillov_forms(alg, block), rank_tol)
+        for r, count in zip(*np.unique(ranks, return_counts=True)):
+            hist[int(r)] = hist.get(int(r), 0) + int(count)
+
+        def row(i):
+            return {"index": lo + int(i),
+                    "covector": [float(v) for v in block[i]],
+                    "rank": int(ranks[i])}
+
+        zero_stratum = np.all(block[:, 2:] == 0.0, axis=1)
+        violations += [row(i) for i in np.flatnonzero(~np.isin(ranks, (0, 2)))]
+        zero_failures += [row(i) for i in
+                          np.flatnonzero((ranks == 0) != zero_stratum)]
+    return {"family": alg.family, "params": dict(alg.params), "n": n,
+            "seed": seed, "radius": radius, "rank_tol": rank_tol,
+            "histogram": {str(k): hist[k] for k in sorted(hist)},
+            "violations": violations, "zero_rank_failures": zero_failures,
+            "rank_rounding_adjustments": 0,
+            "passed": not violations and not zero_failures}
+
+
+@pytest.mark.parametrize("rank_tol", [1e-9, 1e-3])
+@pytest.mark.parametrize("fam,params", CANONICAL)
+def test_md_scan_matches_svd_reference(fam, params, rank_tol):
+    rep = kb.md_scan(fam, params, n=20000, seed=29, rank_tol=rank_tol)
+    assert rep.to_json_dict() == _svd_scan_payload(fam, params, 20000, 29,
+                                                   rank_tol)
+
+
 _CASE8_BASE = [1.0, 1.0, 1.0, 1.0, 1.0]
 RANK_TOL_ENTRY_POINTS = {
+    "skew_ranks": lambda tol: kirillov.skew_ranks(np.zeros((1, 5, 5)), tol),
     "numeric_rank_info": lambda tol: kb.numeric_rank_info(np.eye(3), tol),
     "md_scan": lambda tol: kb.md_scan("5.3.1", None, n=200, seed=1,
                                       rank_tol=tol),
