@@ -1,18 +1,20 @@
 """Coadjoint motion: exponentials of adjoint matrices and orbit sampling.
 
-The adjoint matrix of any element has zero first and second rows, so its
-exponential is block lower-triangular with an identity 2x2 block, a 3x3
-block exp(b*A) (A = ad_{X2} on the ideal, b = X2-coefficient), and a 3x2
-coupling block phi1(b*A) @ V. Closed forms per family reduce to the scalar
-functions phi1(x) = (e^x - 1)/x and its derivatives.
+exp(ad_U) is block lower-triangular: an identity 2x2 block, a 3x3 block
+exp(b*A) (A = ad_{X2} on the ideal, b = X2-coefficient of U) and a 3x2
+coupling block phi1(b*A) @ V, phi1(x) = (e^x - 1)/x. The generic route
+(exp_ad, coadjoint_move, sample_orbit) takes one element (5,) or an
+(n, 5) stack, one element being the n = 1 case of the same code.
 
-The generic route is batched: exp_ad and coadjoint_move take one element
-U of shape (5,) or an (n, 5) stack and return (5, 5) / (n, 5, 5) and
-(5,) / (n, 5). One element is the n = 1 case of the same code, and
-sample_orbit moves its whole draw in one call. The closed-form route,
-exp_ad_closed, takes one element.
+The closed-form route, exp_ad_closed, takes one element and never reads
+the algebra's ad_x2 template: its table _SPECTRA gives per family the
+eigenvalues of A on (z, t, s), a complex pair being a rotation-scaling
+block, and A's Jordan links. _matrix_function turns a row into f(b*A)
+for f = exp, phi1 and the identity (A itself): f(b*mu) on the diagonal,
+b*f'(b*mu) on each link, (b^2/2)*f''(b*mu) across a two-link chain.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -37,38 +39,39 @@ def _phi1(x):
     return np.expm1(x) / x
 
 
-_PHI2_COEF = [1.0 / math.factorial(k + 2) for k in range(18)]
-_PHI3_COEF = [1.0 / math.factorial(k + 3) for k in range(18)]
+# Horner coefficients of phi_k(x) = sum_j x^j / (j + k)!, highest first
+_PHI_TAYLOR = {k: [1.0 / math.factorial(j + k) for j in reversed(range(18))]
+               for k in (2, 3)}
 
 
-def _phi2(x):
-    # (e^x - 1 - x)/x^2, phi2(0) = 1/2
+def _phi(x, k):
+    # phi2 = (e^x - 1 - x)/x^2 and phi3 = (e^x - 1 - x - x^2/2)/x^3 (k = 2, 3)
     if abs(x) < 0.5:
         acc = 0.0
-        for c in reversed(_PHI2_COEF):
+        for c in _PHI_TAYLOR[k]:
             acc = acc * x + c
         return acc
-    return (np.expm1(x) - x) / (x * x)
-
-
-def _phi3(x):
-    # (e^x - 1 - x - x^2/2)/x^3, phi3(0) = 1/6
-    if abs(x) < 0.5:
-        acc = 0.0
-        for c in reversed(_PHI3_COEF):
-            acc = acc * x + c
-        return acc
+    if k == 2:
+        return (np.expm1(x) - x) / (x * x)
     return (np.expm1(x) - x - 0.5 * x * x) / (x ** 3)
 
 
-def _phi1p(x):
-    # d/dx phi1 = phi1 - phi2
-    return _phi1(x) - _phi2(x)
+def _exp_jet(x, order):
+    return (np.exp(x) if isinstance(x, complex) else math.exp(x),) * (order + 1)
 
 
-def _phi1pp(x):
-    # d^2/dx^2 phi1 = phi1 - 2*phi2 + 2*phi3
-    return _phi1(x) - 2.0 * _phi2(x) + 2.0 * _phi3(x)
+def _phi1_jet(x, order):
+    # phi1' = phi1 - phi2, phi1'' = phi1 - 2*phi2 + 2*phi3
+    f = _phi1(x)
+    if order == 0:
+        return (f,)
+    f2 = _phi(x, 2)
+    jet = (f, f - f2)
+    return jet if order == 1 else jet + (f - 2.0 * f2 + 2.0 * _phi(x, 3),)
+
+
+def _identity_jet(x, order):
+    return (x, 1.0, 0.0)[:order + 1]
 
 
 def phi_series(lam: float, b: float) -> float:
@@ -132,81 +135,53 @@ def exp_ad(alg: algebra.LieAlgebra, U) -> ExpAdMatrix:
     return ExpAdMatrix(m=_expm(algebra.ad_matrix(alg, U)), source="generic")
 
 
-def _closed_blocks(family, p, b):
-    """(E3, Phi3) = (exp(b*A), phi1(b*A)) in closed form per family."""
-    if family == "5.3.1":
-        l1, l2 = p["lambda1"], p["lambda2"]
-        E = np.diag([math.exp(b * l1), math.exp(b * l2), math.exp(b)])
-        P = np.diag([_phi1(b * l1), _phi1(b * l2), _phi1(b)])
-        return E, P
-    if family == "5.3.2":
-        lam = p["lambda"]
-        eb = math.exp(b)
-        E = np.diag([eb, eb, math.exp(b * lam)])
-        P = np.diag([_phi1(b), _phi1(b), _phi1(b * lam)])
-        return E, P
-    if family == "5.3.3":
-        lam = p["lambda"]
-        eb = math.exp(b)
-        E = np.diag([math.exp(b * lam), eb, eb])
-        P = np.diag([_phi1(b * lam), _phi1(b), _phi1(b)])
-        return E, P
-    if family == "5.3.4":
-        eb = math.exp(b)
-        return eb * np.eye(3), _phi1(b) * np.eye(3)
-    if family == "5.3.5":
-        lam = p["lambda"]
-        eb = math.exp(b)
-        E = np.array([[math.exp(b * lam), 0.0, 0.0],
-                      [0.0, eb, b * eb],
-                      [0.0, 0.0, eb]])
-        P = np.array([[_phi1(b * lam), 0.0, 0.0],
-                      [0.0, _phi1(b), b * _phi1p(b)],
-                      [0.0, 0.0, _phi1(b)]])
-        return E, P
-    if family == "5.3.6":
-        lam = p["lambda"]
-        eb = math.exp(b)
-        E = np.array([[eb, b * eb, 0.0],
-                      [0.0, eb, 0.0],
-                      [0.0, 0.0, math.exp(b * lam)]])
-        P = np.array([[_phi1(b), b * _phi1p(b), 0.0],
-                      [0.0, _phi1(b), 0.0],
-                      [0.0, 0.0, _phi1(b * lam)]])
-        return E, P
-    if family == "5.3.7":
-        eb = math.exp(b)
-        E = eb * np.array([[1.0, b, 0.5 * b * b],
-                           [0.0, 1.0, b],
-                           [0.0, 0.0, 1.0]])
-        f0, f1, f2 = _phi1(b), b * _phi1p(b), 0.5 * b * b * _phi1pp(b)
-        P = np.array([[f0, f1, f2],
-                      [0.0, f0, f1],
-                      [0.0, 0.0, f0]])
-        return E, P
-    # 5.3.8: rotation-scaling block acts as multiplication by e^(i*phi)
-    lam, ph = p["lambda"], p["phi"]
-    w = complex(b * math.cos(ph), b * math.sin(ph))
-    ew = np.exp(w)
-    pw = _phi1(w)
-    E = np.array([[ew.real, -ew.imag, 0.0],
-                  [ew.imag, ew.real, 0.0],
-                  [0.0, 0.0, math.exp(b * lam)]])
-    P = np.array([[pw.real, -pw.imag, 0.0],
-                  [pw.imag, pw.real, 0.0],
-                  [0.0, 0.0, _phi1(b * lam)]])
-    return E, P
+# family: (p -> eigenvalues of A on (z, t, s), i of each link A[i, i+1] = 1)
+_SPECTRA = {
+    "5.3.1": (lambda p: (p["lambda1"], p["lambda2"], 1.0), ()),
+    "5.3.2": (lambda p: (1.0, 1.0, p["lambda"]), ()),
+    "5.3.3": (lambda p: (p["lambda"], 1.0, 1.0), ()),
+    "5.3.4": (lambda p: (1.0, 1.0, 1.0), ()),
+    "5.3.5": (lambda p: (p["lambda"], 1.0, 1.0), (1,)),
+    "5.3.6": (lambda p: (1.0, 1.0, p["lambda"]), (0,)),
+    "5.3.7": (lambda p: (1.0, 1.0, 1.0), (0, 1)),
+    "5.3.8": (lambda p: (cmath.rect(1.0, p["phi"]), cmath.rect(1.0, -p["phi"]),
+                         p["lambda"]), ()),
+}
+
+
+def _matrix_function(jet, mus, links, b):
+    """f(b*A) for a spectral row's A; jet(x, k) is f, f', ..., f^(k) at x
+    (Higham, Functions of Matrices, SIAM 2008, ch. 10)."""
+    M = np.zeros((3, 3))
+    taylor = (1.0, b, 0.5 * b * b)  # b^j / j!
+    i = 0
+    while i < 3:
+        if isinstance(mus[i], complex):  # the pair mu, conj(mu) on (i, i+1)
+            f = jet(complex(b * mus[i].real, b * mus[i].imag), 0)[0]
+            M[i:i + 2, i:i + 2] = ((f.real, -f.imag), (f.imag, f.real))
+            i += 2
+            continue
+        k = 0  # links from i to the end of its Jordan block
+        while i + k in links:
+            k += 1
+        d = jet(b * mus[i], k)
+        for j in range(k + 1):
+            M[i, i + j] = taylor[j] * d[j]
+        i += 1
+    return M
 
 
 def exp_ad_closed(family, params, U) -> ExpAdMatrix:
-    """exp(ad_U) assembled from the per-family closed-form blocks."""
+    """exp(ad_U) assembled from the family's spectral row in _SPECTRA."""
     family = algebra.normalize_family(family)
     p = algebra.validate_params(family, params)
     U = algebra.as_vector5(U, "algebra element")
-    a, b = U[0], U[1]
-    w = U[2:]
-    A = algebra.render_ad2(family, p)
-    E3, P3 = _closed_blocks(family, p, float(b))
+    a, b, w = U[0], U[1], U[2:]
+    eigenvalues, links = _SPECTRA[family]
+    mus = eigenvalues(p)
+    A = _matrix_function(_identity_jet, mus, links, 1.0)
+    E3 = _matrix_function(_exp_jet, mus, links, float(b))
+    P3 = _matrix_function(_phi1_jet, mus, links, float(b))
     V = np.zeros((3, 2))
     V[0, 0] = -b
     V[:, 1] = -A @ w
@@ -270,15 +245,10 @@ class OrbitSample:
         return int(self.points.shape[0])
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": dict(self.params),
-            "base": [float(v) for v in self.base],
-            "seed": int(self.seed),
-            "radius": float(self.radius),
-            "n": self.count,
-            "points": [[float(v) for v in row] for row in self.points],
-        }
+        return {"family": self.family, "params": dict(self.params),
+                "base": self.base.tolist(), "seed": int(self.seed),
+                "radius": float(self.radius), "n": self.count,
+                "points": self.points.tolist()}
 
 
 def as_radius(radius) -> float:

@@ -69,7 +69,8 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
     stratum-sign coordinate flipped). For pairs on distinct orbits,
     probe_points points of the first orbit are probed against the second
     descriptor; a probe closer than 10*tol in normalized residual is a
-    failure, as is any probe that passes full membership.
+    failure, as is any probe that passes full membership. tol must be
+    finite and positive (DomainError otherwise).
     """
     alg = algebra.build_algebra(family, params)
     pairs, probe_points = int(pairs), int(probe_points)
@@ -78,6 +79,7 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
     if probe_points < 1:
         raise DomainError(f"probe count must be at least 1, got {probe_points}")
     radius = exp_action.as_radius(radius)
+    tol = orbits._tolerance("partition tolerance", tol)
     rng = np.random.default_rng(int(seed))
     n = 2 * pairs
     pts = rng.uniform(-radius, radius, size=(n, 5))

@@ -27,11 +27,9 @@ class KirillovForm:
 
 
 def kirillov_form(alg: algebra.LieAlgebra, F) -> KirillovForm:
+    """The form at one covector: the n = 1 case of kirillov_forms."""
     F = algebra.as_vector5(F, "covector")
-    # c @ F contracts the last tensor axis; row i is then exactly the
-    # coordinate tuple of transpose(ad_matrix(X_{i+1})) @ F.
-    b = alg.c @ F
-    return KirillovForm(b=b, base=F)
+    return KirillovForm(b=kirillov_forms(alg, F[None])[0], base=F)
 
 
 def kirillov_forms(alg: algebra.LieAlgebra, Fs: np.ndarray) -> np.ndarray:

@@ -513,11 +513,13 @@ def classify_orbit(family, params, F, snap_tol: float = 0.0) -> OrbitDescriptor:
 
     Exact zero comparisons decide the case; snap_tol > 0 additionally
     treats |coordinate| < snap_tol as zero for scanned (non-exact) input
-    and records that in the descriptor.
+    and records that in the descriptor. A negative or non-finite snap_tol
+    raises DomainError.
     """
     family = algebra.normalize_family(family)
     p = algebra.validate_params(family, params)
     F = algebra.as_vector5(F, "covector")
+    snap_tol = _tolerance("snap_tol", snap_tol, zero_ok=True)
     base = F.copy()
     snapped = False
     if snap_tol > 0.0:
@@ -673,11 +675,15 @@ def jacobian_rank_check(desc: OrbitDescriptor, p, tol: float = 1e-9):
     return int(ranks[0]) if single else ranks
 
 
-def _fd_step(step) -> float:
-    step = float(step)
-    if not (math.isfinite(step) and step > 0.0):
-        raise DomainError(f"FD step must be finite and positive, got {step}")
-    return step
+def _tolerance(what, value, zero_ok: bool = False) -> float:
+    """A tolerance or step as a float. It must be finite and positive (or
+    zero, if zero_ok); an infinite, NaN or negative one would make its
+    check vacuous or silently switch it off."""
+    v = float(value)
+    if not (math.isfinite(v) and (v > 0.0 or (zero_ok and v == 0.0))):
+        bound = "nonnegative" if zero_ok else "positive"
+        raise DomainError(f"{what} must be finite and {bound}, got {v}")
+    return v
 
 
 def gradient_fd_error(desc: OrbitDescriptor, p, step: float = 1e-6):
@@ -688,7 +694,8 @@ def gradient_fd_error(desc: OrbitDescriptor, p, step: float = 1e-6):
     the row's value non-finite instead of being skipped.
     """
     P, single = _stack(p)
-    worst = _fd_rows(desc, P, _jacobian(desc, P), _fd_step(step))
+    step = _tolerance("FD step", step)
+    worst = _fd_rows(desc, P, _jacobian(desc, P), step)
     return float(worst[0]) if single else worst
 
 
@@ -813,7 +820,8 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
     rank exactly 3 (dim-2 cases), sampled orbit dimension equal to the base
     dimension, and analytic gradients against central differences. The base
     covectors are canonical_bases(family, case) unless an explicit base is
-    given; base k samples with seed + 7919*k.
+    given; base k samples with seed + 7919*k. The tolerances and grad_step
+    must be finite and positive (DomainError otherwise).
     """
     alg = algebra.build_algebra(family, params)
     p = alg.params
@@ -821,7 +829,10 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
     n = int(n)
     if n < 1:
         raise DomainError(f"sample count must be at least 1, got {n}")
-    grad_step = _fd_step(grad_step)
+    grad_step = _tolerance("FD step", grad_step)
+    member_tol = _tolerance("member_tol", member_tol)
+    tangency_tol = _tolerance("tangency_tol", tangency_tol)
+    grad_tol = _tolerance("grad_tol", grad_tol)
     if base is not None:
         bases = [algebra.as_vector5(base, "base covector")]
     else:

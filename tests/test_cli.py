@@ -123,9 +123,20 @@ def test_vacuous_sample_counts_exit_2():
                  ("check-foliation", "--family", "5.3.2", "--radius", "0"),
                  ("scan-md", "--family", "5.3.4", "--n", "0"),
                  ("scan-md", "--family", "5.3.4", "--radius", "0"),
-                 ("scan-md", "--family", "5.3.4", "--radius", "-1")):
+                 ("scan-md", "--family", "5.3.4", "--radius", "-1"),
+                 ("verify-props", "--family", "5.3.8", "--params",
+                  "lambda=1,phi=1.5707962267948966", "--case", "3",
+                  "--n", "200", "--grad-tol", "inf"),
+                 ("verify-props", "--family", "5.3.4", "--member-tol", "nan"),
+                 ("verify-props", "--family", "5.3.4", "--tangency-tol", "0"),
+                 ("check-foliation", "--family", "5.3.2", "--tol=-1e-8")):
         r = run_cli(*args, "--seed", "3")
         assert r.returncode == 2, args
+        assert r.stderr.startswith("error: ") and r.stdout == ""
+    for snap in ("inf", "-1e-8", "nan"):
+        r = run_cli("classify", "--family", "5.3.1", "--covector",
+                    "1,1,1e-13,1,1", f"--snap-tol={snap}")
+        assert r.returncode == 2, snap
         assert r.stderr.startswith("error: ") and r.stdout == ""
 
 

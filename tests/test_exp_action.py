@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import korbit as kb
+from korbit import exp_action
 from korbit.errors import DomainError
 
 from conftest import CANONICAL, phi1_sum, taylor_expm
+from test_acceptance import JACOBI_GRID
 
 LN2 = math.log(2.0)
 
@@ -286,3 +288,177 @@ def test_stacked_motion_edges():
             kb.ad_matrix(alg, U)
         with pytest.raises(DomainError):
             kb.coadjoint_move(alg, F, U)
+
+
+# ---- closed route: the spectral table against the per-family forms ------
+# The closed forms that exp_action's spectral table replaced, kept verbatim
+# (with their phi helpers) as the bit-for-bit reference for exp_ad_closed.
+
+def _ref_phi1(x):
+    if abs(x) < 1e-4:
+        return 1.0 + x * (0.5 + x * (1.0 / 6.0 + x / 24.0))
+    if isinstance(x, complex):
+        return (np.exp(x) - 1.0) / x
+    return np.expm1(x) / x
+
+
+_REF_PHI2_COEF = [1.0 / math.factorial(k + 2) for k in range(18)]
+_REF_PHI3_COEF = [1.0 / math.factorial(k + 3) for k in range(18)]
+
+
+def _ref_phi2(x):
+    if abs(x) < 0.5:
+        acc = 0.0
+        for c in reversed(_REF_PHI2_COEF):
+            acc = acc * x + c
+        return acc
+    return (np.expm1(x) - x) / (x * x)
+
+
+def _ref_phi3(x):
+    if abs(x) < 0.5:
+        acc = 0.0
+        for c in reversed(_REF_PHI3_COEF):
+            acc = acc * x + c
+        return acc
+    return (np.expm1(x) - x - 0.5 * x * x) / (x ** 3)
+
+
+def _ref_phi1p(x):
+    return _ref_phi1(x) - _ref_phi2(x)
+
+
+def _ref_phi1pp(x):
+    return _ref_phi1(x) - 2.0 * _ref_phi2(x) + 2.0 * _ref_phi3(x)
+
+
+def _ref_closed_blocks(family, p, b):
+    if family == "5.3.1":
+        l1, l2 = p["lambda1"], p["lambda2"]
+        E = np.diag([math.exp(b * l1), math.exp(b * l2), math.exp(b)])
+        P = np.diag([_ref_phi1(b * l1), _ref_phi1(b * l2), _ref_phi1(b)])
+        return E, P
+    if family == "5.3.2":
+        lam = p["lambda"]
+        eb = math.exp(b)
+        E = np.diag([eb, eb, math.exp(b * lam)])
+        P = np.diag([_ref_phi1(b), _ref_phi1(b), _ref_phi1(b * lam)])
+        return E, P
+    if family == "5.3.3":
+        lam = p["lambda"]
+        eb = math.exp(b)
+        E = np.diag([math.exp(b * lam), eb, eb])
+        P = np.diag([_ref_phi1(b * lam), _ref_phi1(b), _ref_phi1(b)])
+        return E, P
+    if family == "5.3.4":
+        eb = math.exp(b)
+        return eb * np.eye(3), _ref_phi1(b) * np.eye(3)
+    if family == "5.3.5":
+        lam = p["lambda"]
+        eb = math.exp(b)
+        E = np.array([[math.exp(b * lam), 0.0, 0.0],
+                      [0.0, eb, b * eb],
+                      [0.0, 0.0, eb]])
+        P = np.array([[_ref_phi1(b * lam), 0.0, 0.0],
+                      [0.0, _ref_phi1(b), b * _ref_phi1p(b)],
+                      [0.0, 0.0, _ref_phi1(b)]])
+        return E, P
+    if family == "5.3.6":
+        lam = p["lambda"]
+        eb = math.exp(b)
+        E = np.array([[eb, b * eb, 0.0],
+                      [0.0, eb, 0.0],
+                      [0.0, 0.0, math.exp(b * lam)]])
+        P = np.array([[_ref_phi1(b), b * _ref_phi1p(b), 0.0],
+                      [0.0, _ref_phi1(b), 0.0],
+                      [0.0, 0.0, _ref_phi1(b * lam)]])
+        return E, P
+    if family == "5.3.7":
+        eb = math.exp(b)
+        E = eb * np.array([[1.0, b, 0.5 * b * b],
+                           [0.0, 1.0, b],
+                           [0.0, 0.0, 1.0]])
+        f0, f1 = _ref_phi1(b), b * _ref_phi1p(b)
+        f2 = 0.5 * b * b * _ref_phi1pp(b)
+        P = np.array([[f0, f1, f2],
+                      [0.0, f0, f1],
+                      [0.0, 0.0, f0]])
+        return E, P
+    # 5.3.8: rotation-scaling block acts as multiplication by e^(i*phi)
+    lam, ph = p["lambda"], p["phi"]
+    w = complex(b * math.cos(ph), b * math.sin(ph))
+    ew = np.exp(w)
+    pw = _ref_phi1(w)
+    E = np.array([[ew.real, -ew.imag, 0.0],
+                  [ew.imag, ew.real, 0.0],
+                  [0.0, 0.0, math.exp(b * lam)]])
+    P = np.array([[pw.real, -pw.imag, 0.0],
+                  [pw.imag, pw.real, 0.0],
+                  [0.0, 0.0, _ref_phi1(b * lam)]])
+    return E, P
+
+
+def _ref_exp_ad_closed(family, p, U):
+    a, b = U[0], U[1]
+    w = U[2:]
+    A = kb.ad2_matrix(family, p)
+    E3, P3 = _ref_closed_blocks(family, p, float(b))
+    V = np.zeros((3, 2))
+    V[0, 0] = -b
+    V[:, 1] = -A @ w
+    V[0, 1] += a
+    m = np.eye(5)
+    m[2:, :2] = P3 @ V
+    m[2:, 2:] = E3
+    return m
+
+
+def _same_bits(got, want):
+    # equal as IEEE bit patterns: -0.0 differs from 0.0 here
+    return got.shape == want.shape and np.array_equal(
+        got.view(np.int64), want.view(np.int64))
+
+
+def _reference_params(fam):
+    sets = [p for f, p in CANONICAL if f == fam]
+    sets += [kb.params_from_sequence(fam, v) for v in JACOBI_GRID[fam]]
+    if fam == "5.3.8":
+        sets.append({"lambda": -2.0, "phi": math.pi / 2})
+    return sets
+
+
+def _switch_bs(p):
+    # |b*mu| at each series switch (1e-4 for phi1, 0.5 for phi2 and phi3),
+    # just below and just above, for every eigenvalue modulus of ad(X2)
+    moduli = {abs(v) for k, v in p.items() if k != "phi"} | {1.0}
+    bs = [0.0, 1e-5, -1e-5]
+    for mod in moduli:
+        for cut in (1e-4, 0.5):
+            for side in (1.0 - 1e-6, 1.0 + 1e-6):
+                bs += [cut * side / mod, -cut * side / mod]
+    return bs
+
+
+@pytest.mark.parametrize("fam", kb.FAMILY_TAGS)
+def test_exp_ad_closed_matches_per_family_reference_bitwise(fam):
+    rng = np.random.default_rng(83)
+    for p in _reference_params(fam):
+        Us = list(rng.uniform(-3.0, 3.0, (40, 5)))
+        for b in _switch_bs(p):
+            U = rng.uniform(-3.0, 3.0, 5)
+            U[1] = b
+            Us.append(U)
+        for U in Us:
+            got = kb.exp_ad_closed(fam, p, U).m
+            assert _same_bits(got, _ref_exp_ad_closed(fam, p, U)), (p, U)
+
+
+@pytest.mark.parametrize("fam", kb.FAMILY_TAGS)
+def test_spectral_row_reproduces_ad_x2_bitwise(fam):
+    # the closed route's own A equals the algebra's ad_x2 template
+    eigenvalues, links = exp_action._SPECTRA[fam]
+    for p in _reference_params(fam):
+        mus = eigenvalues(p)
+        A = exp_action._matrix_function(exp_action._identity_jet, mus,
+                                        links, 1.0)
+        assert _same_bits(A, kb.ad2_matrix(fam, p)), p

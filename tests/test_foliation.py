@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -8,6 +9,8 @@ from korbit import exp_action, orbits
 from korbit.errors import AsymmetryError, DomainError, EvaluationError
 
 from conftest import CANONICAL
+
+BAD_TOLS = (0.0, -1e-8, math.inf, math.nan)
 
 
 def test_generic_stratum_predicate():
@@ -91,6 +94,15 @@ def test_local_triviality_rejects_mismatched_base():
     lambda: kb.md_scan("5.3.1", None, n=8, seed=1, radius=0.0),
     lambda: kb.md_scan("5.3.1", None, n=8, seed=1, radius=-1.0),
     lambda: kb.md_scan("5.3.1", None, n=8, seed=1, radius=float("inf")),
+    # tolerances that make a check vacuous or switch it off
+    *[lambda k=k, t=t: kb.verify_proposition("5.3.4", None, 2, n=5, seed=0,
+                                             **{k: t})
+      for k in ("member_tol", "tangency_tol", "grad_tol") for t in BAD_TOLS],
+    *[lambda t=t: kb.partition_check("5.3.2", None, pairs=3, seed=0, tol=t)
+      for t in BAD_TOLS],
+    *[lambda t=t: kb.classify_orbit("5.3.1", None, [1, 1, 1e-13, 1, 1],
+                                    snap_tol=t)
+      for t in (-1e-8, math.inf, -math.inf, math.nan)],
 ])
 def test_vacuous_sample_counts_are_refused(call):
     with pytest.raises(DomainError):
