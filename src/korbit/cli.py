@@ -400,21 +400,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# Options whose value is a comma-separated number list.
-_LIST_OPTIONS = ("--params", "--covector")
-
-
 def _attach_negative_values(argv):
     """Spell '--params -2,0.5' as '--params=-2,0.5'.
 
     argparse reads a token that starts with '-' as an option unless it is a
-    single plain number, so value lists such as '-2,0.5' or '-1,1,1,1,1'
-    would be refused.
+    plain number without an exponent, so value lists such as '-2,0.5' and
+    numbers such as '-1e-3' would be refused. Every korbit option but
+    --help takes one value, so any '--option' token followed by a token
+    that starts with a minus and a digit is joined with it.
     """
     out = []
     for arg in argv:
-        if out and out[-1] in _LIST_OPTIONS and re.match(r"-\.?\d", arg):
-            out[-1] = f"{out[-1]}={arg}"
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and "=" not in prev
+                and prev not in ("--", "--help") and re.match(r"-\.?\d", arg)):
+            out[-1] = f"{prev}={arg}"
         else:
             out.append(arg)
     return out

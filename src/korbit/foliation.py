@@ -187,8 +187,13 @@ def local_triviality_probe(family, params, case_index, n: int = 100,
     if np.any(ranks != 3):
         return False
     # a chart drops two coordinates; the other three columns must be
-    # nonsingular at the threshold of the full Jacobian
-    charted = np.zeros(n, dtype=bool)
+    # nonsingular at the threshold of the full Jacobian. Each minor is
+    # tested only on the rows no earlier minor has charted.
+    open_rows = np.arange(n)
     for cols in itertools.combinations(range(5), 3):
-        charted |= kirillov.svd_ranks(J[:, :, cols], rank_tol, thr)[0] == 3
-    return bool(np.all(charted))
+        minors = J[open_rows][:, :, cols]
+        full = kirillov.svd_ranks(minors, rank_tol, thr[open_rows])[0] == 3
+        open_rows = open_rows[~full]
+        if not len(open_rows):
+            return True
+    return False

@@ -4,10 +4,13 @@ For every covector F the form B_F(X, Y) = <F, [X, Y]> is skew; the defining
 property of these families is that its rank is 0 or 2 everywhere, with
 rank 0 exactly on the gamma = delta = sigma = 0 stratum.
 
-Kirillov ranks come from Pfaffians (skew_ranks), so they are even by
-construction; svd_ranks decides the ranks of every other matrix. The scan
-report's rank_rounding_adjustments is therefore always 0 and is kept only
-for payload compatibility.
+kirillov_forms builds a stack of forms from the nonzero entries of the
+structure tensor, with the einsum's arithmetic and exact skewness. It
+stores them entry-major, so skew_ranks reads each entry as one contiguous
+vector. Kirillov ranks come from Pfaffians (skew_ranks), so they are even
+by construction; svd_ranks decides the ranks of every other matrix. The
+scan report's rank_rounding_adjustments is therefore always 0 and is kept
+only for payload compatibility.
 """
 
 import itertools
@@ -33,9 +36,31 @@ def kirillov_form(alg: algebra.LieAlgebra, F) -> KirillovForm:
 
 
 def kirillov_forms(alg: algebra.LieAlgebra, Fs: np.ndarray) -> np.ndarray:
-    """Batched forms for an (n, 5) stack of covectors; returns (n, 5, 5)."""
+    """Batched forms for an (n, 5) stack of covectors: an (n, 5, 5) view.
+
+    The view is entry-major, so entry (i, j) of every form is one
+    contiguous (n,) vector. Each upper entry adds the nonzero products
+    c[i, j, k] * F_k in k order to +0.0: the arithmetic of
+    einsum("ijk,nk->nij") without its zero terms (tests pin the two bit
+    for bit). Each lower entry is 0.0 minus its upper one, so skewness is
+    exact. A covector with a non-finite coordinate gets an all-NaN form,
+    which skew_ranks refuses whichever coordinate it is.
+    """
     Fs = np.asarray(Fs, dtype=float)
-    return np.einsum("ijk,nk->nij", alg.c, Fs)
+    if Fs.ndim != 2 or Fs.shape[1] != 5:
+        raise DomainError(
+            f"kirillov_forms expects an (n, 5) stack, got shape {Fs.shape}")
+    F = Fs.T
+    E = np.zeros((5, 5, len(Fs)))
+    for i, j in itertools.combinations(range(5), 2):
+        ks = np.flatnonzero(alg.c[i, j])
+        if len(ks):
+            for k in ks:
+                E[i, j] += alg.c[i, j, k] * F[k]
+            np.subtract(0.0, E[i, j], out=E[j, i])
+    if not np.isfinite(Fs).all():
+        E[:, :, ~np.isfinite(Fs).all(axis=1)] = np.nan
+    return E.transpose(2, 0, 1)
 
 
 def svd_ranks(M, tol: float, thr=None):
@@ -92,7 +117,8 @@ def skew_ranks(B, tol: float) -> np.ndarray:
     if B.ndim != 3 or B.shape[1:] != (5, 5):
         raise DomainError(
             f"skew_ranks expects an (n, 5, 5) stack, got shape {B.shape}")
-    # one (n,) vector per entry keeps every temporary at n floats
+    # one (n,) vector per entry keeps every temporary at n floats; the
+    # vectors are contiguous when B comes from kirillov_forms
     E = B.transpose(1, 2, 0)
     s = sum(E[i, j] * E[i, j]
             for i, j in itertools.combinations(range(5), 2))  # w1^2 + w2^2

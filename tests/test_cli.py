@@ -138,6 +138,27 @@ def test_vacuous_sample_counts_exit_2():
                     "1,1,1e-13,1,1", f"--snap-tol={snap}")
         assert r.returncode == 2, snap
         assert r.stderr.startswith("error: ") and r.stdout == ""
+    # a negative number given as its own token, in exponent notation too,
+    # reaches the package's refusal, not argparse's "expected one argument"
+    for args, line in (
+            (("classify", "--family", "5.3.1", "--covector", "1,1,1,1,1",
+              "--snap-tol", "-1e-3"),
+             "snap_tol must be finite and nonnegative, got -0.001"),
+            (("verify-props", "--family", "5.3.4", "--grad-tol", "-1e-4",
+              "--seed", "3"),
+             "grad_tol must be finite and positive, got -0.0001"),
+            (("check-foliation", "--family", "5.3.2", "--tol", "-1e-8",
+              "--seed", "3"),
+             "partition tolerance must be finite and positive, got -1e-08"),
+            (("scan-md", "--family", "5.3.4", "--rank-tol", "-1e-9",
+              "--seed", "3"),
+             "rank tolerance must be positive"),
+            (("scan-md", "--family", "5.3.4", "--radius", "-.5",
+              "--seed", "3"),
+             "sampling radius must be finite and positive, got -0.5")):
+        r = run_cli(*args)
+        assert (r.returncode, r.stderr, r.stdout) == (2, f"error: {line}\n",
+                                                      ""), args
 
 
 def test_sample_orbit_csv():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import korbit as kb
-from korbit import exp_action, orbits
+from korbit import exp_action, kirillov, orbits
 from korbit.errors import AsymmetryError, DomainError, EvaluationError
 
 from conftest import CANONICAL
@@ -70,6 +71,55 @@ def test_local_triviality_all_dim2_cases():
             if c == 1:
                 continue
             assert kb.local_triviality_probe(fam, params, c, n=25, seed=6), (fam, c)
+
+
+def _all_minor_charts(J, rank_tol):
+    """The chart test with every 3-column minor run on every row."""
+    ranks, thr = kirillov.svd_ranks(J, rank_tol)
+    if np.any(ranks != 3):
+        return False
+    charted = np.zeros(len(J), dtype=bool)
+    for cols in itertools.combinations(range(5), 3):
+        charted |= kirillov.svd_ranks(J[:, :, cols], rank_tol, thr)[0] == 3
+    return bool(np.all(charted))
+
+
+def test_chart_probe_matches_all_minor_loop(monkeypatch):
+    jacobian = orbits._jacobian
+    seen = []
+
+    def recorded(desc, P):
+        seen.append(jacobian(desc, P))
+        return seen[-1]
+
+    monkeypatch.setattr(orbits, "_jacobian", recorded)
+    outcomes = []
+    for tol in (1e-9, 0.1, 0.3):
+        for fam, params in CANONICAL:
+            for c in kb.case_indices(fam):
+                base = orbits.canonical_bases(fam, c, sign_variants=False)[0]
+                if kb.classify_orbit(fam, params, base).dim != 2:
+                    continue
+                got = kb.local_triviality_probe(fam, params, c, n=50, seed=6,
+                                                rank_tol=tol)
+                assert got == _all_minor_charts(seen[-1], tol), (fam, c, tol)
+                outcomes.append(got)
+    assert True in outcomes and False in outcomes
+    # Rows charted by the first minor only, by the last minor only, and a
+    # rank-3 row whose minors all fall under the threshold 1e-3 (sigma3 of
+    # the row is 0.8e-3 * sqrt(3), of each minor at most 0.8e-3).
+    first, last, none = np.zeros((3, 3, 5))
+    first[:, :3] = np.eye(3)
+    last[:, 2:] = np.eye(3)
+    none[:2, :2] = np.eye(2)
+    none[2, 2:] = 0.8e-3
+    for rows, expect in (([first, last, first], True),
+                         ([first, last, none], False)):
+        J = np.array(rows)
+        monkeypatch.setattr(orbits, "_jacobian", lambda desc, P, J=J: J)
+        assert _all_minor_charts(J, 1e-3) is expect
+        assert kb.local_triviality_probe("5.3.2", None, 8, n=3, seed=0,
+                                         rank_tol=1e-3) is expect
 
 
 def test_local_triviality_rejects_point_case():

@@ -11,6 +11,7 @@ from korbit import kirillov
 from korbit.errors import DomainError
 
 from conftest import CANONICAL, elimination_rank
+from test_acceptance import JACOBI_GRID
 
 coord = st.floats(min_value=-50.0, max_value=50.0,
                   allow_nan=False, allow_infinity=False)
@@ -54,6 +55,54 @@ def test_form_rows_match_transposed_ad_bitwise():
             B = kb.kirillov_form(alg, F).b
             for i in range(5):
                 assert np.array_equal(B[i], kb.ad_matrix(alg, e[i]).T @ F)
+
+
+def _form_algebras():
+    """Every CANONICAL member and every member of the acceptance grid."""
+    sets = list(CANONICAL) + [(fam, kb.params_from_sequence(fam, v))
+                              for fam, grid in JACOBI_GRID.items()
+                              for v in grid]
+    return [kb.build_algebra(fam, p) for fam, p in sets]
+
+
+def test_forms_match_einsum_reference_bitwise():
+    # the reference is the contraction over the whole structure tensor;
+    # comparing IEEE bit patterns makes signed zeros count too
+    rng = np.random.default_rng(17)
+    for alg in _form_algebras():
+        for n in (0, 1, 20000):
+            F = rng.uniform(-1.0, 1.0, (n, 5))
+            F *= 10.0 ** rng.uniform(-8.0, 6.0, (n, 5))
+            F[rng.random((n, 5)) < 0.2] = 0.0
+            F[rng.random((n, 5)) < 0.1] = -0.0
+            F[:1] = -0.0
+            B = kb.kirillov_forms(alg, F)
+            ref = np.einsum("ijk,nk->nij", alg.c, F)
+            assert B.shape == ref.shape == (n, 5, 5)
+            assert np.array_equal(B.view(np.int64), ref.view(np.int64)), (
+                alg.family, alg.params, n)
+            assert np.array_equal(B, -B.transpose(0, 2, 1))
+            assert np.array_equal(kirillov.skew_ranks(B, 1e-9),
+                                  kirillov.skew_ranks(np.ascontiguousarray(B),
+                                                      1e-9))
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 4), (1, 2, 5)])
+def test_kirillov_forms_refuses_non_stack(shape):
+    with pytest.raises(DomainError, match=r"\(n, 5\) stack"):
+        kb.kirillov_forms(kb.build_algebra("5.3.4", None), np.ones(shape))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_covector_makes_skew_ranks_raise(value):
+    for fam, params in CANONICAL:
+        alg = kb.build_algebra(fam, params)
+        for k in range(5):
+            F = np.ones((3, 5))
+            F[1, k] = value
+            with pytest.raises(DomainError, match="finite"):
+                kirillov.skew_ranks(kb.kirillov_forms(alg, F), 1e-9)
 
 
 @given(F=vec5)
