@@ -217,23 +217,33 @@ def build_algebra(family, params=None) -> LieAlgebra:
     return LieAlgebra(family=family, params=p, c=c)
 
 
+def _as_real_array(v, what) -> np.ndarray:
+    """v as a float array; DomainError if v does not hold real numbers."""
+    if isinstance(v, np.ndarray) and v.dtype.kind == "c":
+        raise DomainError(f"{what} must hold real numbers, got a complex array")
+    try:
+        return np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as exc:  # strings, ragged lists, complex
+        raise DomainError(f"{what} must hold real numbers: {exc}") from None
+
+
 def as_vector5(v, what="vector") -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
+    arr = _as_real_array(v, what)
     if arr.shape != (5,):
         raise DomainError(f"{what} must have 5 coordinates, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{what} must have finite coordinates")
     return arr
 
 
 def as_stack5(v, what="vector") -> np.ndarray:
     """One finite vector (5,) or an (n, 5) stack of them, unchanged in shape."""
-    arr = np.asarray(v, dtype=float)
+    arr = _as_real_array(v, what)
     if arr.ndim == 1:
         return as_vector5(arr, what)
     if arr.ndim != 2 or arr.shape[1] != 5:
         raise DomainError(f"{what} must have shape (5,) or (n, 5), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{what} must have finite coordinates")
     return arr
 

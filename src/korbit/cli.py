@@ -35,13 +35,13 @@ def _check_threads() -> None:
 def _parse_covector(text):
     if text is None:
         raise DomainError("a covector is required (--covector 'x,y,z,t,s')")
-    if isinstance(text, (list, tuple)):
-        vals = [float(v) for v in text]
-    else:
-        try:
+    try:  # a config file may give a list, of anything JSON holds
+        if isinstance(text, (list, tuple)):
+            vals = [float(v) for v in text]
+        else:
             vals = [float(v) for v in str(text).replace(",", " ").split()]
-        except ValueError:
-            raise DomainError(f"covector must be 5 numbers, got {text!r}") from None
+    except (TypeError, ValueError):
+        raise DomainError(f"covector must be 5 numbers, got {text!r}") from None
     if len(vals) != 5:
         raise DomainError(f"covector must have 5 coordinates, got {len(vals)}")
     return np.array(vals, dtype=float)

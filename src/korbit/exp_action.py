@@ -12,6 +12,10 @@ eigenvalues of A on (z, t, s), a complex pair being a rotation-scaling
 block, and A's Jordan links. _matrix_function turns a row into f(b*A)
 for f = exp, phi1 and the identity (A itself): f(b*mu) on the diagonal,
 b*f'(b*mu) on each link, (b^2/2)*f''(b*mu) across a two-link chain.
+
+Every motion function refuses a result past the float range with a
+DomainError naming the element, or its row of a stack. The checks run
+only where overflow is possible (_EXP_SAFE_SQUARINGS, _SAFE_EXPONENT).
 """
 
 import cmath
@@ -27,7 +31,18 @@ from .errors import DomainError
 SERIES_CUTOFF = 1e-4
 
 _EXP_SERIES_ORDER = 13
+# Horner divisors 12, ..., 1 as floats: an int divisor costs a conversion
+_HORNER_DIVISORS = tuple(float(k) for k in range(_EXP_SERIES_ORDER - 1, 0, -1))
 _EXP_NORM_TARGET = 0.5
+# At most 9 squarings means ||M||inf <= 256, and under this scaling
+# ||exp(M)||inf <= e^(2 ||M||inf) <= e^512 ~ 2e222: no overflow is possible.
+_EXP_SAFE_SQUARINGS = 9
+# |U_i * mu| <= 350 for every coordinate and eigenvalue (one of which has
+# modulus 1) keeps each closed-form entry below e^350 * 350^3 ~ 1e160.
+_SAFE_EXPONENT = 350.0
+
+_EYE = np.eye(5)
+_EYE.setflags(write=False)
 
 
 def _phi1(x):
@@ -80,44 +95,87 @@ def phi_series(lam: float, b: float) -> float:
     Equal to b * phi1(b*lam); the series branch is used when |b*lam| is
     below SERIES_CUTOFF.
     """
-    lam = float(lam)
-    b = float(b)
+    try:
+        lam = float(lam)
+        b = float(b)
+    except (TypeError, ValueError):
+        raise DomainError("phi_series arguments must be real numbers, "
+                          f"got {lam!r}, {b!r}") from None
     if not (math.isfinite(lam) and math.isfinite(b)):
         raise DomainError("phi_series arguments must be finite")
     return b * _phi1(b * lam)
 
 
-def _expm(M: np.ndarray) -> np.ndarray:
+def _expm(M: np.ndarray, U) -> np.ndarray:
     """Scaling-and-squaring exponential with an order-13 series core.
 
     M is one 5x5 matrix or an (n, 5, 5) stack. Each matrix is scaled by
     its own power of two, 2^s, until its infinity norm is at most 0.5 (the
     order-13 Taylor remainder is then below 1e-15), and squared s times.
     The squarings all matrices need run on the whole stack, the rest on
-    the rows that need them.
+    the rows that need them. One matrix multiplies with np.dot, a stack
+    with np.matmul: the same BLAS product, np.dot with less per-call cost.
+
+    Under this scaling ||exp(M)||inf <= e^(2 ||M||inf), so a matrix with at
+    most _EXP_SAFE_SQUARINGS squarings cannot overflow; only when some
+    matrix needs more is the result checked, and a row that is not finite
+    raises DomainError naming its element, the matching row of U.
     """
     norm = np.abs(M).sum(axis=-1).max(axis=-1)
-    counts = [math.ceil(math.log2(v / _EXP_NORM_TARGET))
-              if v > _EXP_NORM_TARGET else 0 for v in np.ravel(norm).tolist()]
+    if M.ndim == 2:
+        mul, norms = np.dot, [float(norm)]
+    else:
+        mul, norms = np.matmul, norm.tolist()
+    try:  # an inf or NaN norm (ad_U itself overflowed) fails in ceil
+        counts = [0 if v <= _EXP_NORM_TARGET
+                  else math.ceil(math.log2(v / _EXP_NORM_TARGET))
+                  for v in norms]
+    except (OverflowError, ValueError):
+        raise _overflow("ad U", U, norm) from None
     common, most = min(counts, default=0), max(counts, default=0)
     if most > common:  # a stack whose rows differ in count
         counts = np.array(counts)
         A = np.ldexp(M, -counts[:, None, None])
     else:
         A = M / (2.0 ** common)
-    eye = np.eye(5)
-    R = eye + A / _EXP_SERIES_ORDER  # A @ I == A
-    for k in range(_EXP_SERIES_ORDER - 1, 0, -1):
-        R = A @ R
+    R = _EYE + A / float(_EXP_SERIES_ORDER)  # A @ I == A
+    for k in _HORNER_DIVISORS:
+        R = mul(A, R)
         R /= k
-        R += eye
+        R += _EYE
+    if most <= _EXP_SAFE_SQUARINGS:
+        return _square(R, counts, common, most, mul)
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = _square(R, counts, common, most, mul)
+    _refuse_non_finite("exp(ad U)", U, R)
+    return R
+
+
+def _square(R, counts, common, most, mul):
+    # row k of R squared counts[k] times; common of them on the whole stack
     for _ in range(common):
-        R = R @ R
+        R = mul(R, R)
     for j in range(common, most):
         rows = counts > j
         Rj = R[rows]
         R[rows] = Rj @ Rj
     return R
+
+
+def _overflow(what, U, values) -> DomainError:
+    """The refusal of a motion whose values are not finite: it names the
+    element U, or for a stack the first row whose values are not."""
+    U = np.asarray(U, dtype=float)
+    if U.ndim == 1:
+        return DomainError(f"{what} overflows at U = {U.tolist()}")
+    finite = np.isfinite(values).reshape(len(U), -1).all(axis=1)
+    k = int(np.argmin(finite))
+    return DomainError(f"{what} overflows at row {k}, U = {U[k].tolist()}")
+
+
+def _refuse_non_finite(what, U, values):
+    if not np.isfinite(values).all():
+        raise _overflow(what, U, values)
 
 
 @dataclass(frozen=True)
@@ -132,7 +190,7 @@ def exp_ad(alg: algebra.LieAlgebra, U) -> ExpAdMatrix:
 
     U is one element (5,) or an (n, 5) stack; m is (5, 5) or (n, 5, 5).
     """
-    return ExpAdMatrix(m=_expm(algebra.ad_matrix(alg, U)), source="generic")
+    return ExpAdMatrix(m=_expm(algebra.ad_matrix(alg, U), U), source="generic")
 
 
 # family: (p -> eigenvalues of A on (z, t, s), i of each link A[i, i+1] = 1)
@@ -158,7 +216,9 @@ def _matrix_function(jet, mus, links, b):
     while i < 3:
         if isinstance(mus[i], complex):  # the pair mu, conj(mu) on (i, i+1)
             f = jet(complex(b * mus[i].real, b * mus[i].imag), 0)[0]
-            M[i:i + 2, i:i + 2] = ((f.real, -f.imag), (f.imag, f.real))
+            M[i, i] = M[i + 1, i + 1] = f.real
+            M[i, i + 1] = -f.imag
+            M[i + 1, i] = f.imag
             i += 2
             continue
         k = 0  # links from i to the end of its Jordan block
@@ -171,24 +231,40 @@ def _matrix_function(jet, mus, links, b):
     return M
 
 
-def exp_ad_closed(family, params, U) -> ExpAdMatrix:
-    """exp(ad_U) assembled from the family's spectral row in _SPECTRA."""
-    family = algebra.normalize_family(family)
-    p = algebra.validate_params(family, params)
-    U = algebra.as_vector5(U, "algebra element")
-    a, b, w = U[0], U[1], U[2:]
-    eigenvalues, links = _SPECTRA[family]
-    mus = eigenvalues(p)
+def _closed_form(mus, links, U):
+    a, b, w = U[0], float(U[1]), U[2:]
     A = _matrix_function(_identity_jet, mus, links, 1.0)
-    E3 = _matrix_function(_exp_jet, mus, links, float(b))
-    P3 = _matrix_function(_phi1_jet, mus, links, float(b))
+    E3 = _matrix_function(_exp_jet, mus, links, b)
+    P3 = _matrix_function(_phi1_jet, mus, links, b)
     V = np.zeros((3, 2))
     V[0, 0] = -b
     V[:, 1] = -A @ w
     V[0, 1] += a
-    m = np.eye(5)
+    m = _EYE.copy()
     m[2:, :2] = P3 @ V
     m[2:, 2:] = E3
+    return m
+
+
+def exp_ad_closed(family, params, U) -> ExpAdMatrix:
+    """exp(ad_U) assembled from the family's spectral row in _SPECTRA.
+
+    A result beyond the float range raises DomainError naming U.
+    """
+    family = algebra.normalize_family(family)
+    p = algebra.validate_params(family, params)
+    U = algebra.as_vector5(U, "algebra element")
+    eigenvalues, links = _SPECTRA[family]
+    mus = eigenvalues(p)
+    if max(map(abs, U.tolist())) * max(map(abs, mus)) <= _SAFE_EXPONENT:
+        return ExpAdMatrix(m=_closed_form(mus, links, U), source="closed_form")
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            m = _closed_form(mus, links, U)
+        except OverflowError:  # math.exp beyond the float range
+            m = None
+    if m is None or not np.isfinite(m).all():
+        raise _overflow("exp(ad U)", U, None)
     return ExpAdMatrix(m=m, source="closed_form")
 
 
@@ -196,10 +272,19 @@ def coadjoint_move(alg: algebra.LieAlgebra, F, U) -> np.ndarray:
     """Coordinates of the coadjoint image of F under exp(U).
 
     U is one element (5,) or an (n, 5) stack; the result is (5,) or
-    (n, 5), row k the image under exp(U[k]).
+    (n, 5), row k the image under exp(U[k]). An image beyond the float
+    range raises DomainError naming its element, or its row of a stack.
     """
     F = algebra.as_vector5(F, "covector")
-    return F @ exp_ad(alg, U).m
+    E = exp_ad(alg, U).m
+    if E.ndim == 2:
+        G = np.dot(F, E)
+        if not all(map(math.isfinite, G.tolist())):
+            raise _overflow("the coadjoint image", U, None)
+        return G
+    G = F @ E
+    _refuse_non_finite("the coadjoint image", U, G)
+    return G
 
 
 def coadjoint_move_531(params, F, U) -> np.ndarray:
@@ -213,20 +298,27 @@ def coadjoint_move_531(params, F, U) -> np.ndarray:
         z = gamma * e^(b*lambda1)
         t = delta * e^(b*lambda2)
         s = sigma * e^b
+
+    An image beyond the float range raises DomainError naming U.
     """
     p = algebra.validate_params("5.3.1", params)
     F = algebra.as_vector5(F, "covector")
     U = algebra.as_vector5(U, "algebra element")
     l1, l2 = p["lambda1"], p["lambda2"]
-    a, b, c, d, f = (float(v) for v in U)
-    al, be, ga, de, si = (float(v) for v in F)
+    a, b, c, d, f = U.tolist()
+    al, be, ga, de, si = F.tolist()
+    try:  # the exponentials first: past e^709.78 they raise, the rest do not
+        z = ga * math.exp(b * l1)
+        t = de * math.exp(b * l2)
+        s = si * math.exp(b)
+    except OverflowError:
+        raise _overflow("the coadjoint image", U, None) from None
     x = al - ga * phi_series(l1, b)
     y = (be + ga * (a - c * l1) * _phi1(b * l1)
          - de * d * l2 * _phi1(b * l2)
          - si * f * _phi1(b))
-    z = ga * math.exp(b * l1)
-    t = de * math.exp(b * l2)
-    s = si * math.exp(b)
+    if not all(map(math.isfinite, (x, y, z, t, s))):
+        raise _overflow("the coadjoint image", U, None)
     return np.array([x, y, z, t, s])
 
 
@@ -265,6 +357,7 @@ def sample_orbit(alg: algebra.LieAlgebra, F, n: int, seed: int,
     the coordinate cube [-radius, radius]^5 by a seeded generator.
 
     Deterministic for a given seed: one (n, 5) draw, moved in one call.
+    A draw whose image overflows raises DomainError naming its row.
     """
     F = algebra.as_vector5(F, "covector")
     n = int(n)

@@ -248,3 +248,29 @@ def test_degenerate_params_warning_goes_to_stderr():
     assert r.returncode == 0
     assert "degenerate" in r.stderr
     assert "degenerate" not in r.stdout
+
+
+def test_overflowing_motion_exits_2():
+    # seed 1 draws row 0 of the radius-400 cube first; its b = 360 overflows
+    # exp(3b) = e^1081, so both commands stop at the same refusal
+    line = ("error: exp(ad U) overflows at row 0, U = [9.457299760205387, "
+            "360.3709570607482, -284.672309824293, 358.9195577097951, "
+            "-150.53483839161163]\n")
+    for args in (("sample-orbit", "--family", "5.3.1", "--covector",
+                  "1,1,1,1,1", "--n", "3", "--radius", "400", "--seed", "1"),
+                 ("verify-props", "--family", "5.3.1", "--case", "8",
+                  "--n", "50", "--radius", "400", "--seed", "1")):
+        r = run_cli(*args)
+        assert (r.returncode, r.stderr, r.stdout) == (2, line, ""), args
+
+
+def test_non_numeric_covector_exits_2(tmp_path):
+    # from the command line, and as a config-file list holding a null
+    cfg = tmp_path / "korbit.json"
+    cfg.write_text(json.dumps({"covector": [1, None, 1, 1, 1]}))
+    for rest, shown in ((("--covector", "1,1,x,1,1"), "'1,1,x,1,1'"),
+                        (("--config", str(cfg)), "[1, None, 1, 1, 1]")):
+        r = run_cli("sample-orbit", "--family", "5.3.1", "--n", "3",
+                    "--seed", "1", *rest)
+        assert (r.returncode, r.stderr, r.stdout) == (
+            2, f"error: covector must be 5 numbers, got {shown}\n", ""), rest

@@ -46,6 +46,11 @@ def test_phi_series_rejects_nonfinite():
         kb.phi_series(float("nan"), 1.0)
     with pytest.raises(DomainError):
         kb.phi_series(1.0, float("inf"))
+    # and what is not a real number at all
+    for lam, b in (("x", 1.0), (1.0, "y"), (1j, 1.0), (None, 1.0), ([1.0], 1.0)):
+        with pytest.raises(DomainError,
+                           match="phi_series arguments must be real numbers"):
+            kb.phi_series(lam, b)
 
 
 @pytest.mark.parametrize("fam,params", CANONICAL)
@@ -288,6 +293,122 @@ def test_stacked_motion_edges():
             kb.ad_matrix(alg, U)
         with pytest.raises(DomainError):
             kb.coadjoint_move(alg, F, U)
+
+
+def _int_bits(a):
+    # IEEE bit patterns: -0.0 differs from 0.0 here
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("fam,params", CANONICAL)
+def test_one_element_motion_is_bitwise_its_stacked_row(fam, params):
+    # one element multiplies with np.dot, a stack with np.matmul; both must
+    # give the bits of the @-based per-matrix algorithm, so that a product
+    # that rounds differently on either path shows here
+    rng = np.random.default_rng(67)
+    alg = kb.build_algebra(fam, params)
+    radii = np.repeat([1e-3, 0.3, 2.0, 8.0, 40.0], 12)
+    Us = rng.uniform(-1.0, 1.0, (60, 5)) * radii[:, None]
+    # b = -300 needs more than 9 squarings, so the checked path runs too
+    Us = np.vstack([Us, [0.25, -300.0, 0.5, -0.75, 1.0]])
+    F = rng.uniform(-2.5, 2.5, 5)
+    M = kb.ad_matrix(alg, Us)
+    counts = {int(math.ceil(math.log2(v / 0.5))) if v > 0.5 else 0
+              for v in np.linalg.norm(M, np.inf, axis=(1, 2))}
+    assert 0 in counts and max(counts) > 9 and len(counts) >= 9
+    E = kb.exp_ad(alg, Us).m
+    G = kb.coadjoint_move(alg, F, Us)
+    for k, U in enumerate(Us):
+        want = _expm_per_matrix(M[k])
+        one = kb.exp_ad(alg, U).m
+        assert np.array_equal(_int_bits(one), _int_bits(want)), (k, U)
+        assert np.array_equal(_int_bits(E[k]), _int_bits(want)), (k, U)
+        g = kb.coadjoint_move(alg, F, U)
+        assert np.array_equal(_int_bits(g), _int_bits(F @ want)), (k, U)
+        assert np.array_equal(_int_bits(G[k]), _int_bits(g)), (k, U)
+
+
+def _overflow_line(U, row=None):
+    where = "" if row is None else f"row {row}, "
+    return f"overflows at {where}U = {list(map(float, U))}"
+
+
+def test_overflow_is_refused_on_every_motion_route():
+    # the same refusal on all five functions, with no numpy warning first
+    alg = kb.build_algebra("5.3.1", None)
+    F = [1.0, 1.0, 1.0, 1.0, 1.0]
+    U = [0.0, 300.0, 0.0, 0.0, 0.0]
+    stack = [[0.0, 1.0, 0.0, 0.0, 0.0], U]
+    cases = [
+        (lambda: kb.exp_ad(alg, U), "exp(ad U) " + _overflow_line(U)),
+        (lambda: kb.exp_ad(alg, stack), "exp(ad U) " + _overflow_line(U, 1)),
+        (lambda: kb.coadjoint_move(alg, F, U), "exp(ad U) " + _overflow_line(U)),
+        (lambda: kb.coadjoint_move(alg, F, stack),
+         "exp(ad U) " + _overflow_line(U, 1)),
+        (lambda: kb.exp_ad_closed("5.3.1", None, U),
+         "exp(ad U) " + _overflow_line(U)),
+        (lambda: kb.coadjoint_move_531(None, F, U),
+         "the coadjoint image " + _overflow_line(U)),
+        (lambda: kb.coadjoint_move_531(None, F, [0.0, 800.0, 0, 0, 0]),
+         "the coadjoint image " + _overflow_line([0.0, 800.0, 0, 0, 0])),
+        # exp(705) is finite, 705^2/2 * exp(705) is not
+        (lambda: kb.exp_ad_closed("5.3.7", None, [0, 705.0, 0, 0, 0]),
+         "exp(ad U) " + _overflow_line([0, 705.0, 0, 0, 0])),
+        (lambda: kb.exp_ad(kb.build_algebra("5.3.7", None), [0, 705.0, 0, 0, 0]),
+         "exp(ad U) " + _overflow_line([0, 705.0, 0, 0, 0])),
+        # the rotation pair of 5.3.8 goes through numpy's complex exp
+        (lambda: kb.exp_ad_closed("5.3.8", None, [0, 1500.0, 0, 0, 0]),
+         "exp(ad U) " + _overflow_line([0, 1500.0, 0, 0, 0])),
+        # finite coordinates whose ad matrix already overflows
+        (lambda: kb.exp_ad(alg, [1e308, 1.0, 1e308, 1e308, 1e308]),
+         "ad U " + _overflow_line([1e308, 1.0, 1e308, 1e308, 1e308])),
+        (lambda: kb.exp_ad_closed("5.3.1", None, [1e308, 1.0, 1e308, 1e308, 1e308]),
+         "exp(ad U) " + _overflow_line([1e308, 1.0, 1e308, 1e308, 1e308])),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, message in cases:
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == message
+        with pytest.raises(DomainError, match=r"^exp\(ad U\) overflows at row "):
+            kb.sample_orbit(alg, F, 3, seed=1, radius=400.0)
+        # the same magnitudes towards zero stay finite and agree
+        V = [0.0, -300.0, 0.0, 0.0, 0.0]
+        generic = kb.exp_ad(alg, V).m
+        assert np.all(np.isfinite(generic))
+        assert np.max(np.abs(generic - kb.exp_ad_closed("5.3.1", None, V).m)) < 1e-12
+        img = kb.coadjoint_move(alg, F, V)
+        assert np.max(np.abs(img - kb.coadjoint_move_531(None, F, V))) < 1e-12
+    # a finite exponential whose product with a huge covector is not: the
+    # product overflows inside numpy, which warns before the refusal
+    for move in (lambda F, U: kb.coadjoint_move(alg, F, U),
+                 lambda F, U: kb.coadjoint_move(alg, F, [U])[0],
+                 lambda F, U: kb.coadjoint_move_531(None, F, U)):
+        with pytest.raises(DomainError, match="^the coadjoint image overflows"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                move([0, 0, 0, 1e300, 1e300], [0, 200.0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("bad", [
+    ["a", 1, 1, 1, 1],
+    [[1, 2], [1, 2, 3, 4, 5]],
+    [1j, 1, 1, 1, 1],
+    np.ones(5, dtype=complex),
+    {"a": 1},
+], ids=["string", "ragged", "complex-entry", "complex-array", "dict"])
+def test_non_numeric_input_is_refused(bad):
+    alg = kb.build_algebra("5.3.2", None)
+    F = [1.0, 1.0, 1.0, 1.0, 1.0]
+    for call in (lambda: kb.exp_ad(alg, bad), lambda: kb.ad_matrix(alg, bad),
+                 lambda: kb.coadjoint_move(alg, F, bad),
+                 lambda: kb.coadjoint_move(alg, bad, F),
+                 lambda: kb.exp_ad_closed("5.3.2", None, bad),
+                 lambda: kb.coadjoint_move_531(None, F, bad),
+                 lambda: kb.sample_orbit(alg, bad, 3, seed=1)):
+        with pytest.raises(DomainError, match="must hold real numbers"):
+            call()
 
 
 # ---- closed route: the spectral table against the per-family forms ------
