@@ -183,17 +183,32 @@ def local_triviality_probe(family, params, case_index, n: int = 100,
     pts = exp_action.sample_orbit(alg, base, n, seed=int(seed),
                                   radius=radius).points
     J = orbits._jacobian(desc, pts)
+    # a chart drops two coordinates; the other three columns must be
+    # nonsingular at the threshold of the full Jacobian
+    if J.shape[1] == 3:
+        # rows whose rank 3 and chart certify_rank3 proves are done
+        certified, tau = kirillov.certify_rank3(J, rank_tol)
+        uncharted = _uncharted(
+            J, np.flatnonzero(certified), tau,
+            lambda M, t: kirillov.certify_rank3(M, rank_tol, t)[0])
+        J = J[np.union1d(uncharted, np.flatnonzero(~certified))]
+        if not len(J):
+            return True
+    # svd_ranks decides every other row
     ranks, thr = kirillov.svd_ranks(J, rank_tol)
     if np.any(ranks != 3):
         return False
-    # a chart drops two coordinates; the other three columns must be
-    # nonsingular at the threshold of the full Jacobian. Each minor is
-    # tested only on the rows no earlier minor has charted.
-    open_rows = np.arange(n)
+    return not len(_uncharted(
+        J, np.arange(len(J)), thr,
+        lambda M, t: kirillov.svd_ranks(M, rank_tol, t)[0] == 3))
+
+
+def _uncharted(J, rows, thr, full_rank):
+    """The rows of J where no 3-column submatrix passes full_rank(minors,
+    thresholds). Each minor is tested only on the rows no earlier minor
+    has charted."""
     for cols in itertools.combinations(range(5), 3):
-        minors = J[open_rows][:, :, cols]
-        full = kirillov.svd_ranks(minors, rank_tol, thr[open_rows])[0] == 3
-        open_rows = open_rows[~full]
-        if not len(open_rows):
-            return True
-    return False
+        if not len(rows):
+            break
+        rows = rows[~full_rank(J[rows][:, :, cols], thr[rows])]
+    return rows

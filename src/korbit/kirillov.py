@@ -8,11 +8,17 @@ kirillov_forms builds a stack of forms from the nonzero entries of the
 structure tensor, with the einsum's arithmetic and exact skewness. It
 stores them entry-major, so skew_ranks reads each entry as one contiguous
 vector. Kirillov ranks come from Pfaffians (skew_ranks), so they are even
-by construction; svd_ranks decides the ranks of every other matrix. The
-scan report's rank_rounding_adjustments is therefore always 0 and is kept
-only for payload compatibility.
+by construction. The scan report's rank_rounding_adjustments is therefore
+always 0 and is kept only for payload compatibility.
+
+The ranks of 3-row matrices (constraint Jacobians and their 3x3 chart
+minors) are certificate-then-SVD: certify_rank3 proves rank 3 from the
+Cauchy-Binet sums of squared minors where the bound has room, and
+svd_ranks decides every row it leaves open, so each decision is the
+SVD's. svd_ranks decides the ranks of every other matrix.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -70,7 +76,8 @@ def svd_ranks(M, tol: float, thr=None):
     tol * max(1, largest singular value) unless thresholds are given (a
     submatrix tested against the threshold of its parent). Thresholds keep
     a trailing axis of length 1. Every numeric rank decision of the
-    package other than a Kirillov form's (skew_ranks) is made here.
+    package other than a Kirillov form's (skew_ranks) and a row that
+    certify_rank3 proves has rank 3 is made here.
     """
     if not tol > 0:
         raise DomainError("rank tolerance must be positive")
@@ -80,6 +87,89 @@ def svd_ranks(M, tol: float, thr=None):
         # values (a zero dimension) has rank 0
         thr = tol * np.maximum(1.0, sv[..., :1])
     return (sv > thr).sum(axis=-1), thr
+
+
+# certify_rank3's margins: sigma3 above _KAPPA times the threshold bound
+# absorbs the SVD's rounding at the threshold, and a volume above
+# _VOLUME_RTOL times its rounding bound keeps the minors' own rounding
+# errors negligible. Rows with |M|_F^2 inside _E1_RANGE keep every product
+# of six entries, and _VOLUME_RTOL^2 * |M|_F^6, normal floats.
+_KAPPA = 2.0
+_VOLUME_RTOL = 1e-12
+_E1_RANGE = (1e-90, 1e90)
+
+
+@functools.lru_cache(maxsize=None)
+def _cauchy_binet_tables(k):
+    """Index tables of a 3 x k matrix's minors: the column pairs (i, j),
+    the column triples (i, j, l), and for each triple the positions of the
+    column pairs (j, l), (i, l), (i, j) of its row-0 cofactor expansion."""
+    pairs = list(itertools.combinations(range(k), 2))
+    pos = {p: q for q, p in enumerate(pairs)}
+    triples = list(itertools.combinations(range(k), 3))
+    cofactors = [(pos[j, l], pos[i, l], pos[i, j]) for i, j, l in triples]
+    return (np.array(pairs).T, np.array(triples).T, np.array(cofactors).T)
+
+
+def certify_rank3(M, tol: float, thr=None):
+    """(certified, thresholds) of an (n, 3, k) stack, k >= 3.
+
+    A row is certified only where the Cauchy-Binet identities prove that
+    svd_ranks(M, tol) reads rank 3 on it. With singular values s1 >= s2 >=
+    s3 of the row, e1 = |M|_F^2 = s1^2 + s2^2 + s3^2, e2 = the sum of the
+    squared 2x2 minors = s1^2 s2^2 + s1^2 s3^2 + s2^2 s3^2, and e3 = the
+    sum of the squared 3x3 minors = (s1 s2 s3)^2, so s3^2 >= e3 / e2 and
+    s1 <= sqrt(e1). The threshold bound tau = tol * max(1, sqrt(e1)) is at
+    least svd_ranks' threshold, unless thr gives the bounds (a submatrix
+    tested against the tau of its parent). A row is certified when
+    e3 / e2 > (2 tau)^2, and sqrt(e3) > 1e-12 e1^(3/2) keeps its minors far
+    above their rounding errors (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002). Rank-deficient, non-finite and
+    near-threshold rows are not certified; svd_ranks decides them.
+    Thresholds are returned as an (n,) vector.
+    """
+    if not tol > 0:
+        raise DomainError("rank tolerance must be positive")
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 3 or M.shape[1] != 3 or M.shape[2] < 3:
+        raise DomainError(
+            f"certify_rank3 expects an (n, 3, k) stack with k >= 3, got "
+            f"shape {M.shape}")
+    pairs, triples, cofactors = _cauchy_binet_tables(M.shape[2])
+    # row r of every matrix as one contiguous (k, n) block
+    a, b, c = np.ascontiguousarray(M.transpose(1, 2, 0))
+    i, j = pairs
+    # a row out of range or not finite overflows or turns NaN here; the
+    # range test below leaves it to svd_ranks
+    with np.errstate(all="ignore"):
+        e1 = (a * a + b * b + c * c).sum(axis=0)
+        ab = a[i] * b[j] - a[j] * b[i]
+        ac = a[i] * c[j] - a[j] * c[i]
+        bc = b[i] * c[j] - b[j] * c[i]
+        e2 = (ab * ab + ac * ac + bc * bc).sum(axis=0)
+        p, q, r = cofactors
+        t0, t1, t2 = triples
+        det = a[t0] * bc[p] - a[t1] * bc[q] + a[t2] * bc[r]
+        e3 = (det * det).sum(axis=0)
+        if thr is None:
+            thr = tol * np.maximum(1.0, np.sqrt(e1))
+        certified = ((e1 > _E1_RANGE[0]) & (e1 < _E1_RANGE[1])
+                     & (e3 / e2 > (_KAPPA * thr) ** 2)
+                     & (np.sqrt(e3) > _VOLUME_RTOL * e1 * np.sqrt(e1)))
+    return certified, thr
+
+
+def certified_svd_ranks(M, tol: float) -> np.ndarray:
+    """svd_ranks(M, tol)[0] of an (n, m, k) stack: rows that certify_rank3
+    proves read 3, and only the others go through the SVD."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 3 or M.shape[1] != 3 or M.shape[2] < 3:
+        return svd_ranks(M, tol)[0]
+    open_rows = ~certify_rank3(M, tol)[0]
+    ranks = np.full(len(M), 3)
+    if open_rows.any():
+        ranks[open_rows] = svd_ranks(M[open_rows], tol)[0]
+    return ranks
 
 
 def numeric_rank_info(m, tol: float = 1e-9):

@@ -671,7 +671,7 @@ def jacobian_rank_check(desc: OrbitDescriptor, p, tol: float = 1e-9):
     An int for one point, an array of one rank per row for an (n, 5) stack.
     """
     P, single = _stack(p)
-    ranks, _ = kirillov.svd_ranks(_jacobian(desc, P), tol)
+    ranks = kirillov.certified_svd_ranks(_jacobian(desc, P), tol)
     return int(ranks[0]) if single else ranks
 
 
@@ -700,18 +700,24 @@ def gradient_fd_error(desc: OrbitDescriptor, p, step: float = 1e-6):
 
 
 def _fd_rows(desc, P, J, step):
-    """gradient_fd_error of an (n, 5) stack with constraint Jacobians J."""
-    worst = np.zeros(P.shape[0])
+    """gradient_fd_error of an (n, 5) stack with constraint Jacobians J.
+
+    The 10 shifted copies of P (+step, then -step, in each coordinate j)
+    are one (10n, 5) stack, so each constraint is evaluated once.
+    """
+    n = P.shape[0]
+    shifted = np.broadcast_to(P, (2, 5, n, 5)).copy()
+    axes = np.arange(5)
+    shifted[0, axes, :, axes] += step
+    shifted[1, axes, :, axes] -= step
+    shifted = shifted.reshape(10 * n, 5)
+    worst = np.zeros(n)
     for c, con in enumerate(desc.constraints):
         G = J[:, c, :]
         denom = np.maximum(1.0, np.max(np.abs(G), axis=-1))
-        for j in range(5):
-            Pp = P.copy()
-            Pp[:, j] += step
-            Pm = P.copy()
-            Pm[:, j] -= step
-            fd = (con.fn(Pp) - con.fn(Pm)) / (2.0 * step)
-            worst = np.maximum(worst, np.abs(fd - G[:, j]) / denom)
+        plus, minus = np.reshape(con.fn(shifted), (2, 5, n))
+        fd = (plus - minus) / (2.0 * step)  # row j: the difference along j
+        worst = np.maximum(worst, np.max(np.abs(fd - G.T) / denom, axis=0))
     return worst
 
 
@@ -821,7 +827,8 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
     dimension, and analytic gradients against central differences. The base
     covectors are canonical_bases(family, case) unless an explicit base is
     given; base k samples with seed + 7919*k. The tolerances and grad_step
-    must be finite and positive (DomainError otherwise).
+    must be finite and positive (DomainError otherwise). A motion beyond
+    the float range raises DomainError naming the family, case and base.
     """
     alg = algebra.build_algebra(family, params)
     p = alg.params
@@ -829,6 +836,7 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
     n = int(n)
     if n < 1:
         raise DomainError(f"sample count must be at least 1, got {n}")
+    radius = exp_action.as_radius(radius)
     grad_step = _tolerance("FD step", grad_step)
     member_tol = _tolerance("member_tol", member_tol)
     tangency_tol = _tolerance("tangency_tol", tangency_tol)
@@ -852,8 +860,13 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
             raise DomainError(
                 f"base {list(map(float, B))} lies in case {desc.case_index}, "
                 f"not requested case {case_index}")
-        P = exp_action.sample_orbit(alg, B, n, seed=int(seed) + 7919 * k,
-                                    radius=radius).points
+        try:
+            P = exp_action.sample_orbit(alg, B, n, seed=int(seed) + 7919 * k,
+                                        radius=radius).points
+        except DomainError as exc:  # a motion beyond the float range
+            raise DomainError(
+                f"family {family} case {case_index}, base "
+                f"{list(map(float, B))}: {exc}") from None
         scale = 1.0 + np.max(np.abs(P), axis=-1)
         mask, admitted = _admitted(desc, P)
         sign_violations += int(P.shape[0] - np.count_nonzero(admitted))
@@ -868,7 +881,7 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
             tangency_max = float(np.max(_tangency_rows(Pm, forms, J),
                                         initial=tangency_max))
             if desc.dim == 2:
-                ranks, _ = kirillov.svd_ranks(J, rank_tol)
+                ranks = kirillov.certified_svd_ranks(J, rank_tol)
                 jacobian_failures += int(np.count_nonzero(ranks != 3))
             dimension_mismatches += int(np.count_nonzero(
                 kirillov.skew_ranks(forms, rank_tol) != desc.dim))

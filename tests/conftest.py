@@ -72,3 +72,12 @@ def elimination_rank(M, tol: float = 1e-9) -> int:
         row += 1
         rank += 1
     return rank
+
+
+def stack_with_singular_values(rng, sv, k: int) -> np.ndarray:
+    """An (n, 3, k) stack, row r = U diag(sv[r]) V^T with random U (3x3)
+    and V (k x 3) of orthonormal columns."""
+    sv = np.asarray(sv, dtype=float)
+    U = np.linalg.qr(rng.normal(size=(len(sv), 3, 3)))[0]
+    V = np.linalg.qr(rng.normal(size=(len(sv), k, 3)))[0]
+    return (U * sv[:, None, :]) @ V.transpose(0, 2, 1)

@@ -252,16 +252,20 @@ def test_degenerate_params_warning_goes_to_stderr():
 
 def test_overflowing_motion_exits_2():
     # seed 1 draws row 0 of the radius-400 cube first; its b = 360 overflows
-    # exp(3b) = e^1081, so both commands stop at the same refusal
-    line = ("error: exp(ad U) overflows at row 0, U = [9.457299760205387, "
+    # exp(3b) = e^1081, so both commands stop at the same refusal, and
+    # verify-props names the family, case and base it was moving
+    line = ("exp(ad U) overflows at row 0, U = [9.457299760205387, "
             "360.3709570607482, -284.672309824293, 358.9195577097951, "
             "-150.53483839161163]\n")
-    for args in (("sample-orbit", "--family", "5.3.1", "--covector",
-                  "1,1,1,1,1", "--n", "3", "--radius", "400", "--seed", "1"),
-                 ("verify-props", "--family", "5.3.1", "--case", "8",
-                  "--n", "50", "--radius", "400", "--seed", "1")):
+    for args, prefix in (
+            (("sample-orbit", "--family", "5.3.1", "--covector",
+              "1,1,1,1,1", "--n", "3", "--radius", "400", "--seed", "1"), ""),
+            (("verify-props", "--family", "5.3.1", "--case", "8",
+              "--n", "50", "--radius", "400", "--seed", "1"),
+             "family 5.3.1 case 8, base [1.0, 1.0, 1.0, 1.0, 1.0]: ")):
         r = run_cli(*args)
-        assert (r.returncode, r.stderr, r.stdout) == (2, line, ""), args
+        assert (r.returncode, r.stderr, r.stdout) == (
+            2, f"error: {prefix}{line}", ""), args
 
 
 def test_non_numeric_covector_exits_2(tmp_path):

@@ -122,6 +122,74 @@ def test_chart_probe_matches_all_minor_loop(monkeypatch):
                                          rank_tol=1e-3) is expect
 
 
+def _svd_only_probe(J, rank_tol):
+    """local_triviality_probe's verdict on Jacobians J with every rank
+    decided by svd_ranks: the implementation before the Cauchy-Binet
+    certificate, kept as the reference."""
+    ranks, thr = kirillov.svd_ranks(J, rank_tol)
+    if np.any(ranks != 3):
+        return False
+    open_rows = np.arange(len(J))
+    for cols in itertools.combinations(range(5), 3):
+        minors = J[open_rows][:, :, cols]
+        full = kirillov.svd_ranks(minors, rank_tol, thr[open_rows])[0] == 3
+        open_rows = open_rows[~full]
+        if not len(open_rows):
+            return True
+    return False
+
+
+def test_chart_probe_matches_svd_only_reference(monkeypatch):
+    rng = np.random.default_rng(43)
+
+    def thin(c):
+        # rank 3 (sigma3 = c * sqrt(3)); every chart minor has sigma3 <= c
+        m = np.zeros((3, 5))
+        m[:2, :2] = np.eye(2)
+        m[2, 2:] = c
+        return m
+
+    def rotated(rows, s):
+        U = np.linalg.qr(rng.normal(size=(len(rows), 3, 3)))[0]
+        return s * (U @ np.array(rows))
+
+    for tol in (1e-9, 1e-6, 1e-3):
+        for s in (1e-3, 1.0, 1e3):
+            thr = tol * max(1.0, s)
+            if thr > 1e-4 * s:  # random rows would sit near the threshold
+                continue
+            good = list(rng.normal(size=(20, 3, 5)))
+            rank2 = np.outer([1.0, 2.0, 0.5], [1.0, 0, 0, 0, 0]) + thin(0.0)
+            # 1.8: J certified, its minors left to SVD, which charts them;
+            # 1 +- 1e-3: the minors sit at the threshold
+            for extra, expect in (([], True), ([thin(1.8 * thr / s)], True),
+                                  ([thin(1.001 * thr / s)], True),
+                                  ([thin(0.999 * thr / s)], False),
+                                  ([rank2], False)):
+                J = rotated(good + extra, s)
+                monkeypatch.setattr(orbits, "_jacobian",
+                                    lambda desc, P, J=J: J)
+                assert _svd_only_probe(J, tol) is expect, (tol, s, extra)
+                assert kb.local_triviality_probe(
+                    "5.3.2", None, 8, n=len(J), seed=0,
+                    rank_tol=tol) is expect, (tol, s, extra)
+    monkeypatch.undo()
+    # the four-constraint Jacobians of the 5.3.8 case 3 sigma = 0 branch
+    jacobian = orbits._jacobian
+    seen = []
+
+    def recorded(desc, P):
+        seen.append(jacobian(desc, P))
+        return seen[-1]
+
+    monkeypatch.setattr(orbits, "_jacobian", recorded)
+    for tol in (1e-9, 0.3):
+        got = kb.local_triviality_probe("5.3.8", None, 3, n=50, seed=3,
+                                        base=[1, 1, 1, 1, 0], rank_tol=tol)
+        assert seen[-1].shape == (50, 4, 5)
+        assert got is _svd_only_probe(seen[-1], tol)
+
+
 def test_local_triviality_rejects_point_case():
     with pytest.raises(DomainError):
         kb.local_triviality_probe("5.3.2", None, 1, n=5, seed=0)

@@ -10,7 +10,7 @@ import korbit as kb
 from korbit import kirillov
 from korbit.errors import DomainError
 
-from conftest import CANONICAL, elimination_rank
+from conftest import CANONICAL, elimination_rank, stack_with_singular_values
 from test_acceptance import JACOBI_GRID
 
 coord = st.floats(min_value=-50.0, max_value=50.0,
@@ -302,9 +302,88 @@ def test_md_scan_matches_svd_reference(fam, params, rank_tol):
                                                    rank_tol)
 
 
+def _certificate_rows(rng, tol, s1, k):
+    """A stack at the largest singular value s1, and which rows the
+    certificate must leave open (within a factor 2 of the threshold, its
+    least margin) or must certify (10 times above it, with
+    s2 = s1 / 2)."""
+    thr = tol * max(1.0, s1)
+    rows, margin, sure = [], [], []
+
+    def add(sv, is_margin=False, is_sure=False):
+        rows.append(sv)
+        margin.append(is_margin)
+        sure.append(is_sure)
+
+    for s2 in (s1, s1 / 2, 30.0 * thr, 1.5 * thr):
+        for f in (1.0 - 1e-3, 1.0 + 1e-3, 1.5, 10.0):
+            s3 = f * thr
+            if s3 <= s2 <= s1:
+                add((s1, s2, s3), is_margin=f < 2.0,
+                    is_sure=f == 10.0 and s2 == s1 / 2)
+    # rank 2 with s2 / s1 from 1e-8 to 1, rank 1 and rank 0
+    for s2 in s1 * 10.0 ** np.linspace(-8.0, 0.0, 9):
+        add((s1, s2, 0.0))
+    add((s1, 0.0, 0.0))
+    add((0.0, 0.0, 0.0))
+    sv = np.repeat(np.array(rows), 8, axis=0)
+    return (stack_with_singular_values(rng, sv, k),
+            np.repeat(margin, 8), np.repeat(sure, 8))
+
+
+@pytest.mark.parametrize("k", [5, 3])
+def test_rank3_certificate_never_disagrees_with_svd(k):
+    rng = np.random.default_rng(31)
+    certified_any = 0
+    for tol in (1e-9, 1e-6, 1e-3):
+        for s1 in 10.0 ** np.arange(-6.0, 7.0):
+            M, margin, sure = _certificate_rows(rng, tol, s1, k)
+            with np.errstate(all="raise"):
+                ok, thr = kirillov.certify_rank3(M, tol)
+            ranks, svd_thr = kirillov.svd_ranks(M, tol)
+            assert not np.any(ok & (ranks != 3)), (tol, s1)
+            # a row within a factor 2 of the threshold is left to SVD
+            assert not np.any(ok & margin), (tol, s1)
+            assert np.all(ok[sure]), (tol, s1)
+            # tau bounds svd_ranks' threshold up to rounding, which the
+            # margin covers
+            assert np.all(thr * (1.0 + 1e-12) >= svd_thr[:, 0])
+            certified_any += int(np.count_nonzero(ok))
+            assert np.array_equal(kirillov.certified_svd_ranks(M, tol), ranks)
+    assert certified_any > 0
+    # rows with an inf or NaN entry, or beyond the range where minors of
+    # the row stay normal floats, are never certified and raise nothing
+    M = np.tile(np.eye(3, k), (6, 1, 1))
+    for r, v in enumerate((np.inf, -np.inf, np.nan, 1e200, 1e-200)):
+        M[r, r % 3, 0] = v
+    M[4] *= 1e-200
+    with np.errstate(all="raise"):
+        ok, _ = kirillov.certify_rank3(M, 1e-9)
+    assert ok.tolist() == [False] * 5 + [True]
+
+
+def test_rank3_certificate_uses_the_given_thresholds():
+    # the minor's own threshold would certify it; its parent's does not
+    M = np.tile(np.eye(3), (2, 1, 1))
+    ok, thr = kirillov.certify_rank3(M, 1e-3, np.array([1e-3, 0.6]))
+    assert ok.tolist() == [True, False] and thr.tolist() == [1e-3, 0.6]
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (2, 4, 5), (2, 3, 2),
+                                   (1, 2, 3, 5)])
+def test_rank3_certificate_refuses_other_shapes(shape):
+    with pytest.raises(DomainError, match=r"\(n, 3, k\) stack"):
+        kirillov.certify_rank3(np.zeros(shape), 1e-9)
+
+
 _CASE8_BASE = [1.0, 1.0, 1.0, 1.0, 1.0]
 RANK_TOL_ENTRY_POINTS = {
     "skew_ranks": lambda tol: kirillov.skew_ranks(np.zeros((1, 5, 5)), tol),
+    # every row of these stacks would certify at any tolerance
+    "certify_rank3": lambda tol: kirillov.certify_rank3(
+        np.tile(np.eye(3, 5), (4, 1, 1)), tol),
+    "certified_svd_ranks": lambda tol: kirillov.certified_svd_ranks(
+        np.tile(np.eye(3, 5), (4, 1, 1)), tol),
     "numeric_rank_info": lambda tol: kb.numeric_rank_info(np.eye(3), tol),
     "md_scan": lambda tol: kb.md_scan("5.3.1", None, n=200, seed=1,
                                       rank_tol=tol),

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import korbit as kb
+from korbit import kirillov, orbits
 from korbit.errors import AsymmetryError, DomainError, EvaluationError, ParameterWarning
 
-from conftest import CANONICAL
+from conftest import CANONICAL, stack_with_singular_values
 
 P531 = {"lambda1": 2.0, "lambda2": 3.0}
 
@@ -395,3 +396,66 @@ def test_batched_checks_match_row_loop():
                     assert kb.jacobian_rank_check(desc, P[k]) == ranks[k]
                     assert kb.tangency_residual(alg, desc, P[k]) == tangency[k]
                     assert kb.gradient_fd_error(desc, P[k]) == fd_err[k]
+
+
+def _fd_rows_per_shift(desc, P, J, step):
+    """gradient_fd_error with one constraint call per shifted copy of P:
+    the former loop, kept as the bitwise reference of the stacked one."""
+    worst = np.zeros(P.shape[0])
+    for c, con in enumerate(desc.constraints):
+        G = J[:, c, :]
+        denom = np.maximum(1.0, np.max(np.abs(G), axis=-1))
+        for j in range(5):
+            Pp = P.copy()
+            Pp[:, j] += step
+            Pm = P.copy()
+            Pm[:, j] -= step
+            fd = (con.fn(Pp) - con.fn(Pm)) / (2.0 * step)
+            worst = np.maximum(worst, np.abs(fd - G[:, j]) / denom)
+    return worst
+
+
+def test_stacked_fd_rows_match_per_shift_loop_bitwise():
+    # radius 6 also steps across guards, so NaN rows are compared too
+    seen_nan = False
+    for fam, params in CANONICAL:
+        alg = kb.build_algebra(fam, params)
+        for c in kb.case_indices(fam):
+            for k, base in enumerate(kb.canonical_bases(fam, c)):
+                desc = kb.classify_orbit(fam, params, base)
+                for radius, step in ((1.5, 1e-6), (6.0, 1e-4)):
+                    P = kb.sample_orbit(alg, base, 40, seed=k,
+                                        radius=radius).points
+                    P = P[orbits._admitted(desc, P)[0]]
+                    J = orbits._jacobian(desc, P)
+                    with np.errstate(all="ignore"):
+                        got = kb.gradient_fd_error(desc, P, step)
+                        ref = _fd_rows_per_shift(desc, P, J, step)
+                    assert np.array_equal(got.view(np.int64),
+                                          ref.view(np.int64)), (fam, c, k)
+                    seen_nan |= bool(np.isnan(got).any())
+    assert seen_nan
+
+
+def test_jacobian_rank_check_matches_svd_reference(monkeypatch):
+    # certified rows, rows at the threshold, rank-2 rows, four-constraint
+    # stacks (SVD only) and the Jacobians of a sampled orbit
+    rng = np.random.default_rng(41)
+    tol = 1e-3
+    sv = -np.sort(-np.abs(rng.normal(size=(300, 3))), axis=1)
+    sv *= 10.0 ** rng.uniform(-3.0, 3.0, (300, 1))
+    sv[:100, 2] = tol * np.maximum(1.0, sv[:100, 0]) * rng.choice(
+        [1.0 - 1e-3, 1.0 + 1e-3, 3.0], 100)
+    sv[100:150, 2] = 0.0
+    J3 = stack_with_singular_values(rng, sv, 5)
+    J4 = np.concatenate([J3, rng.normal(size=(300, 1, 5))], axis=1)
+    desc = kb.classify_orbit("5.3.2", None, [1, 1, 1, 1, 1])
+    P = kb.sample_orbit(kb.build_algebra("5.3.2", None), desc.base, 300,
+                        seed=2).points
+    for J in (J3, J4, orbits._jacobian(desc, P)):
+        monkeypatch.setattr(orbits, "_jacobian", lambda desc, P, J=J: J)
+        for t in (1e-9, tol):
+            ranks = kb.jacobian_rank_check(desc, P, t)
+            ref = kirillov.svd_ranks(J, t)[0]
+            assert ranks.dtype == ref.dtype and np.array_equal(ranks, ref)
+    assert {2, 3} <= set(kirillov.svd_ranks(J3, tol)[0].tolist())
