@@ -272,10 +272,21 @@ def coadjoint_move(alg: algebra.LieAlgebra, F, U) -> np.ndarray:
     """Coordinates of the coadjoint image of F under exp(U).
 
     U is one element (5,) or an (n, 5) stack; the result is (5,) or
-    (n, 5), row k the image under exp(U[k]). An image beyond the float
-    range raises DomainError naming its element, or its row of a stack.
+    (n, 5), row k the image under exp(U[k]). F is one covector (5,), or
+    an (n, 5) stack paired row-wise with an (n, 5) U: row k is then the
+    image of F[k] under exp(U[k]). An image beyond the float range raises
+    DomainError naming its element, or its row of a stack.
     """
-    F = algebra.as_vector5(F, "covector")
+    F = algebra.as_stack5(F, "covector")
+    if F.ndim == 2:
+        U = algebra.as_stack5(U, "algebra element")
+        if U.shape != F.shape:
+            raise DomainError(
+                f"a covector stack of shape {F.shape} moves by an element "
+                f"stack of the same shape, got {U.shape}")
+        G = np.matmul(F[:, None, :], exp_ad(alg, U).m)[:, 0]
+        _refuse_non_finite("the coadjoint image", U, G)
+        return G
     E = exp_ad(alg, U).m
     if E.ndim == 2:
         G = np.dot(F, E)
@@ -344,10 +355,14 @@ class OrbitSample:
 
 
 def as_radius(radius) -> float:
-    """A sampling radius, which must be finite and positive."""
+    """A sampling radius, which must be finite and positive, and small
+    enough that the cube's width 2*radius is finite."""
     r = float(radius)
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"sampling radius must be finite and positive, got {r!r}")
+    if not math.isfinite(2.0 * r):
+        raise DomainError(f"sampling radius {r!r} is too large: the cube "
+                          "width 2*radius exceeds the float range")
     return r
 
 

@@ -5,8 +5,13 @@ The generic stratum (union of the two-dimensional orbits) is the set of
 covectors with (gamma, delta, sigma) != 0; everything else is a fixed
 point. Pair checks inject known same-orbit pairs and known mirror-stratum
 pairs among the random ones so both outcomes are exercised.
-A disjoint pair's probes are one stack: only rows admitted by the partner
-descriptor's membership mask (guards and signs) get residuals.
+The pair loop runs in two phases. The first classifies each pair,
+injects the known pairs and decides membership, in pair order; the
+second moves the probes of every disjoint pair, whole pairs stacked up to
+_PROBE_CHUNK_ROWS rows per exp_ad call, each row by its own pair's
+covector. Only probes admitted by the partner descriptor's membership
+mask (guards and signs) get residuals, and failures are listed in pair
+order.
 """
 
 import dataclasses
@@ -17,6 +22,13 @@ import numpy as np
 
 from . import algebra, exp_action, kirillov, orbits
 from .errors import AsymmetryError, DomainError
+
+# Disjoint-pair probes move in stacks of whole pairs up to this many rows.
+_PROBE_CHUNK_ROWS = 500
+# Chart minors, the four that leave y (column 1) free first: y is always
+# a free coordinate of these orbits, so those minors chart most rows.
+_CHART_MINORS = tuple(sorted(itertools.combinations(range(5), 3),
+                             key=lambda cols: 1 in cols))
 
 _NOTICE = ("this report checks the set-theoretic orbit partition only; "
            "transverse-measure functionals on the leaf space have no finite "
@@ -70,7 +82,10 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
     probe_points points of the first orbit are probed against the second
     descriptor; a probe closer than 10*tol in normalized residual is a
     failure, as is any probe that passes full membership. tol must be
-    finite and positive (DomainError otherwise).
+    finite and positive (DomainError otherwise). Pair i's probes are the
+    points of sample_orbit(alg, Fa, probe_points, seed + 104729 + i,
+    radius=1.5); a probe motion past the float range raises DomainError
+    naming the family, the pair and its base.
     """
     alg = algebra.build_algebra(family, params)
     pairs, probe_points = int(pairs), int(probe_points)
@@ -86,9 +101,8 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
     generic = int(np.count_nonzero(generic_stratum_contains(pts)))
 
     failures = []
-    min_sep = None
     same_leaf = 0
-    disjoint = 0
+    disjoint = []  # (i, Fa, desc_b) of every pair on distinct orbits
     for i in range(pairs):
         Fa = pts[2 * i].copy()
         Fb = pts[2 * i + 1].copy()
@@ -124,10 +138,11 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
         if eq:
             same_leaf += 1
             continue
-        disjoint += 1
-        probe = exp_action.sample_orbit(
-            alg, Fa, probe_points, seed=int(seed) + 104729 + i,
-            radius=1.5).points
+        disjoint.append((i, Fa, desc_b))
+
+    min_sep = None
+    for i, desc_b, probe in _moved_probes(alg, disjoint, int(seed),
+                                          probe_points):
         # probes failing a sign or guard of desc_b lie in another stratum
         probe = probe[orbits._admitted(desc_b, probe)[1]]
         sep = np.max(np.abs(orbits._residual_rows(desc_b, probe)), axis=-1)
@@ -146,11 +161,49 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
                     "pair": i, "kind": "margin",
                     "detail": f"orbit point at normalized residual "
                               f"{d:.3e} from the partner descriptor"})
+    failures.sort(key=lambda f: f["pair"])  # stable: probe order per pair
     return StratumReport(
         family=alg.family, params=dict(alg.params), pairs=pairs,
         seed=int(seed), radius=radius, tol=float(tol), n=n,
         generic=generic, fixed_point=n - generic, same_leaf_pairs=same_leaf,
-        disjoint_pairs=disjoint, min_separation=min_sep, failures=failures)
+        disjoint_pairs=len(disjoint), min_separation=min_sep,
+        failures=failures)
+
+
+def _moved_probes(alg, disjoint, seed, probe_points):
+    """(i, desc_b, probe points) per disjoint pair (i, Fa, desc_b), in pair
+    order. Pair i's probes are the images of Fa along
+    default_rng(seed + 104729 + i).uniform(-1.5, 1.5, (probe_points, 5)),
+    bit for bit sample_orbit's; whole pairs move together in stacks of at
+    most _PROBE_CHUNK_ROWS rows (one pair if it alone is larger)."""
+    per_chunk = max(1, _PROBE_CHUNK_ROWS // probe_points)
+    for k in range(0, len(disjoint), per_chunk):
+        chunk = disjoint[k:k + per_chunk]
+        Us = np.concatenate([
+            np.random.default_rng(seed + 104729 + i).uniform(
+                -1.5, 1.5, size=(probe_points, 5)) for i, _, _ in chunk])
+        Fs = np.repeat([Fa for _, Fa, _ in chunk], probe_points, axis=0)
+        try:
+            P = exp_action.coadjoint_move(alg, Fs, Us)
+        except DomainError:
+            _refuse_pair_overflow(alg, chunk, Us, probe_points)
+            raise
+        for m, (i, _, desc_b) in enumerate(chunk):
+            yield i, desc_b, P[m * probe_points:(m + 1) * probe_points]
+
+
+def _refuse_pair_overflow(alg, chunk, Us, probe_points):
+    """Move each pair of an overflowing chunk alone, and raise the first
+    pair's refusal: it names the row within that pair's draw, prefixed
+    with the family, the pair and its base."""
+    for m, (i, Fa, _) in enumerate(chunk):
+        try:
+            with np.errstate(all="ignore"):  # the stack has warned already
+                exp_action.coadjoint_move(
+                    alg, Fa, Us[m * probe_points:(m + 1) * probe_points])
+        except DomainError as exc:
+            raise DomainError(f"family {alg.family}, pair {i}, base "
+                              f"{list(map(float, Fa))}: {exc}") from None
 
 
 def local_triviality_probe(family, params, case_index, n: int = 100,
@@ -205,9 +258,9 @@ def local_triviality_probe(family, params, case_index, n: int = 100,
 
 def _uncharted(J, rows, thr, full_rank):
     """The rows of J where no 3-column submatrix passes full_rank(minors,
-    thresholds). Each minor is tested only on the rows no earlier minor
-    has charted."""
-    for cols in itertools.combinations(range(5), 3):
+    thresholds). Each minor, in _CHART_MINORS order, is tested only on the
+    rows no earlier minor has charted."""
+    for cols in _CHART_MINORS:
         if not len(rows):
             break
         rows = rows[~full_rank(J[rows][:, :, cols], thr[rows])]

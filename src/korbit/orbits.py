@@ -126,9 +126,11 @@ def _ratio_guard(i, v) -> Guard:
 
 
 def _sign(i, v) -> SignPredicate:
-    coefval = v[_GREEK[i]]
+    # the coefficient's sign alone: the product with a huge coordinate
+    # could overflow, its sign is the same
+    sign = math.copysign(1.0, v[_GREEK[i]])
     return SignPredicate(expr=f"{_GREEK[i]}*{_NAMES[i]} > 0",
-                         fn=lambda P: coefval * P[..., i], coord=i)
+                         fn=lambda P: sign * P[..., i], coord=i)
 
 
 def _aff(expr, v, coef, const) -> Constraint:

@@ -268,6 +268,31 @@ def test_overflowing_motion_exits_2():
             2, f"error: {prefix}{line}", ""), args
 
 
+@pytest.mark.parametrize("args", [
+    ("sample-orbit", "--family", "5.3.1", "--covector", "1,1,1,1,1",
+     "--n", "3"),
+    ("verify-props", "--family", "5.3.1", "--case", "8", "--n", "5"),
+    ("scan-md", "--family", "5.3.1", "--n", "8"),
+    ("check-foliation", "--family", "5.3.1", "--pairs", "3"),
+], ids=lambda args: args[0])
+def test_radius_with_an_overflowing_cube_exits_2(args):
+    # the cube [-1e308, 1e308] is wider than the float range
+    r = run_cli(*args, "--radius", "1e308", "--seed", "1")
+    assert (r.returncode, r.stderr, r.stdout) == (
+        2, "error: sampling radius 1e+308 is too large: the cube width "
+           "2*radius exceeds the float range\n", "")
+
+
+def test_probe_overflow_exits_2_naming_the_pair():
+    r = run_cli("check-foliation", "--family", "5.3.1", "--pairs", "3",
+                "--radius", "8e307", "--seed", "1")
+    # numpy's overflow warnings come first; the refusal is the last line
+    line = r.stderr.splitlines()[-1]
+    assert r.returncode == 2 and r.stdout == ""
+    assert line.startswith("error: family 5.3.1, pair 0, base [")
+    assert "]: the coadjoint image overflows at row 1, U = [" in line
+
+
 def test_non_numeric_covector_exits_2(tmp_path):
     # from the command line, and as a config-file list holding a null
     cfg = tmp_path / "korbit.json"

@@ -328,6 +328,54 @@ def test_one_element_motion_is_bitwise_its_stacked_row(fam, params):
         assert np.array_equal(_int_bits(G[k]), _int_bits(g)), (k, U)
 
 
+@pytest.mark.parametrize("fam,params", CANONICAL)
+def test_row_wise_motion_is_bitwise_its_one_element_rows(fam, params):
+    # an (n, 5) covector stack moves row k by U[k]; the draws mix squaring
+    # counts, b = -300 included, as in the test above
+    rng = np.random.default_rng(71)
+    alg = kb.build_algebra(fam, params)
+    radii = np.repeat([1e-3, 0.3, 2.0, 8.0, 40.0], 12)
+    Us = rng.uniform(-1.0, 1.0, (60, 5)) * radii[:, None]
+    Us = np.vstack([Us, [0.25, -300.0, 0.5, -0.75, 1.0]])
+    Fs = rng.uniform(-2.5, 2.5, (61, 5))
+    G = kb.coadjoint_move(alg, Fs, Us)
+    assert G.shape == (61, 5)
+    for k in range(61):
+        one = kb.coadjoint_move(alg, Fs[k], Us[k])
+        assert np.array_equal(_int_bits(G[k]), _int_bits(one)), k
+    assert kb.coadjoint_move(alg, np.zeros((0, 5)),
+                             np.zeros((0, 5))).shape == (0, 5)
+    for F, U in ((Fs, Us[:60]), (Fs[:60], Us), (Fs[:1], Us[0]),
+                 (Fs, Us[0]), (Fs[:2], np.ones((2, 1, 5)))):
+        with pytest.raises(DomainError):
+            kb.coadjoint_move(alg, F, U)
+
+
+def test_sampling_radius_with_an_overflowing_cube_is_refused():
+    # rng.uniform(-r, r) needs the width 2r; past the float range numpy
+    # raises OverflowError, so the radius is refused first
+    alg = kb.build_algebra("5.3.1", None)
+    F = [1.0, 1.0, 1.0, 1.0, 1.0]
+    widest = np.finfo(float).max / 2.0
+    assert exp_action.as_radius(widest) == widest
+    assert exp_action.as_radius(8e307) == 8e307
+    for r in (np.nextafter(widest, math.inf), 1e308, np.finfo(float).max):
+        with pytest.raises(DomainError, match="too large"):
+            exp_action.as_radius(r)
+    for call in (
+            lambda: kb.sample_orbit(alg, F, 3, seed=1, radius=1e308),
+            lambda: kb.md_scan("5.3.1", None, n=8, seed=1, radius=1e308),
+            lambda: kb.verify_proposition("5.3.1", None, 8, n=5, seed=1,
+                                          radius=1e308),
+            lambda: kb.partition_check("5.3.1", None, pairs=3, seed=1,
+                                       radius=1e308)):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == ("sampling radius 1e+308 is too large: the "
+                                  "cube width 2*radius exceeds the float "
+                                  "range")
+
+
 def _overflow_line(U, row=None):
     where = "" if row is None else f"row {row}, "
     return f"overflows at {where}U = {list(map(float, U))}"
@@ -344,6 +392,8 @@ def test_overflow_is_refused_on_every_motion_route():
         (lambda: kb.exp_ad(alg, stack), "exp(ad U) " + _overflow_line(U, 1)),
         (lambda: kb.coadjoint_move(alg, F, U), "exp(ad U) " + _overflow_line(U)),
         (lambda: kb.coadjoint_move(alg, F, stack),
+         "exp(ad U) " + _overflow_line(U, 1)),
+        (lambda: kb.coadjoint_move(alg, [F, F], stack),
          "exp(ad U) " + _overflow_line(U, 1)),
         (lambda: kb.exp_ad_closed("5.3.1", None, U),
          "exp(ad U) " + _overflow_line(U)),
@@ -384,6 +434,7 @@ def test_overflow_is_refused_on_every_motion_route():
     # product overflows inside numpy, which warns before the refusal
     for move in (lambda F, U: kb.coadjoint_move(alg, F, U),
                  lambda F, U: kb.coadjoint_move(alg, F, [U])[0],
+                 lambda F, U: kb.coadjoint_move(alg, [F], [U])[0],
                  lambda F, U: kb.coadjoint_move_531(None, F, U)):
         with pytest.raises(DomainError, match="^the coadjoint image overflows"):
             with warnings.catch_warnings():

@@ -1,12 +1,14 @@
 import itertools
+import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 import korbit as kb
-from korbit import exp_action, kirillov, orbits
+from korbit import exp_action, foliation, kirillov, orbits
 from korbit.errors import AsymmetryError, DomainError, EvaluationError
 
 from conftest import CANONICAL
@@ -334,3 +336,91 @@ def test_partition_never_evaluates_rejected_probes(fam, params):
         warnings.simplefilter("error")
         rep = kb.partition_check(fam, params, pairs=20, seed=8)
     assert rep.disjoint_pairs > 0
+
+
+def test_probe_order_after_a_phase_one_failure():
+    # pairs 2 and 7 fail in their probes, pair 6 between them in its
+    # membership check; the failure list keeps pair order
+    rep = kb.partition_check("5.3.1", None, pairs=20, seed=1, radius=2.0,
+                             tol=0.2)
+    assert rep.failures == _reference_partition("5.3.1", None, 20, 1, 2.0,
+                                                 0.2)[0]
+    pairs = [f["pair"] for f in rep.failures]
+    six = pairs.index(6)
+    assert rep.failures[six]["kind"] == "asymmetry"
+    assert pairs[six - 1] == 2 and pairs[six + 1] == 7
+    assert {rep.failures[six - 1]["kind"], rep.failures[six + 1]["kind"]} <= {
+        "margin", "overlap"}
+
+
+@pytest.mark.parametrize("fam,params", CANONICAL)
+def test_stacked_probes_are_bitwise_per_pair_samples(fam, params,
+                                                     monkeypatch):
+    # 500 rows hold 71 pairs of 7 probes (not a divisor), one pair of 333,
+    # and less than one pair of 600
+    moved = foliation._moved_probes
+    move = exp_action.coadjoint_move
+    probes, stacks = [], []
+
+    def recorded(alg, disjoint, seed, probe_points):
+        bases = {i: Fa for i, Fa, _ in disjoint}
+        for i, desc_b, P in moved(alg, disjoint, seed, probe_points):
+            probes.append((i, bases[i], P))
+            yield i, desc_b, P
+
+    def counted(alg, F, U):
+        if np.ndim(F) == 2:
+            stacks.append(len(F))
+        return move(alg, F, U)
+
+    monkeypatch.setattr(foliation, "_moved_probes", recorded)
+    monkeypatch.setattr(exp_action, "coadjoint_move", counted)
+    alg = kb.build_algebra(fam, params)
+    assert list(moved(alg, [], 9, 50)) == []
+    for pairs, probe_points in ((100, 1), (100, 7), (20, 50), (20, 333),
+                                (20, 600), (1, 50), (3, 50)):
+        probes.clear()
+        stacks.clear()
+        rep = kb.partition_check(fam, params, pairs=pairs, seed=9,
+                                 probe_points=probe_points)
+        order = [i for i, _, _ in probes]
+        assert order == sorted(order) and len(order) == rep.disjoint_pairs
+        for i, Fa, P in probes:
+            want = exp_action.sample_orbit(alg, Fa, probe_points,
+                                           seed=9 + 104729 + i,
+                                           radius=1.5).points
+            assert np.array_equal(P.view(np.int64), want.view(np.int64)), i
+        per_stack = max(1, 500 // probe_points)
+        assert len(stacks) == -(-len(probes) // per_stack)
+        assert sum(stacks) == probe_points * len(probes)
+        assert max(stacks, default=0) <= max(500, probe_points)
+
+
+@pytest.mark.parametrize("fam", [f"5.3.{k}" for k in range(1, 9)])
+def test_probe_overflow_names_family_pair_base_and_row(fam):
+    # at radius 8e307 the first pair's probes leave the float range: the
+    # refusal is the one its own sample_orbit call gives, prefixed
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DomainError) as err:
+            kb.partition_check(fam, None, pairs=3, seed=1, radius=8e307)
+        m = re.fullmatch(r"family (\S+), pair (\d+), base (\[[^]]*\]): (.*)",
+                         str(err.value))
+        assert m and m[1] == fam, str(err.value)
+        i, base = int(m[2]), json.loads(m[3])
+        pts = np.random.default_rng(1).uniform(-8e307, 8e307, (6, 5))
+        assert i == 0 and base == pts[0].tolist()
+        with pytest.raises(DomainError) as alone:
+            exp_action.sample_orbit(kb.build_algebra(fam, None), base, 50,
+                                    seed=1 + 104729 + i, radius=1.5)
+    assert m[4] == str(alone.value)
+    if fam == "5.3.1":
+        assert m[4].startswith("the coadjoint image overflows at row 1, "
+                               "U = [0.6407756646576535, ")
+
+
+def test_chart_minors_leave_y_free_first():
+    assert sorted(foliation._CHART_MINORS) == list(
+        itertools.combinations(range(5), 3))
+    assert [1 in cols for cols in foliation._CHART_MINORS] == [False] * 4 + [
+        True] * 6

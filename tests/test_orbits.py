@@ -116,6 +116,39 @@ def test_residual_normalization():
     assert abs(abs(r[0]) - 100.0 / 102.0) < 1e-12
 
 
+def test_sign_predicate_at_huge_coordinates_does_not_overflow():
+    # coefficient and coordinate near 1e300: their product overflows, the
+    # predicate must not. The admitted mask equals the product form's on
+    # the same rows scaled to 1 (guards and signs are scale-free), and
+    # is_member, which needs no residual on a rejected row, is False there.
+    rng = np.random.default_rng(5)
+    checked = 0
+    for fam, params in CANONICAL:
+        alg = kb.build_algebra(fam, params)
+        for c in kb.case_indices(fam):
+            for B in orbits.canonical_bases(fam, c):
+                desc = kb.classify_orbit(fam, params, B)
+                if not desc.signs:
+                    continue
+                P = np.vstack([rng.uniform(-2.0, 2.0, (20, 5)),
+                               kb.sample_orbit(alg, B, 20, seed=3,
+                                               radius=0.5).points])
+                P[::3, desc.signs[0].coord] *= -1.0
+                product = orbits._admitted(desc, P)[0]
+                for sp in desc.signs:
+                    product &= desc.base[sp.coord] * P[:, sp.coord] > 0.0
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    big = kb.classify_orbit(fam, params, 1e300 * B)
+                    admitted = orbits._admitted(big, 1e300 * P)[1]
+                    assert np.array_equal(admitted, product), (fam, c, B)
+                    assert not any(orbits.is_member(big, q)
+                                   for q in 1e300 * P[~admitted])
+                assert 0 < np.count_nonzero(admitted) < len(P)
+                checked += 1
+    assert checked > 100
+
+
 def test_membership_round_trip_all_cases():
     for fam, params in CANONICAL:
         alg = kb.build_algebra(fam, params)
