@@ -85,12 +85,42 @@ def _load_config(path):
     return cfg
 
 
+# Every option once: its dest, type and help. The flag is the dest with
+# '-' for '_'. A typed option converts a config value, a JSON string or
+# number, with the same type as its flag; None passes the value through to
+# the command's own parser.
+_OPTIONS = {
+    "config": (None, "JSON file with option defaults (command-line flags "
+                     "win)"),
+    "out": (str, "write the payload to this file instead of stdout"),
+    "seed": (int, "random seed (required)"),
+    "n": (int, "sample count"),
+    "radius": (float, "coordinate cube half-width for draws"),
+    "family": (None, "a tag, or 'all' where the command takes several"),
+    "params": (None, "name=value pairs or values in catalog order "
+                     "(defaults if omitted)"),
+    "covector": (None, "5 comma-separated coordinates"),
+    "case": (str, "case index or 'all'"),
+    "snap_tol": (float, "treat |coordinate| below this as zero"),
+    "member_tol": (float, "bound on the normalized constraint residuals"),
+    "tangency_tol": (float, "bound on the tangency residual"),
+    "rank_tol": (float, "singular-value threshold of the rank tests"),
+    "grad_tol": (float, "bound on the relative gradient error"),
+    "pairs": (int, "covector pairs to check"),
+    "members": (int, "orbit members per chart probe"),
+    "tol": (float, "partition tolerance on normalized residuals"),
+    "format": (None, "payload format"),
+}
+
+
 class _Options:
-    """Resolution order: command-line flag, then config entry, then default."""
+    """Resolution order: command-line flag, then config entry; an option
+    set by neither is None, so the library default applies."""
 
     def __init__(self, args, cfg):
         self._args = args
         self._cfg = cfg
+        self._formats = _COMMANDS[args.command][3]
         self._seen = set()
 
     def get(self, name, default=None):
@@ -98,9 +128,29 @@ class _Options:
         v = getattr(self._args, name, None)
         if v is not None:
             return v
-        if name in self._cfg:
-            return self._cfg[name]
-        return default
+        if name not in self._cfg:
+            return default
+        v = self._cfg[name]
+        if name == "format" and v not in self._formats:
+            raise DomainError(f"config entry 'format' must be one of "
+                              f"{', '.join(self._formats)}, got {v!r}")
+        typ = _OPTIONS[name][0]
+        if typ is None:
+            return v
+        try:
+            if isinstance(v, (str, int, float)) and not isinstance(v, bool):
+                return typ(v)
+        except (ValueError, OverflowError):
+            pass
+        raise DomainError(f"config entry {name!r} must be a {typ.__name__} "
+                          f"value, got {v!r}")
+
+    def given(self, *names, **renamed):
+        """The options set by flag or config as keyword arguments: each of
+        names under its own name, each renamed option under its key."""
+        pairs = [(k, k) for k in names] + list(renamed.items())
+        kw = {key: self.get(name) for key, name in pairs}
+        return {key: v for key, v in kw.items() if v is not None}
 
     def require_seed(self):
         seed = self.get("seed")
@@ -108,7 +158,7 @@ class _Options:
             raise DomainError(
                 "this command samples randomly and needs an explicit "
                 "--seed (or a 'seed' config entry)")
-        return int(seed)
+        return seed
 
     def warn_unused(self):
         for k in self._cfg:
@@ -116,13 +166,9 @@ class _Options:
                 print(f"warning: unused config entry {k!r}", file=sys.stderr)
 
 
-def _deliver(opt, payload: str) -> None:
-    out = opt.get("out")
-    if out:
-        reports.write_text(out, payload)
-        print(f"wrote {out}")
-    else:
-        sys.stdout.write(payload)
+def _documents(docs) -> str:
+    """One JSON document, or a list of them when there are several."""
+    return reports.dumps(docs[0] if len(docs) == 1 else docs) + "\n"
 
 
 def _families(opt):
@@ -134,6 +180,13 @@ def _families(opt):
     return [algebra.normalize_family(str(fam))]
 
 
+def _single_family(opt, command):
+    families = _families(opt)
+    if len(families) != 1:
+        raise DomainError(f"{command} needs a single family")
+    return families[0]
+
+
 def _family_params(opt, families):
     raw = opt.get("params")
     if raw is not None and len(families) > 1:
@@ -141,14 +194,12 @@ def _family_params(opt, families):
     return _parse_params(families[0], raw) if raw is not None else None
 
 
-def _cmd_list_families(opt) -> int:
-    fmt = opt.get("format", "text")
+# Each command returns its payload and whether every check passed.
+
+def _cmd_list_families(opt):
     cat = algebra.family_catalog()
-    if fmt == "json":
-        _deliver(opt, reports.dumps(cat) + "\n")
-        return 0
-    if fmt != "text":
-        raise DomainError(f"unknown format {fmt!r} (text or json)")
+    if opt.get("format") == "json":
+        return reports.dumps(cat) + "\n", True
     lines = [cat["basis"]]
     for e in cat["families"]:
         lines.append("")
@@ -164,163 +215,146 @@ def _cmd_list_families(opt) -> int:
         rows = "; ".join("[" + ", ".join(str(v) for v in row) + "]"
                          for row in e["ad_x2"])
         lines.append("  ad(X2) on the ideal: " + rows)
-    _deliver(opt, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n", True
 
 
-def _cmd_classify(opt) -> int:
-    families = _families(opt)
-    if len(families) != 1:
-        raise DomainError("classify needs a single family")
-    family = families[0]
+def _cmd_classify(opt):
+    family = _single_family(opt, "classify")
     params = _parse_params(family, opt.get("params"))
     F = _parse_covector(opt.get("covector"))
-    snap = float(opt.get("snap_tol", 0.0))
-    desc = orbits.classify_orbit(family, params, F, snap_tol=snap)
-    fmt = opt.get("format", "text")
-    if fmt == "json":
-        payload = reports.dumps(orbits.descriptor_summary(desc)) + "\n"
-    elif fmt == "text":
-        lines = [f"case {desc.case_index}, {desc.shape}, dim {desc.dim}"]
-        lines.append("constraints:")
-        for c in desc.constraints:
-            lines.append(f"  {c.expr}")
-        if desc.signs:
-            lines.append("signs: " + "; ".join(s.expr for s in desc.signs))
-        lines.append(f"provenance: {desc.provenance}")
-        if desc.snapped:
-            lines.append("note: coordinates below the snap tolerance were "
-                         "treated as zero")
-        payload = "\n".join(lines) + "\n"
-    else:
-        raise DomainError(f"unknown format {fmt!r} (text or json)")
-    _deliver(opt, payload)
-    return 0
+    desc = orbits.classify_orbit(family, params, F, **opt.given("snap_tol"))
+    if opt.get("format") == "json":
+        return reports.dumps(orbits.descriptor_summary(desc)) + "\n", True
+    lines = [f"case {desc.case_index}, {desc.shape}, dim {desc.dim}"]
+    lines.append("constraints:")
+    for c in desc.constraints:
+        lines.append(f"  {c.expr}")
+    if desc.signs:
+        lines.append("signs: " + "; ".join(s.expr for s in desc.signs))
+    lines.append(f"provenance: {desc.provenance}")
+    if desc.snapped:
+        lines.append("note: coordinates below the snap tolerance were "
+                     "treated as zero")
+    return "\n".join(lines) + "\n", True
 
 
-def _cmd_scan_md(opt) -> int:
+def _cmd_scan_md(opt):
     families = _families(opt)
     seed = opt.require_seed()
-    n = int(opt.get("n", 100000))
-    radius = float(opt.get("radius", 10.0))
-    rank_tol = float(opt.get("rank_tol", 1e-9))
+    n = opt.get("n", 100000)
+    kw = opt.given("rank_tol", "radius")
     params = _family_params(opt, families)
-    reps = []
-    ok = True
-    for fam in families:
-        rep = kirillov.md_scan(fam, params, n=n, seed=seed,
-                               rank_tol=rank_tol, radius=radius)
-        reps.append(rep.to_json_dict())
-        ok = ok and rep.passed
-    payload = reports.dumps(reps[0] if len(reps) == 1 else reps) + "\n"
-    _deliver(opt, payload)
-    return 0 if ok else 1
+    reps = [kirillov.md_scan(fam, params, n=n, seed=seed, **kw)
+            for fam in families]
+    return (_documents([r.to_json_dict() for r in reps]),
+            all(r.passed for r in reps))
 
 
-def _cmd_verify_props(opt) -> int:
+def _cmd_verify_props(opt):
     families = _families(opt)
     seed = opt.require_seed()
-    n = int(opt.get("n", 500))
-    radius = float(opt.get("radius", 2.0))
-    member_tol = float(opt.get("member_tol", 1e-8))
-    tangency_tol = float(opt.get("tangency_tol", 1e-8))
-    rank_tol = float(opt.get("rank_tol", 1e-9))
-    grad_tol = float(opt.get("grad_tol", 1e-4))
-    case_opt = opt.get("case", "all")
+    n = opt.get("n", 500)
+    kw = opt.given("radius", "member_tol", "tangency_tol", "rank_tol",
+                   "grad_tol")
+    case = opt.get("case", "all")
     params = _family_params(opt, families)
-    fmt = opt.get("format", "text")
-    if fmt not in ("text", "json"):
-        raise DomainError(f"unknown format {fmt!r} (text or json)")
+    fmt = opt.get("format")
     reps = []
-    ok = True
     for fam in families:
-        if case_opt is None or str(case_opt).lower() == "all":
-            cases = orbits.case_indices(fam)
-        else:
-            cases = (int(case_opt),)
+        cases = (orbits.case_indices(fam) if case.lower() == "all"
+                 else (int(case),))
         for c in cases:
-            rep = orbits.verify_proposition(
-                fam, params, c, n=n, seed=seed, radius=radius,
-                member_tol=member_tol, tangency_tol=tangency_tol,
-                rank_tol=rank_tol, grad_tol=grad_tol)
-            reps.append(rep)
-            ok = ok and rep.passed
+            reps.append(orbits.verify_proposition(fam, params, c, n=n,
+                                                  seed=seed, **kw))
+    ok = all(r.passed for r in reps)
     if fmt == "json":
-        docs = [r.to_json_dict() for r in reps]
-        payload = reports.dumps(docs[0] if len(docs) == 1 else docs) + "\n"
-    else:
-        lines = []
-        for r in reps:
-            verdict = "pass" if r.passed else "FAIL"
-            lines.append(
-                f"{r.family} case {r.case} ({r.shape}, dim {r.dim}): "
-                f"{verdict}  max residual {r.max_residual:.3e}, "
-                f"tangency {r.tangency_max:.3e}, "
-                f"sign violations {r.sign_violations}, "
-                f"rank failures {r.jacobian_failures}, "
-                f"dim mismatches {r.dimension_mismatches}")
-            for pr in r.provenance:
-                lit = ("none" if pr["literal_residual"] is None
-                       else f"{pr['literal_residual']:.3e}")
-                cor = ("none" if pr["corrected_residual"] is None
-                       else f"{pr['corrected_residual']:.3e}")
-                lines.append(f"  adjudicated [{pr['adopted']}] "
-                             f"literal {lit}, corrected {cor}: {pr['equation']}")
-        lines.append("all cases passed" if ok else "verification FAILED")
-        payload = "\n".join(lines) + "\n"
-    _deliver(opt, payload)
-    return 0 if ok else 1
+        return _documents([r.to_json_dict() for r in reps]), ok
+    lines = []
+    for r in reps:
+        verdict = "pass" if r.passed else "FAIL"
+        lines.append(
+            f"{r.family} case {r.case} ({r.shape}, dim {r.dim}): "
+            f"{verdict}  max residual {r.max_residual:.3e}, "
+            f"tangency {r.tangency_max:.3e}, "
+            f"sign violations {r.sign_violations}, "
+            f"rank failures {r.jacobian_failures}, "
+            f"dim mismatches {r.dimension_mismatches}")
+        for pr in r.provenance:
+            lit = ("none" if pr["literal_residual"] is None
+                   else f"{pr['literal_residual']:.3e}")
+            cor = ("none" if pr["corrected_residual"] is None
+                   else f"{pr['corrected_residual']:.3e}")
+            lines.append(f"  adjudicated [{pr['adopted']}] "
+                         f"literal {lit}, corrected {cor}: {pr['equation']}")
+    lines.append("all cases passed" if ok else "verification FAILED")
+    return "\n".join(lines) + "\n", ok
 
 
-def _cmd_sample_orbit(opt) -> int:
-    families = _families(opt)
-    if len(families) != 1:
-        raise DomainError("sample-orbit needs a single family")
-    family = families[0]
+def _cmd_sample_orbit(opt):
+    family = _single_family(opt, "sample-orbit")
     seed = opt.require_seed()
     params = _parse_params(family, opt.get("params"))
     F = _parse_covector(opt.get("covector"))
-    n = int(opt.get("n", 100))
-    radius = float(opt.get("radius", 2.0))
+    n = opt.get("n", 100)
     alg = algebra.build_algebra(family, params)
-    sample = exp_action.sample_orbit(alg, F, n, seed=seed, radius=radius)
-    fmt = opt.get("format", "csv")
-    if fmt == "csv":
-        payload = reports.points_to_csv(sample.points)
-    elif fmt == "json":
-        payload = reports.dumps(sample.to_json_dict()) + "\n"
-    else:
-        raise DomainError(f"unknown format {fmt!r} (csv or json)")
-    _deliver(opt, payload)
-    return 0
+    sample = exp_action.sample_orbit(alg, F, n, seed=seed,
+                                     **opt.given("radius"))
+    if opt.get("format") == "json":
+        return reports.dumps(sample.to_json_dict()) + "\n", True
+    return reports.points_to_csv(sample.points), True
 
 
-def _cmd_check_foliation(opt) -> int:
+def _cmd_check_foliation(opt):
     families = _families(opt)
     seed = opt.require_seed()
-    pairs = int(opt.get("pairs", 100))
-    members = int(opt.get("members", 100))
-    radius = float(opt.get("radius", 2.0))
-    tol = float(opt.get("tol", 1e-8))
+    kw = opt.given("pairs", "radius", "tol")
+    probe_kw = opt.given("radius", n="members")
     params = _family_params(opt, families)
     docs = []
     ok = True
     for fam in families:
-        rep = foliation.partition_check(fam, params, pairs=pairs, seed=seed,
-                                        radius=radius, tol=tol)
+        rep = foliation.partition_check(fam, params, seed=seed, **kw)
         probes = {}
         for c in orbits.case_indices(fam):
             if c == 1:
                 continue  # single point, no chart to probe
             probes[str(c)] = foliation.local_triviality_probe(
-                fam, params, c, n=members, seed=seed, radius=radius)
+                fam, params, c, seed=seed, **probe_kw)
         doc = rep.to_json_dict()
         doc["local_triviality"] = probes
         docs.append(doc)
         ok = ok and rep.passed and all(probes.values())
-    payload = reports.dumps(docs[0] if len(docs) == 1 else docs) + "\n"
-    _deliver(opt, payload)
-    return 0 if ok else 1
+    return _documents(docs), ok
+
+
+_SAMPLING = ("seed", "n", "radius")
+
+# name: (function, help, options after --config and --out, --format
+# choices with the default first; a command without them emits JSON)
+_COMMANDS = {
+    "list-families": (_cmd_list_families, "print the family catalog",
+                      (), ("text", "json")),
+    "classify": (_cmd_classify, "orbit case, shape, and constraint set "
+                                "through a covector",
+                 ("family", "params", "covector", "snap_tol"),
+                 ("text", "json")),
+    "scan-md": (_cmd_scan_md, "random covector scan: every orbit dimension "
+                              "must be 0 or 2",
+                _SAMPLING + ("family", "params", "rank_tol"), ()),
+    "verify-props": (_cmd_verify_props, "sampled verification of the "
+                                        "closed-form orbit descriptions",
+                     _SAMPLING + ("family", "params", "case", "member_tol",
+                                  "tangency_tol", "rank_tol", "grad_tol"),
+                     ("text", "json")),
+    "sample-orbit": (_cmd_sample_orbit, "sample coadjoint images of a "
+                                        "covector",
+                     _SAMPLING + ("family", "params", "covector"),
+                     ("csv", "json")),
+    "check-foliation": (_cmd_check_foliation, "orbit-partition and chart "
+                                              "checks",
+                        _SAMPLING + ("family", "params", "pairs", "members",
+                                     "tol"), ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,74 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coadjoint-orbit checks for the eight five-dimensional "
                     "families with three-dimensional abelian derived ideal.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, stochastic=True):
-        sp.add_argument("--config", help="JSON file with option defaults "
-                                         "(command-line flags win)")
-        sp.add_argument("--out", help="write the payload to this file "
-                                      "instead of stdout")
-        if stochastic:
-            sp.add_argument("--seed", type=int, help="random seed (required)")
-            sp.add_argument("--n", type=int, help="sample count")
-            sp.add_argument("--radius", type=float,
-                            help="coordinate cube half-width for draws")
-
-    sp = sub.add_parser("list-families",
-                        help="print the family catalog")
-    common(sp, stochastic=False)
-    sp.add_argument("--format", choices=("text", "json"))
-
-    sp = sub.add_parser("classify",
-                        help="orbit case, shape, and constraint set through "
-                             "a covector")
-    common(sp, stochastic=False)
-    sp.add_argument("--family")
-    sp.add_argument("--params", help="name=value pairs or values in catalog "
-                                     "order (defaults if omitted)")
-    sp.add_argument("--covector", help="5 comma-separated coordinates")
-    sp.add_argument("--snap-tol", dest="snap_tol", type=float,
-                    help="treat |coordinate| below this as zero")
-    sp.add_argument("--format", choices=("text", "json"))
-
-    sp = sub.add_parser("scan-md",
-                        help="random covector scan: every orbit dimension "
-                             "must be 0 or 2")
-    common(sp)
-    sp.add_argument("--family", help="a tag or 'all'")
-    sp.add_argument("--params")
-    sp.add_argument("--rank-tol", dest="rank_tol", type=float)
-
-    sp = sub.add_parser("verify-props",
-                        help="sampled verification of the closed-form orbit "
-                             "descriptions")
-    common(sp)
-    sp.add_argument("--family", help="a tag or 'all'")
-    sp.add_argument("--params")
-    sp.add_argument("--case", help="case index or 'all'")
-    sp.add_argument("--member-tol", dest="member_tol", type=float)
-    sp.add_argument("--tangency-tol", dest="tangency_tol", type=float)
-    sp.add_argument("--rank-tol", dest="rank_tol", type=float)
-    sp.add_argument("--grad-tol", dest="grad_tol", type=float)
-    sp.add_argument("--format", choices=("text", "json"))
-
-    sp = sub.add_parser("sample-orbit",
-                        help="sample coadjoint images of a covector")
-    common(sp)
-    sp.add_argument("--family")
-    sp.add_argument("--params")
-    sp.add_argument("--covector")
-    sp.add_argument("--format", choices=("csv", "json"))
-
-    sp = sub.add_parser("check-foliation",
-                        help="orbit-partition and chart checks")
-    common(sp)
-    sp.add_argument("--family", help="a tag or 'all'")
-    sp.add_argument("--params")
-    sp.add_argument("--pairs", type=int)
-    sp.add_argument("--members", type=int,
-                    help="orbit members per chart probe")
-    sp.add_argument("--tol", type=float)
-
+    for command, (_, text, names, formats) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        if formats:
+            names += ("format",)
+        for name in ("config", "out") + names:
+            typ, help_text = _OPTIONS[name]
+            sp.add_argument("--" + name.replace("_", "-"), dest=name,
+                            type=typ, help=help_text,
+                            choices=formats if name == "format" else None)
     return p
 
 
@@ -420,27 +395,22 @@ def _attach_negative_values(argv):
     return out
 
 
-_DISPATCH = {
-    "list-families": _cmd_list_families,
-    "classify": _cmd_classify,
-    "scan-md": _cmd_scan_md,
-    "verify-props": _cmd_verify_props,
-    "sample-orbit": _cmd_sample_orbit,
-    "check-foliation": _cmd_check_foliation,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_attach_negative_values(argv))
     _check_threads()
-    cfg = _load_config(args.config)
-    opt = _Options(args, cfg)
-    code = _DISPATCH[args.command](opt)
+    opt = _Options(args, _load_config(args.config))
+    payload, ok = _COMMANDS[args.command][0](opt)
+    out = opt.get("out")
+    if out:
+        reports.write_text(out, payload)
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(payload)
     opt.warn_unused()
-    return code
+    return 0 if ok else 1
 
 
 def entry(argv=None) -> int:

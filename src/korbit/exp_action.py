@@ -284,16 +284,13 @@ def coadjoint_move(alg: algebra.LieAlgebra, F, U) -> np.ndarray:
             raise DomainError(
                 f"a covector stack of shape {F.shape} moves by an element "
                 f"stack of the same shape, got {U.shape}")
-        G = np.matmul(F[:, None, :], exp_ad(alg, U).m)[:, 0]
-        _refuse_non_finite("the coadjoint image", U, G)
-        return G
     E = exp_ad(alg, U).m
-    if E.ndim == 2:
+    if E.ndim == 2:  # one element, so F is one covector
         G = np.dot(F, E)
         if not all(map(math.isfinite, G.tolist())):
             raise _overflow("the coadjoint image", U, None)
         return G
-    G = F @ E
+    G = np.matmul(F[..., None, :], E)[..., 0, :]
     _refuse_non_finite("the coadjoint image", U, G)
     return G
 

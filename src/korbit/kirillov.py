@@ -18,6 +18,7 @@ svd_ranks decides every row it leaves open, so each decision is the
 SVD's. svd_ranks decides the ranks of every other matrix.
 """
 
+import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -261,19 +262,10 @@ class MdReport:
         return not self.violations and not self.zero_rank_failures
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": dict(self.params),
-            "n": self.n,
-            "seed": self.seed,
-            "radius": self.radius,
-            "rank_tol": self.rank_tol,
-            "histogram": {str(k): int(v) for k, v in sorted(self.histogram.items())},
-            "violations": self.violations,
-            "zero_rank_failures": self.zero_rank_failures,
-            "rank_rounding_adjustments": self.rank_rounding_adjustments,
-            "passed": self.passed,
-        }
+        # keys in field order, then the verdict; JSON keys are strings
+        doc = dict(dataclasses.asdict(self), passed=self.passed)
+        doc["histogram"] = {str(k): v for k, v in self.histogram.items()}
+        return doc
 
 
 def md_scan(family, params, n: int, seed: int, rank_tol: float = 1e-9,
@@ -301,15 +293,13 @@ def md_scan(family, params, n: int, seed: int, rank_tol: float = 1e-9,
 
     violations = []
     zero_failures = []
-    hist = {}
+    hist = np.zeros(5, dtype=np.int64)  # ranks of 5x5 skew forms
     chunk = 20000
     for lo in range(0, n, chunk):
         block = Fs[lo:lo + chunk]
         B = kirillov_forms(alg, block)
         ranks = skew_ranks(B, rank_tol)
-        vals, counts = np.unique(ranks, return_counts=True)
-        for v, cnt in zip(vals, counts):
-            hist[int(v)] = hist.get(int(v), 0) + int(cnt)
+        hist += np.bincount(ranks, minlength=5)
         bad = np.nonzero((ranks != 0) & (ranks != 2))[0]
         for i in bad:
             violations.append({"index": int(lo + i),
@@ -324,5 +314,6 @@ def md_scan(family, params, n: int, seed: int, rank_tol: float = 1e-9,
                                   "rank": int(ranks[i])})
     return MdReport(family=alg.family, params=dict(alg.params), n=n,
                     seed=int(seed), radius=radius,
-                    rank_tol=float(rank_tol), histogram=hist,
+                    rank_tol=float(rank_tol),
+                    histogram={r: int(c) for r, c in enumerate(hist) if c},
                     violations=violations, zero_rank_failures=zero_failures)

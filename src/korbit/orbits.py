@@ -643,7 +643,9 @@ def is_member(desc: OrbitDescriptor, p, tol: float = 1e-8) -> bool:
     """Strict sign predicates plus all |normalized residuals| < tol.
 
     Unevaluable points (guard violations) are non-members, not errors.
+    tol must be finite and positive (DomainError otherwise).
     """
+    tol = _tolerance("membership tolerance", tol)
     P = algebra.as_vector5(p, "point")[None, :]
     return bool(_admitted(desc, P)[1][0]
                 and np.all(np.abs(_residual_rows(desc, P)) < tol))
@@ -724,7 +726,8 @@ def _fd_rows(desc, P, J, step):
 
 
 def orbits_equal(alg: algebra.LieAlgebra, F1, F2, tol: float = 1e-8) -> bool:
-    """Mutual membership check; both directions must agree."""
+    """Mutual membership check; both directions must agree. tol must be
+    finite and positive (DomainError otherwise)."""
     return _mutual_membership(classify_orbit(alg.family, alg.params, F1),
                               classify_orbit(alg.family, alg.params, F2),
                               F1, F2, tol)
@@ -819,7 +822,7 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
                        radius: float = 2.0, member_tol: float = 1e-8,
                        tangency_tol: float = 1e-8, rank_tol: float = 1e-9,
                        grad_tol: float = 1e-4, grad_step: float = 1e-6,
-                       base=None, sign_variants: bool = True) -> VerificationReport:
+                       base=None) -> VerificationReport:
     """Sample n orbit points per canonical base of one case and check the
     constraint set end to end.
 
@@ -827,10 +830,11 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
     tangency of the Kirillov rows below tangency_tol, constraint Jacobian
     rank exactly 3 (dim-2 cases), sampled orbit dimension equal to the base
     dimension, and analytic gradients against central differences. The base
-    covectors are canonical_bases(family, case) unless an explicit base is
-    given; base k samples with seed + 7919*k. The tolerances and grad_step
-    must be finite and positive (DomainError otherwise). A motion beyond
-    the float range raises DomainError naming the family, case and base.
+    covectors are canonical_bases(family, case), one per sign pattern of
+    the case, unless an explicit base is given; base k samples with
+    seed + 7919*k. The tolerances and grad_step must be finite and
+    positive (DomainError otherwise). A motion beyond the float range
+    raises DomainError naming the family, case and base.
     """
     alg = algebra.build_algebra(family, params)
     p = alg.params
@@ -846,7 +850,7 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
     if base is not None:
         bases = [algebra.as_vector5(base, "base covector")]
     else:
-        bases = canonical_bases(family, case_index, sign_variants)
+        bases = canonical_bases(family, case_index)
 
     max_residual = 0.0
     tangency_max = 0.0

@@ -1,9 +1,12 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from korbit import cli, foliation, kirillov, orbits
 
 
 def run_cli(*args, env_extra=None):
@@ -303,3 +306,115 @@ def test_non_numeric_covector_exits_2(tmp_path):
                     "--seed", "1", *rest)
         assert (r.returncode, r.stderr, r.stdout) == (
             2, f"error: covector must be 5 numbers, got {shown}\n", ""), rest
+
+
+def run_in_process(capsys, *args):
+    code = cli.entry(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("command,rest,key", [
+    ("scan-md", ("--family", "5.3.1", "--seed", "1"), "n"),
+    ("scan-md", ("--family", "5.3.1", "--seed", "1", "--n", "8"), "radius"),
+    ("scan-md", ("--family", "5.3.1", "--seed", "1", "--n", "8"),
+     "rank_tol"),
+    ("scan-md", ("--family", "5.3.1", "--n", "8"), "seed"),
+    ("verify-props", ("--family", "5.3.4", "--case", "8", "--seed", "1",
+                      "--n", "5"), "rank_tol"),
+    ("verify-props", ("--family", "5.3.4", "--case", "8", "--seed", "1",
+                      "--n", "5"), "format"),
+    ("check-foliation", ("--family", "5.3.2", "--pairs", "3", "--seed", "1"),
+     "tol"),
+    ("check-foliation", ("--family", "5.3.2", "--seed", "1"), "members"),
+    ("classify", ("--family", "5.3.1", "--covector", "1,1,1,1,1"),
+     "snap_tol"),
+    ("classify", ("--family", "5.3.1", "--covector", "1,1,1,1,1"), "format"),
+    ("sample-orbit", ("--family", "5.3.1", "--covector", "1,1,1,1,1",
+                      "--seed", "1"), "n"),
+    ("list-families", (), "format"),
+])
+@pytest.mark.parametrize("value", [None, [1], "abc"])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command,
+                                                rest, key, value):
+    # a config value is converted like its flag; one that cannot be is a
+    # usage error naming the entry, not a traceback with exit status 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run_in_process(capsys, command, *rest,
+                                    "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config entry {key!r} must be ")
+    assert err.endswith(f", got {value!r}\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key,rest", [
+    ("case", ("verify-props", "--family", "5.3.4", "--n", "5")),
+    ("out", ("scan-md", "--family", "5.3.1", "--n", "8")),
+])
+@pytest.mark.parametrize("value", [None, [8], {"a": 1}, True])
+def test_config_string_options_refuse_other_json_types(tmp_path, capsys,
+                                                       key, rest, value):
+    # a string option takes a JSON string or number, read as its flag's text
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run_in_process(capsys, *rest, "--seed", "1",
+                                    "--config", str(cfg))
+    assert (code, out, err) == (
+        2, "", f"error: config entry {key!r} must be a str value, "
+               f"got {value!r}\n")
+
+
+@pytest.mark.parametrize("args", [
+    ("list-families", "--format", "json"),
+    ("classify", "--family", "5.3.8", "--params", "lambda=2,phi=0.5",
+     "--covector", "1,1,0,0,3", "--snap-tol", "1e-12"),
+    ("scan-md", "--family", "5.3.7", "--n", "300", "--seed", "4",
+     "--radius", "3", "--rank-tol", "1e-8"),
+    ("verify-props", "--family", "5.3.5", "--case", "8", "--n", "20",
+     "--seed", "3", "--radius", "1.5", "--member-tol", "1e-7",
+     "--tangency-tol", "1e-7", "--rank-tol", "1e-8", "--grad-tol", "1e-3"),
+    ("sample-orbit", "--family", "5.3.3", "--covector", "0,0,1,1,1",
+     "--n", "4", "--seed", "9", "--radius", "1.5", "--format", "json"),
+    ("check-foliation", "--family", "5.3.2", "--pairs", "6", "--members",
+     "7", "--seed", "12", "--radius", "1.5", "--tol", "1e-7"),
+], ids=lambda args: args[0])
+def test_config_entries_act_as_their_flags(tmp_path, capsys, args):
+    command, rest = args[0], args[1:]
+    cfg = {flag[2:].replace("-", "_"): value
+           for flag, value in zip(rest[::2], rest[1::2])}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    by_flag = run_in_process(capsys, *args)
+    by_config = run_in_process(capsys, command, "--config", str(path))
+    assert by_flag == by_config and by_flag[0] == 0 and by_flag[1]
+
+
+def test_unset_options_take_the_library_defaults(capsys):
+    # the command line passes only the options it was given, so the
+    # reports carry the defaults of the library signatures
+    def defaults(fn, *names):
+        sig = inspect.signature(fn).parameters
+        return {name: sig[name].default for name in names}
+
+    code, out, _ = run_in_process(capsys, "scan-md", "--family", "5.3.1",
+                                  "--n", "8", "--seed", "1")
+    doc = json.loads(out)
+    assert code == 0
+    assert {k: doc[k] for k in ("radius", "rank_tol")} == defaults(
+        kirillov.md_scan, "radius", "rank_tol")
+    code, out, _ = run_in_process(capsys, "verify-props", "--family",
+                                  "5.3.4", "--case", "8", "--n", "5",
+                                  "--seed", "1", "--format", "json")
+    doc = json.loads(out)
+    names = ("radius", "member_tol", "tangency_tol", "rank_tol")
+    assert code == 0
+    assert {k: doc[k] for k in names} == defaults(
+        orbits.verify_proposition, *names)
+    code, out, _ = run_in_process(capsys, "check-foliation", "--family",
+                                  "5.3.2", "--seed", "1")
+    doc = json.loads(out)
+    names = ("pairs", "radius", "tol")
+    assert code == 0
+    assert {k: doc[k] for k in names} == defaults(
+        foliation.partition_check, *names)

@@ -191,6 +191,20 @@ def test_orbits_equal_point_orbits():
     assert not kb.orbits_equal(alg, [1, 2, 0, 0, 0], [1, 3, 0, 0, 0])
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+def test_membership_tolerance_must_be_finite_and_positive(tol):
+    # an infinite tol made these two distinct orbits compare equal, and a
+    # negative one made every point a non-member
+    alg = kb.build_algebra("5.3.1", None)
+    F1, F2 = [1, 1, 1, 1, 1], [5, 7, 3, 9, 2]
+    assert not kb.orbits_equal(alg, F1, F2)
+    desc = kb.classify_orbit("5.3.1", None, F1)
+    with pytest.raises(DomainError, match="membership tolerance"):
+        kb.is_member(desc, F2, tol=tol)
+    with pytest.raises(DomainError, match="membership tolerance"):
+        kb.orbits_equal(alg, F1, F2, tol=tol)
+
+
 def test_verify_proposition_passes_each_case():
     for fam, params in CANONICAL[:3] + [("5.3.8", {"lambda": 1.0, "phi": math.pi / 2})]:
         for c in kb.case_indices(fam):
