@@ -46,8 +46,6 @@ from .kirillov import (
     kirillov_form,
     kirillov_forms,
     md_scan,
-    numeric_rank,
-    numeric_rank_info,
     orbit_dimension,
 )
 from .orbits import (
@@ -108,8 +106,6 @@ __all__ = [
     "kirillov_form",
     "kirillov_forms",
     "md_scan",
-    "numeric_rank",
-    "numeric_rank_info",
     "orbit_dimension",
     "Constraint",
     "OrbitCase",

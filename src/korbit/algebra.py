@@ -12,6 +12,10 @@ names with their defaults, its domain entries (display strings such as
 accepted with a ParameterWarning, and the ad_{X2} template as the catalog
 prints it. Parameter validation, ad2_matrix, the catalog and the public
 FAMILY_TAGS, PARAM_NAMES and DEFAULT_PARAMS are all derived from the row.
+
+The argument checks of the whole package live here too: as_vector5 and
+as_stack5 for covectors and elements, as_tolerance for tolerances and
+steps, as_radius for sampling radii and as_count for counts and seeds.
 """
 
 import math
@@ -246,6 +250,42 @@ def as_stack5(v, what="vector") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise DomainError(f"{what} must have finite coordinates")
     return arr
+
+
+def as_tolerance(what, value, zero_ok: bool = False) -> float:
+    """A tolerance or step as a float. It must be finite and positive (or
+    zero, if zero_ok); an infinite, NaN or negative one would make its
+    check vacuous or silently switch it off."""
+    v = float(value)
+    if not (math.isfinite(v) and (v > 0.0 or (zero_ok and v == 0.0))):
+        bound = "nonnegative" if zero_ok else "positive"
+        raise DomainError(f"{what} must be finite and {bound}, got {v}")
+    return v
+
+
+def as_radius(radius) -> float:
+    """A sampling radius, which must be finite and positive, and small
+    enough that the cube's width 2*radius is finite."""
+    r = float(radius)
+    if not (math.isfinite(r) and r > 0.0):
+        raise DomainError(f"sampling radius must be finite and positive, got {r!r}")
+    if not math.isfinite(2.0 * r):
+        raise DomainError(f"sampling radius {r!r} is too large: the cube "
+                          "width 2*radius exceeds the float range")
+    return r
+
+
+def as_count(what, value, minimum: int) -> int:
+    """A count or seed as an int of at least minimum. Integers and
+    integral floats are taken; int() would truncate 2.5 to 2, and a bool
+    is no count."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{what} must be at least {minimum}, got {value}")
+    return int(value)
 
 
 def bracket(alg: LieAlgebra, U, V) -> np.ndarray:

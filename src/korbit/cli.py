@@ -87,8 +87,9 @@ def _load_config(path):
 
 # Every option once: its dest, type and help. The flag is the dest with
 # '-' for '_'. A typed option converts a config value, a JSON string or
-# number, with the same type as its flag; None passes the value through to
-# the command's own parser.
+# number, with the same type as its flag (an int option refuses a
+# non-integral number); None passes the value through to the command's own
+# parser.
 _OPTIONS = {
     "config": (None, "JSON file with option defaults (command-line flags "
                      "win)"),
@@ -137,8 +138,11 @@ class _Options:
         typ = _OPTIONS[name][0]
         if typ is None:
             return v
+        ok = isinstance(v, (str, int, float)) and not isinstance(v, bool)
+        if typ is int and isinstance(v, float):
+            ok = v.is_integer()  # int() would truncate 2.5 to 2
         try:
-            if isinstance(v, (str, int, float)) and not isinstance(v, bool):
+            if ok:
                 return typ(v)
         except (ValueError, OverflowError):
             pass
@@ -416,12 +420,6 @@ def main(argv=None) -> int:
 def entry(argv=None) -> int:
     try:
         return main(argv)
-    except KorbitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (KorbitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

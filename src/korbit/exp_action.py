@@ -351,18 +351,6 @@ class OrbitSample:
                 "points": self.points.tolist()}
 
 
-def as_radius(radius) -> float:
-    """A sampling radius, which must be finite and positive, and small
-    enough that the cube's width 2*radius is finite."""
-    r = float(radius)
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"sampling radius must be finite and positive, got {r!r}")
-    if not math.isfinite(2.0 * r):
-        raise DomainError(f"sampling radius {r!r} is too large: the cube "
-                          "width 2*radius exceeds the float range")
-    return r
-
-
 def sample_orbit(alg: algebra.LieAlgebra, F, n: int, seed: int,
                  radius: float = 2.0) -> OrbitSample:
     """Sample n coadjoint images of F along elements drawn uniformly from
@@ -372,12 +360,11 @@ def sample_orbit(alg: algebra.LieAlgebra, F, n: int, seed: int,
     A draw whose image overflows raises DomainError naming its row.
     """
     F = algebra.as_vector5(F, "covector")
-    n = int(n)
-    if n < 0:
-        raise DomainError("sample count must be nonnegative")
-    radius = as_radius(radius)
-    rng = np.random.default_rng(int(seed))
+    n = algebra.as_count("sample count", n, 0)
+    seed = algebra.as_count("seed", seed, 0)
+    radius = algebra.as_radius(radius)
+    rng = np.random.default_rng(seed)
     Us = rng.uniform(-radius, radius, size=(n, 5))
     pts = coadjoint_move(alg, F, Us)
     return OrbitSample(family=alg.family, params=dict(alg.params),
-                       base=F, points=pts, seed=int(seed), radius=radius)
+                       base=F, points=pts, seed=seed, radius=radius)

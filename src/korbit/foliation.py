@@ -88,14 +88,12 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
     naming the family, the pair and its base.
     """
     alg = algebra.build_algebra(family, params)
-    pairs, probe_points = int(pairs), int(probe_points)
-    if pairs < 1:
-        raise DomainError(f"pair count must be at least 1, got {pairs}")
-    if probe_points < 1:
-        raise DomainError(f"probe count must be at least 1, got {probe_points}")
-    radius = exp_action.as_radius(radius)
-    tol = orbits._tolerance("partition tolerance", tol)
-    rng = np.random.default_rng(int(seed))
+    pairs = algebra.as_count("pair count", pairs, 1)
+    probe_points = algebra.as_count("probe count", probe_points, 1)
+    seed = algebra.as_count("seed", seed, 0)
+    radius = algebra.as_radius(radius)
+    tol = algebra.as_tolerance("partition tolerance", tol)
+    rng = np.random.default_rng(seed)
     n = 2 * pairs
     pts = rng.uniform(-radius, radius, size=(n, 5))
     generic = int(np.count_nonzero(generic_stratum_contains(pts)))
@@ -141,8 +139,7 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
         disjoint.append((i, Fa, desc_b))
 
     min_sep = None
-    for i, desc_b, probe in _moved_probes(alg, disjoint, int(seed),
-                                          probe_points):
+    for i, desc_b, probe in _moved_probes(alg, disjoint, seed, probe_points):
         # probes failing a sign or guard of desc_b lie in another stratum
         probe = probe[orbits._admitted(desc_b, probe)[1]]
         sep = np.max(np.abs(orbits._residual_rows(desc_b, probe)), axis=-1)
@@ -164,7 +161,7 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
     failures.sort(key=lambda f: f["pair"])  # stable: probe order per pair
     return StratumReport(
         family=alg.family, params=dict(alg.params), pairs=pairs,
-        seed=int(seed), radius=radius, tol=float(tol), n=n,
+        seed=seed, radius=radius, tol=tol, n=n,
         generic=generic, fixed_point=n - generic, same_leaf_pairs=same_leaf,
         disjoint_pairs=len(disjoint), min_separation=min_sep,
         failures=failures)
@@ -214,12 +211,12 @@ def local_triviality_probe(family, params, case_index, n: int = 100,
     At each of n sampled points the constraint Jacobian must have rank 3
     and some 3-column submatrix (the complement of two chart coordinates)
     must be nonsingular, so the orbit is locally a graph over the two
-    remaining coordinates.
+    remaining coordinates. rank_tol must be finite and positive
+    (DomainError otherwise).
     """
     alg = algebra.build_algebra(family, params)
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"sample count must be at least 1, got {n}")
+    n = algebra.as_count("sample count", n, 1)
+    rank_tol = algebra.as_tolerance("rank tolerance", rank_tol)
     if base is None:
         base = orbits.canonical_bases(alg.family, case_index,
                                       sign_variants=False)[0]
@@ -233,7 +230,7 @@ def local_triviality_probe(family, params, case_index, n: int = 100,
         raise DomainError(
             f"case {case_index} of family {alg.family} is a single point; "
             "the chart probe needs a two-dimensional orbit")
-    pts = exp_action.sample_orbit(alg, base, n, seed=int(seed),
+    pts = exp_action.sample_orbit(alg, base, n, seed=seed,
                                   radius=radius).points
     J = orbits._jacobian(desc, pts)
     # a chart drops two coordinates; the other three columns must be

@@ -1,4 +1,5 @@
-"""Kirillov form, numeric rank, and the rank-degeneracy scan.
+"""Kirillov forms, their ranks, the rank-degeneracy scan, and the rank
+tests of every other matrix.
 
 For every covector F the form B_F(X, Y) = <F, [X, Y]> is skew; the defining
 property of these families is that its rank is 0 or 2 everywhere, with
@@ -7,15 +8,15 @@ rank 0 exactly on the gamma = delta = sigma = 0 stratum.
 kirillov_forms builds a stack of forms from the nonzero entries of the
 structure tensor, with the einsum's arithmetic and exact skewness. It
 stores them entry-major, so skew_ranks reads each entry as one contiguous
-vector. Kirillov ranks come from Pfaffians (skew_ranks), so they are even
-by construction. The scan report's rank_rounding_adjustments is therefore
-always 0 and is kept only for payload compatibility.
+vector. A Kirillov form's rank has one rule: its Pfaffians (skew_ranks,
+and orbit_dimension for one covector), so it is even by construction.
 
 The ranks of 3-row matrices (constraint Jacobians and their 3x3 chart
 minors) are certificate-then-SVD: certify_rank3 proves rank 3 from the
 Cauchy-Binet sums of squared minors where the bound has room, and
 svd_ranks decides every row it leaves open, so each decision is the
-SVD's. svd_ranks decides the ranks of every other matrix.
+SVD's. svd_ranks decides the ranks of every other matrix. Every rank
+tolerance must be finite and positive (algebra.as_tolerance).
 """
 
 import dataclasses
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra, exp_action
+from . import algebra
 from .errors import DomainError
 
 
@@ -80,8 +81,7 @@ def svd_ranks(M, tol: float, thr=None):
     package other than a Kirillov form's (skew_ranks) and a row that
     certify_rank3 proves has rank 3 is made here.
     """
-    if not tol > 0:
-        raise DomainError("rank tolerance must be positive")
+    tol = algebra.as_tolerance("rank tolerance", tol)
     sv = np.linalg.svd(M, compute_uv=False)
     if thr is None:
         # a slice, not an indexed column, so a matrix without singular
@@ -129,8 +129,7 @@ def certify_rank3(M, tol: float, thr=None):
     near-threshold rows are not certified; svd_ranks decides them.
     Thresholds are returned as an (n,) vector.
     """
-    if not tol > 0:
-        raise DomainError("rank tolerance must be positive")
+    tol = algebra.as_tolerance("rank tolerance", tol)
     M = np.asarray(M, dtype=float)
     if M.ndim != 3 or M.shape[1] != 3 or M.shape[2] < 3:
         raise DomainError(
@@ -173,26 +172,6 @@ def certified_svd_ranks(M, tol: float) -> np.ndarray:
     return ranks
 
 
-def numeric_rank_info(m, tol: float = 1e-9):
-    """(rank, adjusted): SVD rank with evenness forced for skew inputs.
-
-    Rank counts singular values exceeding tol * max(1, largest singular
-    value). Exactly skew square inputs get an odd count rounded down to
-    even; adjusted reports whether that rounding moved the value.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise DomainError("numeric_rank expects a matrix")
-    rank = int(svd_ranks(m, tol)[0])
-    if m.shape[0] == m.shape[1] and rank % 2 == 1 and np.array_equal(m, -m.T):
-        return rank - 1, True
-    return rank, False
-
-
-def numeric_rank(m, tol: float = 1e-9) -> int:
-    return numeric_rank_info(m, tol)[0]
-
-
 def skew_ranks(B, tol: float) -> np.ndarray:
     """Even ranks (0, 2 or 4) of an (n, 5, 5) stack of exactly skew forms.
 
@@ -202,8 +181,7 @@ def skew_ranks(B, tol: float) -> np.ndarray:
     counts against svd_ranks' threshold tol * max(1, w1). Only the strict
     upper triangle is read, so skewness is the caller's guarantee.
     """
-    if not tol > 0:
-        raise DomainError("rank tolerance must be positive")
+    tol = algebra.as_tolerance("rank tolerance", tol)
     B = np.asarray(B, dtype=float)
     if B.ndim != 3 or B.shape[1:] != (5, 5):
         raise DomainError(
@@ -241,11 +219,7 @@ _SCAN_PATTERNS = ((), (2,), (3,), (4,), (2, 3), (2, 4), (3, 4), (2, 3, 4))
 
 @dataclass
 class MdReport:
-    """Result of a rank-degeneracy scan over sampled covectors.
-
-    rank_rounding_adjustments is always 0, since Pfaffian ranks are even;
-    it is kept only for payload compatibility.
-    """
+    """Result of a rank-degeneracy scan over sampled covectors."""
     family: str
     params: dict
     n: int
@@ -255,7 +229,6 @@ class MdReport:
     histogram: dict
     violations: list = field(default_factory=list)
     zero_rank_failures: list = field(default_factory=list)
-    rank_rounding_adjustments: int = 0
 
     @property
     def passed(self) -> bool:
@@ -278,11 +251,10 @@ def md_scan(family, params, n: int, seed: int, rank_tol: float = 1e-9,
     exactly where gamma = delta = sigma = 0.
     """
     alg = algebra.build_algebra(family, params)
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"sample count must be at least 1, got {n}")
-    radius = exp_action.as_radius(radius)
-    rng = np.random.default_rng(int(seed))
+    n = algebra.as_count("sample count", n, 1)
+    seed = algebra.as_count("seed", seed, 0)
+    radius = algebra.as_radius(radius)
+    rng = np.random.default_rng(seed)
     Fs = rng.uniform(-radius, radius, size=(n, 5))
     share = n // len(_SCAN_PATTERNS)
     start = n - share * (len(_SCAN_PATTERNS) - 1)  # unconstrained stratum
@@ -313,7 +285,7 @@ def md_scan(family, params, n: int, seed: int, rank_tol: float = 1e-9,
                                   "covector": [float(v) for v in block[i]],
                                   "rank": int(ranks[i])})
     return MdReport(family=alg.family, params=dict(alg.params), n=n,
-                    seed=int(seed), radius=radius,
+                    seed=seed, radius=radius,
                     rank_tol=float(rank_tol),
                     histogram={r: int(c) for r, c in enumerate(hist) if c},
                     violations=violations, zero_rank_failures=zero_failures)

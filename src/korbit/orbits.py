@@ -521,7 +521,7 @@ def classify_orbit(family, params, F, snap_tol: float = 0.0) -> OrbitDescriptor:
     family = algebra.normalize_family(family)
     p = algebra.validate_params(family, params)
     F = algebra.as_vector5(F, "covector")
-    snap_tol = _tolerance("snap_tol", snap_tol, zero_ok=True)
+    snap_tol = algebra.as_tolerance("snap_tol", snap_tol, zero_ok=True)
     base = F.copy()
     snapped = False
     if snap_tol > 0.0:
@@ -645,7 +645,7 @@ def is_member(desc: OrbitDescriptor, p, tol: float = 1e-8) -> bool:
     Unevaluable points (guard violations) are non-members, not errors.
     tol must be finite and positive (DomainError otherwise).
     """
-    tol = _tolerance("membership tolerance", tol)
+    tol = algebra.as_tolerance("membership tolerance", tol)
     P = algebra.as_vector5(p, "point")[None, :]
     return bool(_admitted(desc, P)[1][0]
                 and np.all(np.abs(_residual_rows(desc, P)) < tol))
@@ -679,17 +679,6 @@ def jacobian_rank_check(desc: OrbitDescriptor, p, tol: float = 1e-9):
     return int(ranks[0]) if single else ranks
 
 
-def _tolerance(what, value, zero_ok: bool = False) -> float:
-    """A tolerance or step as a float. It must be finite and positive (or
-    zero, if zero_ok); an infinite, NaN or negative one would make its
-    check vacuous or silently switch it off."""
-    v = float(value)
-    if not (math.isfinite(v) and (v > 0.0 or (zero_ok and v == 0.0))):
-        bound = "nonnegative" if zero_ok else "positive"
-        raise DomainError(f"{what} must be finite and {bound}, got {v}")
-    return v
-
-
 def gradient_fd_error(desc: OrbitDescriptor, p, step: float = 1e-6):
     """Max relative deviation of analytic gradients from central differences.
 
@@ -698,7 +687,7 @@ def gradient_fd_error(desc: OrbitDescriptor, p, step: float = 1e-6):
     the row's value non-finite instead of being skipped.
     """
     P, single = _stack(p)
-    step = _tolerance("FD step", step)
+    step = algebra.as_tolerance("FD step", step)
     worst = _fd_rows(desc, P, _jacobian(desc, P), step)
     return float(worst[0]) if single else worst
 
@@ -839,14 +828,14 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
     alg = algebra.build_algebra(family, params)
     p = alg.params
     family = alg.family
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"sample count must be at least 1, got {n}")
-    radius = exp_action.as_radius(radius)
-    grad_step = _tolerance("FD step", grad_step)
-    member_tol = _tolerance("member_tol", member_tol)
-    tangency_tol = _tolerance("tangency_tol", tangency_tol)
-    grad_tol = _tolerance("grad_tol", grad_tol)
+    n = algebra.as_count("sample count", n, 1)
+    seed = algebra.as_count("seed", seed, 0)
+    radius = algebra.as_radius(radius)
+    grad_step = algebra.as_tolerance("FD step", grad_step)
+    member_tol = algebra.as_tolerance("member_tol", member_tol)
+    tangency_tol = algebra.as_tolerance("tangency_tol", tangency_tol)
+    grad_tol = algebra.as_tolerance("grad_tol", grad_tol)
+    rank_tol = algebra.as_tolerance("rank tolerance", rank_tol)
     if base is not None:
         bases = [algebra.as_vector5(base, "base covector")]
     else:
@@ -867,7 +856,7 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
                 f"base {list(map(float, B))} lies in case {desc.case_index}, "
                 f"not requested case {case_index}")
         try:
-            P = exp_action.sample_orbit(alg, B, n, seed=int(seed) + 7919 * k,
+            P = exp_action.sample_orbit(alg, B, n, seed=seed + 7919 * k,
                                         radius=radius).points
         except DomainError as exc:  # a motion beyond the float range
             raise DomainError(
@@ -908,9 +897,9 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
         family=family, params=dict(p), case=case_index,
         base=[float(v) for v in bases[0]],
         bases=[[float(v) for v in b] for b in bases],
-        n=n, seed=int(seed), radius=float(radius),
+        n=n, seed=seed, radius=radius,
         member_tol=float(member_tol), tangency_tol=float(tangency_tol),
-        rank_tol=float(rank_tol), shape=descs[0].shape, dim=descs[0].dim,
+        rank_tol=rank_tol, shape=descs[0].shape, dim=descs[0].dim,
         max_residual=max_residual, tangency_max=tangency_max,
         sign_violations=sign_violations, jacobian_failures=jacobian_failures,
         dimension_mismatches=dimension_mismatches,

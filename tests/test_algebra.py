@@ -236,3 +236,67 @@ def test_ad_matrix_is_bracket_in_matrix_form():
 def test_as_vector_rejects_bad_shapes():
     with pytest.raises(DomainError):
         kb.classify_orbit("5.3.4", None, [1.0, 2.0, 3.0])
+
+
+_CASE8 = [1.0, 1.0, 1.0, 1.0, 1.0]
+# each entry point with one count or seed argument replaced by v
+COUNT_ENTRY_POINTS = {
+    "verify_proposition n": lambda v: kb.verify_proposition(
+        "5.3.2", None, 8, n=v, seed=1),
+    "verify_proposition seed": lambda v: kb.verify_proposition(
+        "5.3.2", None, 8, n=5, seed=v),
+    "md_scan n": lambda v: kb.md_scan("5.3.1", None, n=v, seed=1),
+    "md_scan seed": lambda v: kb.md_scan("5.3.1", None, n=16, seed=v),
+    "partition_check pairs": lambda v: kb.partition_check(
+        "5.3.2", None, pairs=v, seed=1),
+    "partition_check probe_points": lambda v: kb.partition_check(
+        "5.3.2", None, pairs=3, seed=1, probe_points=v),
+    "partition_check seed": lambda v: kb.partition_check(
+        "5.3.2", None, pairs=3, seed=v),
+    "sample_orbit n": lambda v: kb.sample_orbit(
+        kb.build_algebra("5.3.1", None), _CASE8, v, seed=1),
+    "sample_orbit seed": lambda v: kb.sample_orbit(
+        kb.build_algebra("5.3.1", None), _CASE8, 3, seed=v),
+    "local_triviality_probe n": lambda v: kb.local_triviality_probe(
+        "5.3.2", None, 8, n=v, seed=1),
+    "local_triviality_probe seed": lambda v: kb.local_triviality_probe(
+        "5.3.2", None, 8, n=5, seed=v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 1.9, 0.5, math.inf, math.nan, True,
+                                   "3", None])
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_counts_and_seeds_must_be_integers(entry, value):
+    # int() would run 2.5 as 2 and refuse 0.5 as "got 0"
+    with pytest.raises(DomainError, match="must be an integer, got "):
+        COUNT_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", sorted(k for k in COUNT_ENTRY_POINTS
+                                         if k.endswith(" seed")))
+def test_negative_seeds_are_refused(entry):
+    with pytest.raises(DomainError, match=r"^seed must be at least 0, got -1$"):
+        COUNT_ENTRY_POINTS[entry](-1)
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_integral_floats_count_as_their_integers(entry):
+    value = 3 if entry.endswith(" probe_points") else 5
+    as_int = COUNT_ENTRY_POINTS[entry](value)
+    for same in (float(value), np.int64(value), np.float32(value)):
+        other = COUNT_ENTRY_POINTS[entry](same)
+        if isinstance(as_int, bool):
+            assert other is as_int
+        else:
+            assert other.to_json_dict() == as_int.to_json_dict()
+
+
+def test_as_count_bounds():
+    assert kb.algebra.as_count("sample count", 1e5, 1) == 100000
+    assert type(kb.algebra.as_count("seed", np.uint8(7), 0)) is int
+    with pytest.raises(DomainError,
+                       match=r"^sample count must be at least 1, got 0$"):
+        kb.algebra.as_count("sample count", 0.0, 1)
+    with pytest.raises(DomainError, match="must be an integer"):
+        kb.algebra.as_count("seed", np.bool_(True), 0)

@@ -141,9 +141,16 @@ def test_vacuous_sample_counts_exit_2():
                     "1,1,1e-13,1,1", f"--snap-tol={snap}")
         assert r.returncode == 2, snap
         assert r.stderr.startswith("error: ") and r.stdout == ""
-    # a negative number given as its own token, in exponent notation too,
-    # reaches the package's refusal, not argparse's "expected one argument"
+    # a refusal prints its one line and nothing else, no numpy warning
+    # either; a negative number given as its own token, in exponent
+    # notation too, reaches the package's refusal, not argparse's
+    # "expected one argument"
     for args, line in (
+            (("scan-md", "--family", "5.3.4", "--rank-tol", "inf",
+              "--seed", "3"),
+             "rank tolerance must be finite and positive, got inf"),
+            (("scan-md", "--family", "5.3.4", "--seed", "-1"),
+             "seed must be at least 0, got -1"),
             (("classify", "--family", "5.3.1", "--covector", "1,1,1,1,1",
               "--snap-tol", "-1e-3"),
              "snap_tol must be finite and nonnegative, got -0.001"),
@@ -155,7 +162,7 @@ def test_vacuous_sample_counts_exit_2():
              "partition tolerance must be finite and positive, got -1e-08"),
             (("scan-md", "--family", "5.3.4", "--rank-tol", "-1e-9",
               "--seed", "3"),
-             "rank tolerance must be positive"),
+             "rank tolerance must be finite and positive, got -1e-09"),
             (("scan-md", "--family", "5.3.4", "--radius", "-.5",
               "--seed", "3"),
              "sampling radius must be finite and positive, got -0.5")):
@@ -363,6 +370,34 @@ def test_config_string_options_refuse_other_json_types(tmp_path, capsys,
     assert (code, out, err) == (
         2, "", f"error: config entry {key!r} must be a str value, "
                f"got {value!r}\n")
+
+
+@pytest.mark.parametrize("key,value,rest", [
+    ("n", 2.5, ("scan-md", "--family", "5.3.1", "--seed", "1")),
+    ("seed", 1.9, ("scan-md", "--family", "5.3.1", "--n", "8")),
+    ("pairs", 3.5, ("check-foliation", "--family", "5.3.2", "--seed", "1")),
+    ("n", 2.7, ("sample-orbit", "--family", "5.3.1", "--covector",
+                "1,1,1,1,1", "--seed", "1")),
+])
+def test_config_integer_options_refuse_non_integral_numbers(
+        tmp_path, capsys, key, value, rest):
+    # int() would truncate the value and run n = 2 or seed 1 silently
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run_in_process(capsys, *rest, "--config", str(cfg))
+    assert (code, out, err) == (
+        2, "", f"error: config entry {key!r} must be a int value, "
+               f"got {value!r}\n")
+
+
+def test_config_integral_float_is_its_integer(tmp_path, capsys):
+    # JSON reads 1e5 as the float 100000.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n": 1e5}')
+    args = ("scan-md", "--family", "5.3.1", "--seed", "1")
+    by_config = run_in_process(capsys, *args, "--config", str(cfg))
+    assert by_config == run_in_process(capsys, *args, "--n", "100000")
+    assert by_config[0] == 0 and json.loads(by_config[1])["n"] == 100000
 
 
 @pytest.mark.parametrize("args", [

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import korbit as kb
-from korbit import exp_action
+from korbit import algebra, exp_action
 from korbit.errors import DomainError
 
 from conftest import CANONICAL, phi1_sum, taylor_expm
@@ -357,11 +357,11 @@ def test_sampling_radius_with_an_overflowing_cube_is_refused():
     alg = kb.build_algebra("5.3.1", None)
     F = [1.0, 1.0, 1.0, 1.0, 1.0]
     widest = np.finfo(float).max / 2.0
-    assert exp_action.as_radius(widest) == widest
-    assert exp_action.as_radius(8e307) == 8e307
+    assert algebra.as_radius(widest) == widest
+    assert algebra.as_radius(8e307) == 8e307
     for r in (np.nextafter(widest, math.inf), 1e308, np.finfo(float).max):
         with pytest.raises(DomainError, match="too large"):
-            exp_action.as_radius(r)
+            algebra.as_radius(r)
     for call in (
             lambda: kb.sample_orbit(alg, F, 3, seed=1, radius=1e308),
             lambda: kb.md_scan("5.3.1", None, n=8, seed=1, radius=1e308),
