@@ -20,7 +20,7 @@ steps, as_radius for sampling radii and as_count for counts and seeds.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -193,11 +193,12 @@ class LieAlgebra:
 
     c[i, j, k] is the X_{k+1} coefficient of [X_{i+1}, X_{j+1}] (0-based
     storage, 1-based basis labels). The tensor is exactly antisymmetric in
-    (i, j) by construction and read-only.
+    (i, j) by construction and read-only; c_max is max |c[i, j, k]|.
     """
     family: str
     params: dict
     c: np.ndarray
+    c_max: float = field(default=math.inf, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -218,7 +219,8 @@ def build_algebra(family, params=None) -> LieAlgebra:
                 c[1, 2 + j, 2 + i] = A[i, j]
                 c[2 + j, 1, 2 + i] = -A[i, j]
     c.setflags(write=False)
-    return LieAlgebra(family=family, params=p, c=c)
+    return LieAlgebra(family=family, params=p, c=c,
+                      c_max=float(np.abs(c).max()))
 
 
 def _as_real_array(v, what) -> np.ndarray:
@@ -252,11 +254,19 @@ def as_stack5(v, what="vector") -> np.ndarray:
     return arr
 
 
+def _as_float(what, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):  # None, "abc", 1j, a list
+        raise DomainError(
+            f"{what} must be a real number, got {value!r}") from None
+
+
 def as_tolerance(what, value, zero_ok: bool = False) -> float:
     """A tolerance or step as a float. It must be finite and positive (or
     zero, if zero_ok); an infinite, NaN or negative one would make its
     check vacuous or silently switch it off."""
-    v = float(value)
+    v = _as_float(what, value)
     if not (math.isfinite(v) and (v > 0.0 or (zero_ok and v == 0.0))):
         bound = "nonnegative" if zero_ok else "positive"
         raise DomainError(f"{what} must be finite and {bound}, got {v}")
@@ -266,7 +276,7 @@ def as_tolerance(what, value, zero_ok: bool = False) -> float:
 def as_radius(radius) -> float:
     """A sampling radius, which must be finite and positive, and small
     enough that the cube's width 2*radius is finite."""
-    r = float(radius)
+    r = _as_float("sampling radius", radius)
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"sampling radius must be finite and positive, got {r!r}")
     if not math.isfinite(2.0 * r):
@@ -301,14 +311,30 @@ def bracket(alg: LieAlgebra, U, V) -> np.ndarray:
     return 0.5 * np.einsum("ij,ijk->k", W, alg.c)
 
 
+_DOT_SAFE = float(np.finfo(float).max) / 5.0
+
+
 def ad_matrix(alg: LieAlgebra, U) -> np.ndarray:
     """Matrix of ad_U = [U, .] acting on coordinate columns.
 
     U is one element (5,) or an (n, 5) stack; the result is (5, 5) or
-    (n, 5, 5).
+    (n, 5, 5): one product of U with c as a (5, 25) matrix, returned as
+    the transposed view of its (5, 5) blocks.
     """
     U = as_stack5(U, "algebra element")
-    return np.einsum("...i,ijk->...kj", U, alg.c)
+    c = alg.c.reshape(5, 25)
+    # entry (j, k) of row n is sum_i U[n, i] c[i, j, k], a sum of five
+    # products, so no entry overflows while max|U| * c_max <= _DOT_SAFE
+    if U.ndim == 1:
+        umax = max(map(abs, U.tolist()))
+    else:
+        umax = np.abs(U).max(initial=0.0)
+    if umax <= _DOT_SAFE / alg.c_max:
+        M = np.dot(U, c)
+    else:  # the caller refuses what overflows, without a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = np.dot(U, c)
+    return M.reshape(U.shape[:-1] + (5, 5)).swapaxes(-1, -2)
 
 
 def jacobi_residual(alg: LieAlgebra) -> float:

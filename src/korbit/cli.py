@@ -254,6 +254,19 @@ def _cmd_scan_md(opt):
             all(r.passed for r in reps))
 
 
+def _cases(family, case):
+    # the cases --case names for one family: all of them, or one index
+    cases = orbits.case_indices(family)
+    if case.lower() == "all":
+        return cases
+    try:
+        return (int(case),)
+    except ValueError:
+        raise DomainError(
+            f"--case must be 'all' or a case of family {family} "
+            f"({', '.join(map(str, cases))}), got {case!r}") from None
+
+
 def _cmd_verify_props(opt):
     families = _families(opt)
     seed = opt.require_seed()
@@ -265,9 +278,7 @@ def _cmd_verify_props(opt):
     fmt = opt.get("format")
     reps = []
     for fam in families:
-        cases = (orbits.case_indices(fam) if case.lower() == "all"
-                 else (int(case),))
-        for c in cases:
+        for c in _cases(fam, case):
             reps.append(orbits.verify_proposition(fam, params, c, n=n,
                                                   seed=seed, **kw))
     ok = all(r.passed for r in reps)

@@ -6,12 +6,19 @@ coupling block phi1(b*A) @ V, phi1(x) = (e^x - 1)/x. The generic route
 (exp_ad, coadjoint_move, sample_orbit) takes one element (5,) or an
 (n, 5) stack, one element being the n = 1 case of the same code.
 
+The generic route's exponential, _expm, is family-blind: it reads only
+the matrices ad_U, never this module's spectral table or the block
+structure above. It scales each matrix by a power of two to infinity norm
+at most 1 and evaluates the degree-19 Taylor polynomial by
+Paterson-Stockmeyer in seven matrix products, then squares back.
+
 The closed-form route, exp_ad_closed, takes one element and never reads
 the algebra's ad_x2 template: its table _SPECTRA gives per family the
 eigenvalues of A on (z, t, s), a complex pair being a rotation-scaling
 block, and A's Jordan links. _matrix_function turns a row into f(b*A)
 for f = exp, phi1 and the identity (A itself): f(b*mu) on the diagonal,
-b*f'(b*mu) on each link, (b^2/2)*f''(b*mu) across a two-link chain.
+b*f'(b*mu) on each link, (b^2/2)*f''(b*mu) across a two-link chain. A
+itself is built once per row (_ad_x2_block).
 
 Every motion function refuses a result past the float range with a
 DomainError naming the element, or its row of a stack. The checks run
@@ -19,6 +26,7 @@ only where overflow is possible (_EXP_SAFE_SQUARINGS, _SAFE_EXPONENT).
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,19 +38,29 @@ from .errors import DomainError
 # Below this magnitude phi1 switches to its truncated series for stability.
 SERIES_CUTOFF = 1e-4
 
-_EXP_SERIES_ORDER = 13
-# Horner divisors 12, ..., 1 as floats: an int divisor costs a conversion
-_HORNER_DIVISORS = tuple(float(k) for k in range(_EXP_SERIES_ORDER - 1, 0, -1))
-_EXP_NORM_TARGET = 0.5
-# At most 9 squarings means ||M||inf <= 256, and under this scaling
+# Taylor degree 19 = 4*4 + 3, evaluated by Paterson-Stockmeyer: row j of
+# _PS_COEFFS holds 1/(4j + i)! for i = 0..3, the block B_j = sum_i
+# _PS_COEFFS[j, i] A^i, and T(A) = B0 + A4 (B1 + A4 (B2 + A4 (B3 + A4 B4))).
+# The scaling target ||A||inf <= 1 leaves a remainder below
+# sum_{k >= 20} 1/k! ~ 4e-19, far under the unit roundoff 2^-53.
+_PS_COEFFS = np.array([[1 / math.factorial(4 * j + i) for i in range(4)]
+                       for j in range(5)])
+_PS_COEFFS.setflags(write=False)
+# At most 8 squarings means ||M||inf <= 256, and under this scaling
 # ||exp(M)||inf <= e^(2 ||M||inf) <= e^512 ~ 2e222: no overflow is possible.
-_EXP_SAFE_SQUARINGS = 9
+_EXP_SAFE_SQUARINGS = 8
 # |U_i * mu| <= 350 for every coordinate and eigenvalue (one of which has
 # modulus 1) keeps each closed-form entry below e^350 * 350^3 ~ 1e160.
 _SAFE_EXPONENT = 350.0
 
 _EYE = np.eye(5)
 _EYE.setflags(write=False)
+# A stack's Taylor core runs on at most this many rows at a time, so that
+# each of its buffers stays below 128 KiB. Larger ones are, by malloc's
+# default, mapped afresh or trimmed off the heap when freed, and each call
+# then page-faults them in again: unchunked, a pass of the perfbench
+# foliation workload took about 12 000 minor faults, chunked none.
+_CORE_ROWS = 128
 
 
 def _phi1(x):
@@ -107,48 +125,82 @@ def phi_series(lam: float, b: float) -> float:
 
 
 def _expm(M: np.ndarray, U) -> np.ndarray:
-    """Scaling-and-squaring exponential with an order-13 series core.
+    """Scaling-and-squaring exponential with a degree-19 Taylor core.
 
     M is one 5x5 matrix or an (n, 5, 5) stack. Each matrix is scaled by
-    its own power of two, 2^s, until its infinity norm is at most 0.5 (the
-    order-13 Taylor remainder is then below 1e-15), and squared s times.
-    The squarings all matrices need run on the whole stack, the rest on
-    the rows that need them. One matrix multiplies with np.dot, a stack
-    with np.matmul: the same BLAS product, np.dot with less per-call cost.
+    its own power of two, 2^s with s = ceil(log2 ||M||inf) (0 when the norm
+    is at most 1), and squared s times. The degree-19 Taylor polynomial of
+    the scaled A is a Paterson-Stockmeyer evaluation (SIAM J. Comput. 2(1),
+    1973): A^2, A^3 and A^4, the five blocks of I, A, A^2, A^3 from one
+    (5x4)(4x25n) product, then four Horner steps in A^4; seven matrix
+    products in all. A stack runs this core _CORE_ROWS rows at a time. The
+    squarings all matrices need run on the whole stack, the rest on the
+    rows that need them. One matrix multiplies with np.dot, a stack with
+    np.matmul: the same BLAS product, np.dot with less per-call cost.
 
     Under this scaling ||exp(M)||inf <= e^(2 ||M||inf), so a matrix with at
     most _EXP_SAFE_SQUARINGS squarings cannot overflow; only when some
     matrix needs more is the result checked, and a row that is not finite
     raises DomainError naming its element, the matching row of U.
     """
-    norm = np.abs(M).sum(axis=-1).max(axis=-1)
+    norm = _inf_norm(M)
+    counts = _squarings(norm)
     if M.ndim == 2:
-        mul, norms = np.dot, [float(norm)]
+        mul = np.dot
+        if not math.isfinite(counts):  # ad_U itself overflowed
+            raise _overflow("ad U", U, norm)
+        counts = common = most = int(counts)
+        R = _taylor(M, math.ldexp(1.0, -common), mul, None)
     else:
-        mul, norms = np.matmul, norm.tolist()
-    try:  # an inf or NaN norm (ad_U itself overflowed) fails in ceil
-        counts = [0 if v <= _EXP_NORM_TARGET
-                  else math.ceil(math.log2(v / _EXP_NORM_TARGET))
-                  for v in norms]
-    except (OverflowError, ValueError):
-        raise _overflow("ad U", U, norm) from None
-    common, most = min(counts, default=0), max(counts, default=0)
-    if most > common:  # a stack whose rows differ in count
-        counts = np.array(counts)
-        A = np.ldexp(M, -counts[:, None, None])
-    else:
-        A = M / (2.0 ** common)
-    R = _EYE + A / float(_EXP_SERIES_ORDER)  # A @ I == A
-    for k in _HORNER_DIVISORS:
-        R = mul(A, R)
-        R /= k
-        R += _EYE
+        mul = np.matmul
+        most = counts.max(initial=0.0)
+        if not math.isfinite(most):
+            raise _overflow("ad U", U, norm)
+        counts = counts.astype(np.intp)
+        common, most = int(counts.min(initial=0)), int(most)
+        scale = np.ldexp(1.0, -counts)[:, None, None]
+        R = np.empty(M.shape)
+        for i in range(0, len(M), _CORE_ROWS):
+            rows = slice(i, i + _CORE_ROWS)
+            _taylor(M[rows], scale[rows], mul, R[rows])
     if most <= _EXP_SAFE_SQUARINGS:
         return _square(R, counts, common, most, mul)
     with np.errstate(over="ignore", invalid="ignore"):
         R = _square(R, counts, common, most, mul)
     _refuse_non_finite("exp(ad U)", U, R)
     return R
+
+
+def _inf_norm(M):
+    # the largest row sum of |M|, each row summed left to right
+    a = np.abs(M.T, order="C")  # a[j, i] is |M[i, j]|, of each matrix
+    return (a[0] + a[1] + a[2] + a[3] + a[4]).max(axis=0)
+
+
+def _taylor(M, scale, mul, out):
+    # The degree-19 Taylor polynomial of A = scale * M into out (a new
+    # array when out is None). P holds I, A, A^2, A^3; once the blocks B
+    # are formed from it, A^4 and three Horner steps reuse its memory.
+    P = np.empty((4,) + M.shape)
+    P[0] = _EYE
+    A = np.multiply(M, scale, out=P[1])
+    A2 = mul(A, A, out=P[2])
+    mul(A2, A, out=P[3])
+    B = np.dot(_PS_COEFFS, P.reshape(4, -1)).reshape((5,) + M.shape)
+    A4 = mul(A2, A2, out=P[0])
+    R = B[4]
+    for j, k in ((3, 1), (2, 3), (1, 1)):
+        R = mul(A4, R, out=P[k])
+        R += B[j]
+    R = mul(A4, R, out=out)
+    R += B[0]
+    return R
+
+
+def _squarings(norm):
+    # s = ceil(log2 ||M||inf), so that ||2^-s M||inf <= 1, and 0 for a norm
+    # of at most 1; inf or NaN where the norm is not finite
+    return np.ceil(np.log2(np.maximum(norm, 1.0)))
 
 
 def _square(R, counts, common, most, mul):
@@ -231,9 +283,25 @@ def _matrix_function(jet, mus, links, b):
     return M
 
 
+@functools.lru_cache(maxsize=256)
+def _shared_ad_x2_block(mus, links):
+    A = _matrix_function(_identity_jet, mus, links, 1.0)
+    A.setflags(write=False)  # every caller with this row shares it
+    return A
+
+
+def _ad_x2_block(mus, links):
+    """A = ad(X2) on the ideal, built once per spectral row. A row with a
+    zero eigenvalue is built on each call: 0.0 == -0.0 as a cache key, but
+    A keeps the sign of its zero."""
+    if 0.0 in mus:
+        return _matrix_function(_identity_jet, mus, links, 1.0)
+    return _shared_ad_x2_block(mus, links)
+
+
 def _closed_form(mus, links, U):
     a, b, w = U[0], float(U[1]), U[2:]
-    A = _matrix_function(_identity_jet, mus, links, 1.0)
+    A = _ad_x2_block(mus, links)
     E3 = _matrix_function(_exp_jet, mus, links, b)
     P3 = _matrix_function(_phi1_jet, mus, links, b)
     V = np.zeros((3, 2))

@@ -300,3 +300,19 @@ def test_as_count_bounds():
         kb.algebra.as_count("sample count", 0.0, 1)
     with pytest.raises(DomainError, match="must be an integer"):
         kb.algebra.as_count("seed", np.bool_(True), 0)
+
+
+@pytest.mark.parametrize("value", [None, "abc", 1j, [1.0]])
+def test_non_numeric_tolerance_or_radius_is_refused_by_name(value):
+    # a library caller's value that float() cannot take is a DomainError
+    # naming the argument, not a TypeError or ValueError
+    calls = {
+        "sampling radius": lambda: kb.md_scan("5.3.1", None, n=8, seed=1,
+                                              radius=value),
+        "rank tolerance": lambda: kb.verify_proposition(
+            "5.3.1", None, 8, n=5, seed=1, rank_tol=value),
+    }
+    for what, call in calls.items():
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == f"{what} must be a real number, got {value!r}"

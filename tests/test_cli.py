@@ -321,6 +321,16 @@ def run_in_process(capsys, *args):
     return code, out, err
 
 
+@pytest.mark.parametrize("case", ["2.5", "x", ""])
+def test_case_that_is_no_index_exits_2_naming_the_option(capsys, case):
+    code, out, err = run_in_process(capsys, "verify-props", "--family",
+                                    "5.3.4", "--case", case, "--n", "5",
+                                    "--seed", "1")
+    assert (code, out, err) == (
+        2, "", "error: --case must be 'all' or a case of family 5.3.4 "
+               f"(1, 2, 3, 4, 5, 6, 7, 8), got {case!r}\n")
+
+
 @pytest.mark.parametrize("command,rest,key", [
     ("scan-md", ("--family", "5.3.1", "--seed", "1"), "n"),
     ("scan-md", ("--family", "5.3.1", "--seed", "1", "--n", "8"), "radius"),

@@ -220,20 +220,32 @@ def test_sample_orbit_rejects_bad_arguments():
 
 
 def _expm_per_matrix(M):
-    # The one-matrix scaling-and-squaring algorithm that the stacked
-    # exponential replaced, kept as the reference for the stacked code.
-    norm = float(np.linalg.norm(M, np.inf))
-    s = 0
-    if norm > 0.5:
-        s = int(math.ceil(math.log2(norm / 0.5)))
-    A = M / (2.0 ** s)
-    eye = np.eye(M.shape[0])
-    R = np.eye(M.shape[0])
-    for k in range(13, 0, -1):
-        R = eye + (A @ R) / k
+    # The degree-19 Paterson-Stockmeyer core, one matrix at a time with @,
+    # as the reference for the stacked code: scale by 2^-s until the
+    # infinity norm is at most 1, blocks B_j = sum_i A^i / (4j + i)!, then
+    # B0 + A4 (B1 + A4 (B2 + A4 (B3 + A4 B4))), squared s times.
+    a = np.abs(M)
+    norm = float(np.max(a[:, 0] + a[:, 1] + a[:, 2] + a[:, 3] + a[:, 4]))
+    s = math.ceil(math.log2(norm)) if norm > 1.0 else 0
+    A = M * 2.0 ** -s
+    A2 = A @ A
+    A3 = A2 @ A
+    A4 = A2 @ A2
+    coeffs = np.array([[1 / math.factorial(4 * j + i) for i in range(4)]
+                       for j in range(5)])
+    B = (coeffs @ np.stack([np.eye(5), A, A2, A3]).reshape(4, 25))
+    B = B.reshape(5, 5, 5)
+    R = B[4]
+    for j in (3, 2, 1, 0):
+        R = B[j] + A4 @ R
     for _ in range(s):
         R = R @ R
     return R
+
+
+def _count(v):
+    # squarings of a matrix of infinity norm v under the target 1
+    return math.ceil(math.log2(v)) if v > 1.0 else 0
 
 
 def _assert_rows_close(got, want):
@@ -254,10 +266,9 @@ def test_stacked_motion_matches_per_point_algorithm(fam, params):
     Us = rng.uniform(-1.0, 1.0, (500, 5)) * rng.permutation(radii)[:, None]
     F = rng.uniform(-2.5, 2.5, 5)
     M = kb.ad_matrix(alg, Us)
-    norms = np.linalg.norm(M, np.inf, axis=(1, 2))
-    counts = {int(math.ceil(math.log2(v / 0.5))) if v > 0.5 else 0
-              for v in norms}
-    assert set(range(8)) <= counts
+    counts = {_count(v) for v in np.linalg.norm(M, np.inf, axis=(1, 2))}
+    # every count from none up to the last one that cannot overflow
+    assert set(range(exp_action._EXP_SAFE_SQUARINGS + 1)) <= counts
     want = np.array([_expm_per_matrix(m) for m in M])
     for n in (0, 1, 2, 500):
         E = kb.exp_ad(alg, Us[:n]).m
@@ -309,13 +320,13 @@ def test_one_element_motion_is_bitwise_its_stacked_row(fam, params):
     alg = kb.build_algebra(fam, params)
     radii = np.repeat([1e-3, 0.3, 2.0, 8.0, 40.0], 12)
     Us = rng.uniform(-1.0, 1.0, (60, 5)) * radii[:, None]
-    # b = -300 needs more than 9 squarings, so the checked path runs too
+    # b = -300 needs more than 8 squarings, so the checked path runs too
     Us = np.vstack([Us, [0.25, -300.0, 0.5, -0.75, 1.0]])
     F = rng.uniform(-2.5, 2.5, 5)
     M = kb.ad_matrix(alg, Us)
-    counts = {int(math.ceil(math.log2(v / 0.5))) if v > 0.5 else 0
-              for v in np.linalg.norm(M, np.inf, axis=(1, 2))}
-    assert 0 in counts and max(counts) > 9 and len(counts) >= 9
+    counts = {_count(v) for v in np.linalg.norm(M, np.inf, axis=(1, 2))}
+    assert 0 in counts and len(counts) >= 9
+    assert max(counts) > exp_action._EXP_SAFE_SQUARINGS
     E = kb.exp_ad(alg, Us).m
     G = kb.coadjoint_move(alg, F, Us)
     for k, U in enumerate(Us):
@@ -326,6 +337,21 @@ def test_one_element_motion_is_bitwise_its_stacked_row(fam, params):
         g = kb.coadjoint_move(alg, F, U)
         assert np.array_equal(_int_bits(g), _int_bits(F @ want)), (k, U)
         assert np.array_equal(_int_bits(G[k]), _int_bits(g)), (k, U)
+
+
+@pytest.mark.parametrize("fam,params", CANONICAL)
+def test_stack_split_into_core_chunks_is_bitwise_its_rows(fam, params):
+    # a stack longer than _CORE_ROWS runs its Taylor core in chunks; every
+    # row, on either side of a chunk boundary, keeps its one-element bits
+    rng = np.random.default_rng(73)
+    alg = kb.build_algebra(fam, params)
+    n = 2 * exp_action._CORE_ROWS + 3
+    radii = rng.choice([0.3, 2.0, 8.0], n)
+    Us = rng.uniform(-1.0, 1.0, (n, 5)) * radii[:, None]
+    E = kb.exp_ad(alg, Us).m
+    for k, U in enumerate(Us):
+        one = kb.exp_ad(alg, U).m
+        assert np.array_equal(_int_bits(E[k]), _int_bits(one)), k
 
 
 @pytest.mark.parametrize("fam,params", CANONICAL)
@@ -634,3 +660,97 @@ def test_spectral_row_reproduces_ad_x2_bitwise(fam):
         A = exp_action._matrix_function(exp_action._identity_jet, mus,
                                         links, 1.0)
         assert _same_bits(A, kb.ad2_matrix(fam, p)), p
+
+
+@pytest.mark.parametrize("fam,params", CANONICAL)
+def test_closed_route_block_is_bitwise_a_fresh_build(fam, params):
+    # A = ad(X2) on the ideal is built once per spectral row and shared;
+    # the shared copy holds the bits of a build on every call
+    eigenvalues, links = exp_action._SPECTRA[fam]
+    mus = eigenvalues(algebra.validate_params(fam, params))
+    fresh = exp_action._matrix_function(exp_action._identity_jet, mus,
+                                        links, 1.0)
+    shared = exp_action._ad_x2_block(mus, links)
+    assert _same_bits(shared, fresh)
+    assert exp_action._ad_x2_block(mus, links) is shared
+    assert not shared.flags.writeable
+    rng = np.random.default_rng(89)
+    for U in rng.uniform(-3.0, 3.0, (20, 5)):
+        got = kb.exp_ad_closed(fam, params, U).m
+        assert _same_bits(got, _ref_exp_ad_closed(fam, params, U)), U
+
+
+def test_closed_route_block_keeps_the_sign_of_a_zero_eigenvalue():
+    # 0.0 == -0.0, so a cache keyed on the eigenvalues would hand one
+    # sign's A to the other; each sign gets the bits of its own build
+    for lam in (0.0, -0.0, 0.0, -0.0):
+        mus = (lam, 3.0, 1.0)
+        fresh = exp_action._matrix_function(exp_action._identity_jet, mus,
+                                            (), 1.0)
+        assert _same_bits(exp_action._ad_x2_block(mus, ()), fresh), lam
+    U = np.array([-0.0, 0.5, 1.0, -1.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", kb.ParameterWarning)
+        for lam in (0.0, -0.0):
+            p = algebra.validate_params("5.3.1", {"lambda1": lam,
+                                                  "lambda2": 3.0})
+            got = kb.exp_ad_closed("5.3.1", p, U).m
+            assert _same_bits(got, _ref_exp_ad_closed("5.3.1", p, U)), lam
+
+
+def test_squaring_counts_follow_the_log2_rule_at_powers_of_two():
+    # ceil(log2 v) from numpy's log2 against math.log2, at every power of
+    # two in the float range and one ulp either side, where a log2 that
+    # rounds the wrong way would give one squaring too few or too many
+    powers = [math.ldexp(1.0, k) for k in range(-60, 1024)]
+    norms = [0.0] + [v for p in powers
+                     for v in (math.nextafter(p, 0.0), p,
+                               math.nextafter(p, math.inf))]
+    norms.append(np.finfo(float).max)
+    got = exp_action._squarings(np.array(norms))
+    want = [math.ceil(math.log2(v)) if v > 1.0 else 0 for v in norms]
+    assert got.tolist() == want
+    assert [exp_action._squarings(v) for v in norms[:400:7]] == want[:400:7]
+    bad = exp_action._squarings(np.array([math.inf, math.nan]))
+    assert not np.isfinite(bad).any()
+
+
+@pytest.mark.parametrize("fam,params", CANONICAL)
+def test_exp_ad_matches_scipy_over_radii(fam, params):
+    # an independent exponential (Pade, scipy) over the radii of the
+    # stacked tests and b = -300, relative to each matrix's largest entry
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(97)
+    alg = kb.build_algebra(fam, params)
+    for radius, bound in ((1e-3, 1e-15), (0.3, 1e-15), (2.0, 1e-10),
+                          (8.0, 1e-10), (40.0, 1e-10)):
+        Us = rng.uniform(-radius, radius, (40, 5))
+        if radius == 40.0:
+            Us = np.vstack([Us, [0.25, -300.0, 0.5, -0.75, 1.0]])
+        E = kb.exp_ad(alg, Us).m
+        for U, got, M in zip(Us, E, kb.ad_matrix(alg, Us)):
+            want = scipy_linalg.expm(M)
+            dev = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert dev <= bound, (radius, U, dev)
+
+
+@pytest.mark.parametrize("fam", kb.FAMILY_TAGS)
+def test_crosscheck_gap_per_family(fam):
+    # the generic route against the closed one at criterion 2's draws,
+    # family by family; for 5.3.1 also the literal motion
+    rng = np.random.default_rng(20240811)
+    alg = kb.build_algebra(fam, None)
+    Us = rng.uniform(-3.0, 3.0, (1000, 5))
+    E = kb.exp_ad(alg, Us).m
+    gap = max(float(np.max(np.abs(E[k] - kb.exp_ad_closed(fam, None, U).m)))
+              for k, U in enumerate(Us))
+    assert gap < 1e-9
+    if fam == "5.3.1":
+        alg1 = kb.build_algebra(fam, (2.0, 3.0))
+        Fs = rng.uniform(-3.0, 3.0, (1000, 5))
+        Vs = rng.uniform(-2.0, 2.0, (1000, 5))
+        G = kb.coadjoint_move(alg1, Fs, Vs)
+        motion = max(float(np.max(np.abs(g - kb.coadjoint_move_531(
+            alg1.params, F, V))) / (1.0 + np.max(np.abs(g))))
+            for g, F, V in zip(G, Fs, Vs))
+        assert motion < 1e-9
