@@ -118,10 +118,7 @@ def family_row(family) -> Family:
 
 
 def _as_float(name, value):
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"parameter {name} must be a real number, got {value!r}") from None
+    v = _as_real(f"parameter {name}", value)
     if not math.isfinite(v):
         raise DomainError(f"parameter {name} must be finite, got {v!r}")
     return v
@@ -198,7 +195,10 @@ class LieAlgebra:
     family: str
     params: dict
     c: np.ndarray
-    c_max: float = field(default=math.inf, repr=False, compare=False)
+    c_max: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "c_max", float(np.abs(self.c).max()))
 
     @property
     def dim(self) -> int:
@@ -219,8 +219,7 @@ def build_algebra(family, params=None) -> LieAlgebra:
                 c[1, 2 + j, 2 + i] = A[i, j]
                 c[2 + j, 1, 2 + i] = -A[i, j]
     c.setflags(write=False)
-    return LieAlgebra(family=family, params=p, c=c,
-                      c_max=float(np.abs(c).max()))
+    return LieAlgebra(family=family, params=p, c=c)
 
 
 def _as_real_array(v, what) -> np.ndarray:
@@ -254,7 +253,8 @@ def as_stack5(v, what="vector") -> np.ndarray:
     return arr
 
 
-def _as_float(what, value) -> float:
+def _as_real(what, value) -> float:
+    """float(value), or a DomainError naming what if float() refuses it."""
     try:
         return float(value)
     except (TypeError, ValueError):  # None, "abc", 1j, a list
@@ -266,7 +266,7 @@ def as_tolerance(what, value, zero_ok: bool = False) -> float:
     """A tolerance or step as a float. It must be finite and positive (or
     zero, if zero_ok); an infinite, NaN or negative one would make its
     check vacuous or silently switch it off."""
-    v = _as_float(what, value)
+    v = _as_real(what, value)
     if not (math.isfinite(v) and (v > 0.0 or (zero_ok and v == 0.0))):
         bound = "nonnegative" if zero_ok else "positive"
         raise DomainError(f"{what} must be finite and {bound}, got {v}")
@@ -276,7 +276,7 @@ def as_tolerance(what, value, zero_ok: bool = False) -> float:
 def as_radius(radius) -> float:
     """A sampling radius, which must be finite and positive, and small
     enough that the cube's width 2*radius is finite."""
-    r = _as_float("sampling radius", radius)
+    r = _as_real("sampling radius", radius)
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"sampling radius must be finite and positive, got {r!r}")
     if not math.isfinite(2.0 * r):
@@ -329,7 +329,7 @@ def ad_matrix(alg: LieAlgebra, U) -> np.ndarray:
         umax = max(map(abs, U.tolist()))
     else:
         umax = np.abs(U).max(initial=0.0)
-    if umax <= _DOT_SAFE / alg.c_max:
+    if umax * alg.c_max <= _DOT_SAFE:
         M = np.dot(U, c)
     else:  # the caller refuses what overflows, without a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):

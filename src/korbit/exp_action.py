@@ -17,8 +17,7 @@ the algebra's ad_x2 template: its table _SPECTRA gives per family the
 eigenvalues of A on (z, t, s), a complex pair being a rotation-scaling
 block, and A's Jordan links. _matrix_function turns a row into f(b*A)
 for f = exp, phi1 and the identity (A itself): f(b*mu) on the diagonal,
-b*f'(b*mu) on each link, (b^2/2)*f''(b*mu) across a two-link chain. A
-itself is built once per row (_ad_x2_block).
+b*f'(b*mu) on each link, (b^2/2)*f''(b*mu) across a two-link chain.
 
 Every motion function refuses a result past the float range with a
 DomainError naming the element, or its row of a stack. The checks run
@@ -26,7 +25,6 @@ only where overflow is possible (_EXP_SAFE_SQUARINGS, _SAFE_EXPONENT).
 """
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -56,10 +54,11 @@ _SAFE_EXPONENT = 350.0
 _EYE = np.eye(5)
 _EYE.setflags(write=False)
 # A stack's Taylor core runs on at most this many rows at a time, so that
-# each of its buffers stays below 128 KiB. Larger ones are, by malloc's
-# default, mapped afresh or trimmed off the heap when freed, and each call
-# then page-faults them in again: unchunked, a pass of the perfbench
-# foliation workload took about 12 000 minor faults, chunked none.
+# each of its buffers stays below 128 KiB, glibc's default mmap and trim
+# threshold. A larger buffer is mapped afresh or trimmed off the heap when
+# freed, and each call then page-faults it in again: unchunked, one pass
+# of the perfbench verify workload took about 40 600 minor faults, chunked
+# about 3.
 _CORE_ROWS = 128
 
 
@@ -283,25 +282,9 @@ def _matrix_function(jet, mus, links, b):
     return M
 
 
-@functools.lru_cache(maxsize=256)
-def _shared_ad_x2_block(mus, links):
-    A = _matrix_function(_identity_jet, mus, links, 1.0)
-    A.setflags(write=False)  # every caller with this row shares it
-    return A
-
-
-def _ad_x2_block(mus, links):
-    """A = ad(X2) on the ideal, built once per spectral row. A row with a
-    zero eigenvalue is built on each call: 0.0 == -0.0 as a cache key, but
-    A keeps the sign of its zero."""
-    if 0.0 in mus:
-        return _matrix_function(_identity_jet, mus, links, 1.0)
-    return _shared_ad_x2_block(mus, links)
-
-
 def _closed_form(mus, links, U):
     a, b, w = U[0], float(U[1]), U[2:]
-    A = _ad_x2_block(mus, links)
+    A = _matrix_function(_identity_jet, mus, links, 1.0)
     E3 = _matrix_function(_exp_jet, mus, links, b)
     P3 = _matrix_function(_phi1_jet, mus, links, b)
     V = np.zeros((3, 2))

@@ -148,6 +148,32 @@ def test_param_count_and_name_errors():
         kb.validate_params("5.3.4", (1.0,))
 
 
+@pytest.mark.parametrize("value,line", [
+    (math.inf, "parameter lambda must be finite, got inf"),
+    (-math.inf, "parameter lambda must be finite, got -inf"),
+    (math.nan, "parameter lambda must be finite, got nan"),
+    ("abc", "parameter lambda must be a real number, got 'abc'"),
+    (None, "parameter lambda must be a real number, got None")])
+def test_non_finite_or_non_numeric_param_is_refused_by_name(value, line):
+    # NaN != 0 holds, so only the finiteness check keeps NaN out of the
+    # domain tests; both parameter paths refuse it by the parameter's name
+    for params in ({"lambda": value}, [value]):
+        with pytest.raises(DomainError) as err:
+            kb.validate_params("5.3.2", params)
+        assert str(err.value) == line
+
+
+def test_c_max_follows_the_structure_tensor():
+    # c_max is read off c, never passed in, so it cannot disagree with c
+    alg = kb.build_algebra("5.3.6", {"lambda": 40.0})
+    assert alg.c_max == 40.0
+    with pytest.raises(TypeError):
+        kb.LieAlgebra(family="5.3.6", params={}, c=alg.c, c_max=1.0)
+    zero = kb.LieAlgebra(family="5.3.6", params={}, c=np.zeros((5, 5, 5)))
+    assert zero.c_max == 0.0
+    assert not kb.ad_matrix(zero, np.full(5, 1e300)).any()
+
+
 def test_zero_first_eigenvalue_accepted_with_warning():
     for fam, params in [("5.3.1", (0.0, 3.0)), ("5.3.3", (0.0,)),
                         ("5.3.5", (0.0,))]:

@@ -463,3 +463,13 @@ def test_unset_options_take_the_library_defaults(capsys):
     assert code == 0
     assert {k: doc[k] for k in names} == defaults(
         foliation.partition_check, *names)
+
+
+def test_non_finite_params_are_refused_by_name():
+    for given, line in (("lambda=inf", "parameter lambda must be finite, got inf"),
+                        ("lambda=nan", "parameter lambda must be finite, got nan"),
+                        ("lambda=-inf", "parameter lambda must be finite, got -inf")):
+        r = run_cli("classify", "--family", "5.3.2", "--params", given,
+                    "--covector", "1,1,1,1,1")
+        assert (r.returncode, r.stderr, r.stdout) == (2, f"error: {line}\n",
+                                                      ""), given

@@ -662,42 +662,6 @@ def test_spectral_row_reproduces_ad_x2_bitwise(fam):
         assert _same_bits(A, kb.ad2_matrix(fam, p)), p
 
 
-@pytest.mark.parametrize("fam,params", CANONICAL)
-def test_closed_route_block_is_bitwise_a_fresh_build(fam, params):
-    # A = ad(X2) on the ideal is built once per spectral row and shared;
-    # the shared copy holds the bits of a build on every call
-    eigenvalues, links = exp_action._SPECTRA[fam]
-    mus = eigenvalues(algebra.validate_params(fam, params))
-    fresh = exp_action._matrix_function(exp_action._identity_jet, mus,
-                                        links, 1.0)
-    shared = exp_action._ad_x2_block(mus, links)
-    assert _same_bits(shared, fresh)
-    assert exp_action._ad_x2_block(mus, links) is shared
-    assert not shared.flags.writeable
-    rng = np.random.default_rng(89)
-    for U in rng.uniform(-3.0, 3.0, (20, 5)):
-        got = kb.exp_ad_closed(fam, params, U).m
-        assert _same_bits(got, _ref_exp_ad_closed(fam, params, U)), U
-
-
-def test_closed_route_block_keeps_the_sign_of_a_zero_eigenvalue():
-    # 0.0 == -0.0, so a cache keyed on the eigenvalues would hand one
-    # sign's A to the other; each sign gets the bits of its own build
-    for lam in (0.0, -0.0, 0.0, -0.0):
-        mus = (lam, 3.0, 1.0)
-        fresh = exp_action._matrix_function(exp_action._identity_jet, mus,
-                                            (), 1.0)
-        assert _same_bits(exp_action._ad_x2_block(mus, ()), fresh), lam
-    U = np.array([-0.0, 0.5, 1.0, -1.0, -1.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", kb.ParameterWarning)
-        for lam in (0.0, -0.0):
-            p = algebra.validate_params("5.3.1", {"lambda1": lam,
-                                                  "lambda2": 3.0})
-            got = kb.exp_ad_closed("5.3.1", p, U).m
-            assert _same_bits(got, _ref_exp_ad_closed("5.3.1", p, U)), lam
-
-
 def test_squaring_counts_follow_the_log2_rule_at_powers_of_two():
     # ceil(log2 v) from numpy's log2 against math.log2, at every power of
     # two in the float range and one ulp either side, where a log2 that
