@@ -390,20 +390,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_NEGATIVE = re.compile(r"-(\.?\d|(inf|infinity|nan)([,\s]|$))", re.IGNORECASE)
+
+
 def _attach_negative_values(argv):
     """Spell '--params -2,0.5' as '--params=-2,0.5'.
 
     argparse reads a token that starts with '-' as an option unless it is a
     plain number without an exponent, so value lists such as '-2,0.5' and
-    numbers such as '-1e-3' would be refused. Every korbit option but
-    --help takes one value, so any '--option' token followed by a token
-    that starts with a minus and a digit is joined with it.
+    numbers such as '-1e-3' or '-inf' would be refused. Every korbit option
+    but --help takes one value, so any '--option' token followed by a token
+    that starts with a negative number is joined with it: a minus and a
+    digit, or a minus and one of float()'s spellings inf, infinity and nan
+    in any case.
     """
     out = []
     for arg in argv:
         prev = out[-1] if out else ""
         if (prev.startswith("--") and "=" not in prev
-                and prev not in ("--", "--help") and re.match(r"-\.?\d", arg)):
+                and prev not in ("--", "--help") and _NEGATIVE.match(arg)):
             out[-1] = f"{prev}={arg}"
         else:
             out.append(arg)

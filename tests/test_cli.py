@@ -154,6 +154,9 @@ def test_vacuous_sample_counts_exit_2():
             (("classify", "--family", "5.3.1", "--covector", "1,1,1,1,1",
               "--snap-tol", "-1e-3"),
              "snap_tol must be finite and nonnegative, got -0.001"),
+            (("classify", "--family", "5.3.1", "--covector", "1,1,1,1,1",
+              "--snap-tol", "-inf"),
+             "snap_tol must be finite and nonnegative, got -inf"),
             (("verify-props", "--family", "5.3.4", "--grad-tol", "-1e-4",
               "--seed", "3"),
              "grad_tol must be finite and positive, got -0.0001"),
@@ -470,6 +473,17 @@ def test_non_finite_params_are_refused_by_name():
                         ("lambda=nan", "parameter lambda must be finite, got nan"),
                         ("lambda=-inf", "parameter lambda must be finite, got -inf")):
         r = run_cli("classify", "--family", "5.3.2", "--params", given,
+                    "--covector", "1,1,1,1,1")
+        assert (r.returncode, r.stderr, r.stdout) == (2, f"error: {line}\n",
+                                                      ""), given
+    # a negative non-finite value given as its own token, in any of
+    # float()'s spellings, reaches the same refusal, not argparse's
+    for family, given, line in (
+            ("5.3.2", "-inf", "parameter lambda must be finite, got -inf"),
+            ("5.3.2", "-Infinity", "parameter lambda must be finite, got -inf"),
+            ("5.3.2", "-NAN", "parameter lambda must be finite, got nan"),
+            ("5.3.1", "-inf,2", "parameter lambda1 must be finite, got -inf")):
+        r = run_cli("classify", "--family", family, "--params", given,
                     "--covector", "1,1,1,1,1")
         assert (r.returncode, r.stderr, r.stdout) == (2, f"error: {line}\n",
                                                       ""), given

@@ -290,6 +290,17 @@ def test_md_scan_matches_svd_reference(fam, params, rank_tol):
                                                    rank_tol)
 
 
+def test_md_scan_matches_svd_reference_across_blocks():
+    # at rank_tol 1 every form reads rank 0, so every row off the zero
+    # stratum is a zero-rank failure, and their indices and covectors are
+    # compared across each of md_scan's block boundaries
+    n = 2 * kirillov._SCAN_ROWS + 3
+    rep = kb.md_scan("5.3.4", None, n=n, seed=29, rank_tol=1.0).to_json_dict()
+    assert rep == _svd_scan_payload("5.3.4", None, n, 29, 1.0)
+    assert rep["histogram"] == {"0": n}
+    assert len(rep["zero_rank_failures"]) == n - n // 8
+
+
 def _certificate_rows(rng, tol, s1, k):
     """A stack at the largest singular value s1, and which rows the
     certificate must leave open (within a factor 2 of the threshold, its
