@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_NEGATIVE = re.compile(r"-(\.?\d|(inf|infinity|nan)([,\s]|$))", re.IGNORECASE)
+_NEGATIVE = re.compile(r"-(\.?\d|(inf|infinity|nan)\b)", re.IGNORECASE)
 
 
 def _attach_negative_values(argv):
