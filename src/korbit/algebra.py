@@ -244,9 +244,9 @@ def as_vector5(v, what="vector") -> np.ndarray:
 def as_stack5(v, what="vector") -> np.ndarray:
     """One finite vector (5,) or an (n, 5) stack of them, unchanged in shape."""
     arr = _as_real_array(v, what)
-    if arr.ndim == 1:
-        return as_vector5(arr, what)
-    if arr.ndim != 2 or arr.shape[1] != 5:
+    if arr.ndim == 1 and arr.shape != (5,):
+        raise DomainError(f"{what} must have 5 coordinates, got shape {arr.shape}")
+    if arr.ndim not in (1, 2) or arr.shape[-1] != 5:
         raise DomainError(f"{what} must have shape (5,) or (n, 5), got {arr.shape}")
     if not np.isfinite(arr).all():
         raise DomainError(f"{what} must have finite coordinates")
@@ -321,7 +321,11 @@ def ad_matrix(alg: LieAlgebra, U) -> np.ndarray:
     (n, 5, 5): one product of U with c as a (5, 25) matrix, returned as
     the transposed view of its (5, 5) blocks.
     """
-    U = as_stack5(U, "algebra element")
+    return _ad(alg, as_stack5(U, "algebra element"))
+
+
+def _ad(alg: LieAlgebra, U: np.ndarray) -> np.ndarray:
+    """ad_matrix of a checked float element or stack."""
     c = alg.c.reshape(5, 25)
     # entry (j, k) of row n is sum_i U[n, i] c[i, j, k], a sum of five
     # products, so no entry overflows while max|U| * c_max <= _DOT_SAFE

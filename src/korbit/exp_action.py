@@ -329,13 +329,18 @@ def coadjoint_move(alg: algebra.LieAlgebra, F, U) -> np.ndarray:
     DomainError naming its element, or its row of a stack.
     """
     F = algebra.as_stack5(F, "covector")
-    if F.ndim == 2:
-        U = algebra.as_stack5(U, "algebra element")
-        if U.shape != F.shape:
-            raise DomainError(
-                f"a covector stack of shape {F.shape} moves by an element "
-                f"stack of the same shape, got {U.shape}")
-    E = exp_ad(alg, U).m
+    U = algebra.as_stack5(U, "algebra element")
+    if F.ndim == 2 and U.shape != F.shape:
+        raise DomainError(
+            f"a covector stack of shape {F.shape} moves by an element "
+            f"stack of the same shape, got {U.shape}")
+    return _move(alg, F, U)
+
+
+def _move(alg: algebra.LieAlgebra, F: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """coadjoint_move of a checked float covector or stack F and element
+    or stack U."""
+    E = _expm(algebra._ad(alg, U), U)
     if E.ndim == 2:  # one element, so F is one covector
         G = np.dot(F, E)
         if not all(map(math.isfinite, G.tolist())):
@@ -372,7 +377,7 @@ def coadjoint_move_531(params, F, U) -> np.ndarray:
         s = si * math.exp(b)
     except OverflowError:
         raise _overflow("the coadjoint image", U, None) from None
-    x = al - ga * phi_series(l1, b)
+    x = al - ga * (b * _phi1(b * l1))
     y = (be + ga * (a - c * l1) * _phi1(b * l1)
          - de * d * l2 * _phi1(b * l2)
          - si * f * _phi1(b))
@@ -416,6 +421,6 @@ def sample_orbit(alg: algebra.LieAlgebra, F, n: int, seed: int,
     radius = algebra.as_radius(radius)
     rng = np.random.default_rng(seed)
     Us = rng.uniform(-radius, radius, size=(n, 5))
-    pts = coadjoint_move(alg, F, Us)
+    pts = _move(alg, F, Us)
     return OrbitSample(family=alg.family, params=dict(alg.params),
                        base=F, points=pts, seed=seed, radius=radius)

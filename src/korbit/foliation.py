@@ -102,22 +102,21 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
     same_leaf = 0
     disjoint = []  # (i, Fa, desc_b) of every pair on distinct orbits
     for i in range(pairs):
-        Fa = pts[2 * i].copy()
-        Fb = pts[2 * i + 1].copy()
-        desc_a = orbits.classify_orbit(alg.family, alg.params, Fa)
+        desc_a = orbits._descriptor(alg.family, alg.params, pts[2 * i].copy())
+        Fa, Fb = desc_a.base, pts[2 * i + 1]
         expect = None
         if i % 5 == 3:
             U = rng.uniform(-1.5, 1.5, size=5)
-            Fb = exp_action.coadjoint_move(alg, Fa, U)
+            Fb = exp_action._move(alg, Fa, U)
             expect = True
         elif i % 5 == 4:
             j = desc_a.signs[0].coord if desc_a.signs else 2
             Fb = Fa.copy()
             Fb[j] = -Fb[j]
             expect = False
-        desc_b = orbits.classify_orbit(alg.family, alg.params, Fb)
+        desc_b = orbits._descriptor(alg.family, alg.params, Fb.copy())
         try:
-            eq = orbits._mutual_membership(desc_a, desc_b, Fa, Fb, tol)
+            eq = orbits._mutual_membership(desc_a, desc_b, tol)
         except AsymmetryError as exc:
             failures.append({"pair": i, "kind": "asymmetry",
                              "detail": str(exc)})
@@ -181,7 +180,7 @@ def _moved_probes(alg, disjoint, seed, probe_points):
                 -1.5, 1.5, size=(probe_points, 5)) for i, _, _ in chunk])
         Fs = np.repeat([Fa for _, Fa, _ in chunk], probe_points, axis=0)
         try:
-            P = exp_action.coadjoint_move(alg, Fs, Us)
+            P = exp_action._move(alg, Fs, Us)
         except DomainError:
             _refuse_pair_overflow(alg, chunk, Us, probe_points)
             raise
@@ -196,7 +195,7 @@ def _refuse_pair_overflow(alg, chunk, Us, probe_points):
     for m, (i, Fa, _) in enumerate(chunk):
         try:
             with np.errstate(all="ignore"):  # the stack has warned already
-                exp_action.coadjoint_move(
+                exp_action._move(
                     alg, Fa, Us[m * probe_points:(m + 1) * probe_points])
         except DomainError as exc:
             raise DomainError(f"family {alg.family}, pair {i}, base "
@@ -222,7 +221,7 @@ def local_triviality_probe(family, params, case_index, n: int = 100,
                                       sign_variants=False)[0]
     else:
         base = algebra.as_vector5(base, "base covector")
-    desc = orbits.classify_orbit(alg.family, alg.params, base)
+    desc = orbits._descriptor(alg.family, alg.params, base.copy())
     if desc.case_index != case_index:
         raise DomainError(
             f"base lies in case {desc.case_index}, not case {case_index}")

@@ -529,6 +529,12 @@ def classify_orbit(family, params, F, snap_tol: float = 0.0) -> OrbitDescriptor:
             if base[i] != 0.0 and abs(base[i]) < snap_tol:
                 base[i] = 0.0
                 snapped = True
+    return _descriptor(family, p, base, snapped)
+
+
+def _descriptor(family, p, base, snapped=False) -> OrbitDescriptor:
+    """classify_orbit of a canonical family tag, a validate_params dict and
+    a finite float covector, which the descriptor keeps as its base."""
     ga, de, si = base[_Z], base[_T], base[_S]
 
     case_index = _case_of(family, ga, de, si)
@@ -626,17 +632,17 @@ def _jacobian(desc, P):
 def constraint_residuals(desc: OrbitDescriptor, p) -> np.ndarray:
     """Normalized residuals g_i(p)/(1 + |p|_inf), in descriptor order.
 
-    Raises EvaluationError when a power/log argument is not strictly
-    positive at p.
+    p is one point (5,) or an (n, 5) stack, and the result (k,) or (n, k).
+    Raises DomainError when p is not finite real points, EvaluationError
+    when a power/log argument is not strictly positive at p.
     """
-    P = np.asarray(p, dtype=float)
-    if P.shape[-1] != 5:
-        raise DomainError("point must have 5 coordinates")
+    P, single = _stack(p)
     for con, g, ok in _guards(desc, P):
         if not np.all(ok):
             raise EvaluationError(
                 f"cannot evaluate {con.expr!r}: requires {g.expr}")
-    return _residual_rows(desc, P)
+    res = _residual_rows(desc, P)
+    return res[0] if single else res
 
 
 def is_member(desc: OrbitDescriptor, p, tol: float = 1e-8) -> bool:
@@ -646,7 +652,12 @@ def is_member(desc: OrbitDescriptor, p, tol: float = 1e-8) -> bool:
     tol must be finite and positive (DomainError otherwise).
     """
     tol = algebra.as_tolerance("membership tolerance", tol)
-    P = algebra.as_vector5(p, "point")[None, :]
+    return _member(desc, algebra.as_vector5(p, "point"), tol)
+
+
+def _member(desc, p, tol) -> bool:
+    """is_member of a finite float point p with a checked tol."""
+    P = p[None, :]
     return bool(_admitted(desc, P)[1][0]
                 and np.all(np.abs(_residual_rows(desc, P)) < tol))
 
@@ -717,20 +728,21 @@ def _fd_rows(desc, P, J, step):
 def orbits_equal(alg: algebra.LieAlgebra, F1, F2, tol: float = 1e-8) -> bool:
     """Mutual membership check; both directions must agree. tol must be
     finite and positive (DomainError otherwise)."""
-    return _mutual_membership(classify_orbit(alg.family, alg.params, F1),
-                              classify_orbit(alg.family, alg.params, F2),
-                              F1, F2, tol)
+    d1, d2 = (_descriptor(alg.family, alg.params,
+                          algebra.as_vector5(F, "covector").copy())
+              for F in (F1, F2))
+    return _mutual_membership(
+        d1, d2, algebra.as_tolerance("membership tolerance", tol))
 
 
-def _mutual_membership(d1, d2, F1, F2, tol) -> bool:
-    """orbits_equal of F1 and F2, given their descriptors d1 and d2."""
-    a = is_member(d1, F2, tol)
-    b = is_member(d2, F1, tol)
+def _mutual_membership(d1, d2, tol) -> bool:
+    """orbits_equal of the bases of descriptors d1 and d2."""
+    a = _member(d1, d2.base, tol)
+    b = _member(d2, d1.base, tol)
     if a != b:
         raise AsymmetryError(
             f"orbit membership disagreed for family {d1.family}: "
-            f"{list(map(float, np.asarray(F1, float)))} vs "
-            f"{list(map(float, np.asarray(F2, float)))} ({a} / {b})")
+            f"{d1.base.tolist()} vs {d2.base.tolist()} ({a} / {b})")
     return a
 
 
@@ -849,7 +861,7 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
     grad_worst = 0.0
     prov_acc = {}
 
-    descs = [classify_orbit(family, p, B) for B in bases]
+    descs = [_descriptor(family, p, B.copy()) for B in bases]
     for k, (B, desc) in enumerate(zip(bases, descs)):
         if desc.case_index != case_index:
             raise DomainError(

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import korbit as kb
-from korbit import exp_action, foliation, kirillov, orbits
-from korbit.errors import AsymmetryError, DomainError, EvaluationError
+from korbit import algebra, exp_action, foliation, kirillov, orbits
+from korbit.errors import (AsymmetryError, DomainError, EvaluationError,
+                           ParameterWarning)
 
 from conftest import CANONICAL
 
@@ -359,7 +360,7 @@ def test_stacked_probes_are_bitwise_per_pair_samples(fam, params,
     # 500 rows hold 71 pairs of 7 probes (not a divisor), one pair of 333,
     # and less than one pair of 600
     moved = foliation._moved_probes
-    move = exp_action.coadjoint_move
+    move = exp_action._move
     probes, stacks = [], []
 
     def recorded(alg, disjoint, seed, probe_points):
@@ -374,7 +375,7 @@ def test_stacked_probes_are_bitwise_per_pair_samples(fam, params,
         return move(alg, F, U)
 
     monkeypatch.setattr(foliation, "_moved_probes", recorded)
-    monkeypatch.setattr(exp_action, "coadjoint_move", counted)
+    monkeypatch.setattr(exp_action, "_move", counted)
     alg = kb.build_algebra(fam, params)
     assert list(moved(alg, [], 9, 50)) == []
     for pairs, probe_points in ((100, 1), (100, 7), (20, 50), (20, 333),
@@ -394,6 +395,41 @@ def test_stacked_probes_are_bitwise_per_pair_samples(fam, params,
         assert len(stacks) == -(-len(probes) // per_stack)
         assert sum(stacks) == probe_points * len(probes)
         assert max(stacks, default=0) <= max(500, probe_points)
+
+
+def test_public_calls_validate_their_arguments_once(monkeypatch):
+    # the public entry point checks parameters and arrays; the package's own
+    # calls below it hand checked values to private kernels
+    calls = dict.fromkeys(("validate_params", "as_vector5", "as_stack5"), 0)
+    for name in calls:
+        def counted(*args, _check=getattr(algebra, name), _name=name, **kw):
+            calls[_name] += 1
+            return _check(*args, **kw)
+        monkeypatch.setattr(algebra, name, counted)
+    for run in (lambda: kb.verify_proposition("5.3.5", None, 8, n=20, seed=1),
+                lambda: kb.local_triviality_probe("5.3.5", None, 8, n=20, seed=1),
+                lambda: kb.partition_check("5.3.2", None, pairs=20, seed=1)):
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        assert calls["validate_params"] == 1
+    # partition_check, the last run, checks one array: its covector draw
+    assert calls["as_vector5"] + calls["as_stack5"] <= 1
+
+
+def test_one_public_call_issues_one_parameter_warning():
+    p = {"lambda": 0.0}
+    for run in (lambda: kb.verify_proposition("5.3.3", p, 2, n=20, seed=1),
+                lambda: kb.local_triviality_probe("5.3.3", p, 2)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        assert [w.category for w in caught] == [ParameterWarning]
+    # orbits_equal takes a built algebra, whose parameters were checked
+    with pytest.warns(ParameterWarning):
+        alg = kb.build_algebra("5.3.3", p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not kb.orbits_equal(alg, [1, 1, 0, 0, 1], [1, 1, 0, 0, -1])
 
 
 @pytest.mark.parametrize("fam", [f"5.3.{k}" for k in range(1, 9)])

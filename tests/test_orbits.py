@@ -102,11 +102,31 @@ def test_membership_dim_zero():
 
 def test_residuals_raise_on_unevaluable_points():
     desc = kb.classify_orbit("5.3.1", P531, [0, 0, 1, 0, 1])  # case 6
-    for s in (-1.0, math.nan):
-        with pytest.raises(EvaluationError):
-            kb.constraint_residuals(desc, [0.0, 0.0, 1.0, 0.0, s])
+    with pytest.raises(EvaluationError):
+        kb.constraint_residuals(desc, [0.0, 0.0, 1.0, 0.0, -1.0])
     # is_member folds that into a refusal
     assert not kb.is_member(desc, [0.0, 0.0, 1.0, 0.0, -1.0])
+    # a NaN coordinate makes no point at all, as for is_member
+    with pytest.raises(DomainError, match="finite coordinates"):
+        kb.constraint_residuals(desc, [0.0, 0.0, 1.0, 0.0, math.nan])
+
+
+def test_residuals_refuse_non_points_and_keep_the_stack_shape():
+    desc = kb.classify_orbit("5.3.1", P531, [0, 0, 1, 0, 1])  # case 6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NaN residuals, no RuntimeWarning
+        for bad, match in (([1, 1, 1, 1, math.inf], "finite coordinates"),
+                           (1.0, r"shape \(5,\) or \(n, 5\), got \(\)"),
+                           ("abcde", "must hold real numbers")):
+            with pytest.raises(DomainError, match=match):
+                kb.constraint_residuals(desc, bad)
+    alg = kb.build_algebra("5.3.1", P531)
+    P = kb.sample_orbit(alg, [0, 0, 1, 0, 1], 4, seed=1).points
+    R = kb.constraint_residuals(desc, P)
+    assert R.shape == (4, 3)
+    for k in range(4):
+        r = kb.constraint_residuals(desc, P[k])
+        assert r.shape == (3,) and np.array_equal(r, R[k])
 
 
 def test_residual_normalization():
