@@ -19,6 +19,8 @@ steps, as_radius for sampling radii and as_count for counts and seeds.
 """
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -168,8 +170,20 @@ def validate_params(family, params=None) -> dict:
             f"family {family} with {row.zero_warning} = 0 is accepted, but "
             "the generic orbit case equations degenerate; classify_orbit "
             "refuses cases with gamma != 0 for these parameters",
-            ParameterWarning, stacklevel=2)
+            ParameterWarning, stacklevel=_outside_stacklevel())
     return p
+
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _outside_stacklevel() -> int:
+    """warnings.warn's stacklevel, called from this function's caller, for
+    the first frame outside the package: the user's call."""
+    level, frame = 1, sys._getframe(1)
+    while frame and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 def render_ad2(family, p) -> np.ndarray:

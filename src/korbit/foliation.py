@@ -11,11 +11,11 @@ second moves the probes of every disjoint pair, whole pairs stacked up to
 _PROBE_CHUNK_ROWS rows per exp_ad call, each row by its own pair's
 covector. Only probes admitted by the partner descriptor's membership
 mask (guards and signs) get residuals, and failures are listed in pair
-order.
+order. The chart probe is verify_proposition's sample of one base
+(orbits._case_sample) under kirillov's chart rule (_charted_rank3).
 """
 
 import dataclasses
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +25,6 @@ from .errors import AsymmetryError, DomainError
 
 # Disjoint-pair probes move in stacks of whole pairs up to this many rows.
 _PROBE_CHUNK_ROWS = 500
-# Chart minors, the four that leave y (column 1) free first: y is always
-# a free coordinate of these orbits, so those minors chart most rows.
-_CHART_MINORS = tuple(sorted(itertools.combinations(range(5), 3),
-                             key=lambda cols: 1 in cols))
 
 _NOTICE = ("this report checks the set-theoretic orbit partition only; "
            "transverse-measure functionals on the leaf space have no finite "
@@ -207,57 +203,25 @@ def local_triviality_probe(family, params, case_index, n: int = 100,
                            rank_tol: float = 1e-9) -> bool:
     """True when every sampled orbit member admits a coordinate chart.
 
-    At each of n sampled points the constraint Jacobian must have rank 3
-    and some 3-column submatrix (the complement of two chart coordinates)
-    must be nonsingular, so the orbit is locally a graph over the two
-    remaining coordinates. rank_tol must be finite and positive
-    (DomainError otherwise).
+    At each of n points sampled from the base (canonical_bases(family,
+    case_index)[0] unless given), the constraint Jacobian must have rank
+    3 and a 3-column submatrix (the complement of two chart coordinates)
+    nonsingular at the Jacobian's threshold: the orbit is locally a graph
+    over two coordinates. rank_tol must be finite and positive. A base
+    outside the case and a motion past the float range raise DomainError,
+    as in verify_proposition.
     """
     alg = algebra.build_algebra(family, params)
     n = algebra.as_count("sample count", n, 1)
+    seed = algebra.as_count("seed", seed, 0)
+    radius = algebra.as_radius(radius)
     rank_tol = algebra.as_tolerance("rank tolerance", rank_tol)
-    if base is None:
-        base = orbits.canonical_bases(alg.family, case_index,
-                                      sign_variants=False)[0]
-    else:
-        base = algebra.as_vector5(base, "base covector")
-    desc = orbits._descriptor(alg.family, alg.params, base.copy())
-    if desc.case_index != case_index:
-        raise DomainError(
-            f"base lies in case {desc.case_index}, not case {case_index}")
+    base = (orbits.canonical_bases(alg.family, case_index)[0] if base is None
+            else algebra.as_vector5(base, "base covector"))
+    desc, pts = orbits._case_sample(alg, base, case_index, n, seed, radius)
     if desc.dim != 2:
         raise DomainError(
             f"case {case_index} of family {alg.family} is a single point; "
             "the chart probe needs a two-dimensional orbit")
-    pts = exp_action.sample_orbit(alg, base, n, seed=seed,
-                                  radius=radius).points
-    J = orbits._jacobian(desc, pts)
-    # a chart drops two coordinates; the other three columns must be
-    # nonsingular at the threshold of the full Jacobian
-    if J.shape[1] == 3:
-        # rows whose rank 3 and chart certify_rank3 proves are done
-        certified, tau = kirillov.certify_rank3(J, rank_tol)
-        uncharted = _uncharted(
-            J, np.flatnonzero(certified), tau,
-            lambda M, t: kirillov.certify_rank3(M, rank_tol, t)[0])
-        J = J[np.union1d(uncharted, np.flatnonzero(~certified))]
-        if not len(J):
-            return True
-    # svd_ranks decides every other row
-    ranks, thr = kirillov.svd_ranks(J, rank_tol)
-    if np.any(ranks != 3):
-        return False
-    return not len(_uncharted(
-        J, np.arange(len(J)), thr,
-        lambda M, t: kirillov.svd_ranks(M, rank_tol, t)[0] == 3))
-
-
-def _uncharted(J, rows, thr, full_rank):
-    """The rows of J where no 3-column submatrix passes full_rank(minors,
-    thresholds). Each minor, in _CHART_MINORS order, is tested only on the
-    rows no earlier minor has charted."""
-    for cols in _CHART_MINORS:
-        if not len(rows):
-            break
-        rows = rows[~full_rank(J[rows][:, :, cols], thr[rows])]
-    return rows
+    return bool(np.all(kirillov._charted_rank3(orbits._jacobian(desc, pts),
+                                               rank_tol)))

@@ -13,12 +13,14 @@ small enough that its buffers stay resident between blocks and calls. A
 Kirillov form's rank has one rule: its Pfaffians (skew_ranks,
 and orbit_dimension for one covector), so it is even by construction.
 
-The ranks of 3-row matrices (constraint Jacobians and their 3x3 chart
-minors) are certificate-then-SVD: certify_rank3 proves rank 3 from the
-Cauchy-Binet sums of squared minors where the bound has room, and
-svd_ranks decides every row it leaves open, so each decision is the
-SVD's. svd_ranks decides the ranks of every other matrix. Every rank
-tolerance must be finite and positive (algebra.as_tolerance).
+Constraint Jacobians are certificate-then-SVD: certify_rank3 proves rank
+3 from the Cauchy-Binet sums of squared minors where the bound has room,
+and svd_ranks decides every row it leaves open (certified_svd_ranks).
+The chart rule, _charted_rank3, tests each column triple of a row the
+same way, and one svd_ranks call on the ten minors decides what it
+leaves. Both leave four-row stacks to svd_ranks alone, which decides
+every other rank too. Every rank tolerance must be finite and positive
+(algebra.as_tolerance).
 """
 
 import dataclasses
@@ -80,8 +82,8 @@ def svd_ranks(M, tol: float, thr=None):
     tol * max(1, largest singular value) unless thresholds are given (a
     submatrix tested against the threshold of its parent). Thresholds keep
     a trailing axis of length 1. Every numeric rank decision of the
-    package other than a Kirillov form's (skew_ranks) and a row that
-    certify_rank3 proves has rank 3 is made here.
+    package other than a Kirillov form's (skew_ranks) and a row or column
+    triple that the Cauchy-Binet certificate proves has rank 3 is made here.
     """
     tol = algebra.as_tolerance("rank tolerance", tol)
     sv = np.linalg.svd(M, compute_uv=False)
@@ -114,7 +116,33 @@ def _cauchy_binet_tables(k):
     return (np.array(pairs).T, np.array(triples).T, np.array(cofactors).T)
 
 
-def certify_rank3(M, tol: float, thr=None):
+def _cauchy_binet(M, tol):
+    """Column norms (k, n), 2x2 minors (pairs, n) and 3x3 minors (triples,
+    n), all squared, and tau (n,) of an (n, 3, k) stack. Call it under
+    np.errstate; _certified leaves overflowed or NaN rows open."""
+    pairs, triples, cofactors = _cauchy_binet_tables(M.shape[2])
+    # row r of every matrix as one contiguous (k, n) block
+    a, b, c = np.ascontiguousarray(M.transpose(1, 2, 0))
+    i, j = pairs
+    ab = a[i] * b[j] - a[j] * b[i]
+    ac = a[i] * c[j] - a[j] * c[i]
+    bc = b[i] * c[j] - b[j] * c[i]
+    p, q, r = cofactors
+    t0, t1, t2 = triples
+    det = a[t0] * bc[p] - a[t1] * bc[q] + a[t2] * bc[r]
+    cols = a * a + b * b + c * c
+    tau = tol * np.maximum(1.0, np.sqrt(cols.sum(axis=0)))
+    return cols, ab * ab + ac * ac + bc * bc, det * det, tau
+
+
+def _certified(e1, e2, e3, tau):
+    """certify_rank3's test: e3 / e2 > (2 tau)^2 and enough volume."""
+    return ((e1 > _E1_RANGE[0]) & (e1 < _E1_RANGE[1])
+            & (e3 / e2 > (_KAPPA * tau) ** 2)
+            & (np.sqrt(e3) > _VOLUME_RTOL * e1 * np.sqrt(e1)))
+
+
+def certify_rank3(M, tol: float):
     """(certified, thresholds) of an (n, 3, k) stack, k >= 3.
 
     A row is certified only where the Cauchy-Binet identities prove that
@@ -123,13 +151,12 @@ def certify_rank3(M, tol: float, thr=None):
     squared 2x2 minors = s1^2 s2^2 + s1^2 s3^2 + s2^2 s3^2, and e3 = the
     sum of the squared 3x3 minors = (s1 s2 s3)^2, so s3^2 >= e3 / e2 and
     s1 <= sqrt(e1). The threshold bound tau = tol * max(1, sqrt(e1)) is at
-    least svd_ranks' threshold, unless thr gives the bounds (a submatrix
-    tested against the tau of its parent). A row is certified when
-    e3 / e2 > (2 tau)^2, and sqrt(e3) > 1e-12 e1^(3/2) keeps its minors far
-    above their rounding errors (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002). Rank-deficient, non-finite and
-    near-threshold rows are not certified; svd_ranks decides them.
-    Thresholds are returned as an (n,) vector.
+    least svd_ranks' threshold. A row is certified when e3 / e2 >
+    (2 tau)^2, and sqrt(e3) > 1e-12 e1^(3/2) keeps its minors far above
+    their rounding errors (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002). Rank-deficient, non-finite and near-threshold rows
+    are not certified; svd_ranks decides them. Thresholds are returned as
+    an (n,) vector.
     """
     tol = algebra.as_tolerance("rank tolerance", tol)
     M = np.asarray(M, dtype=float)
@@ -137,28 +164,10 @@ def certify_rank3(M, tol: float, thr=None):
         raise DomainError(
             f"certify_rank3 expects an (n, 3, k) stack with k >= 3, got "
             f"shape {M.shape}")
-    pairs, triples, cofactors = _cauchy_binet_tables(M.shape[2])
-    # row r of every matrix as one contiguous (k, n) block
-    a, b, c = np.ascontiguousarray(M.transpose(1, 2, 0))
-    i, j = pairs
-    # a row out of range or not finite overflows or turns NaN here; the
-    # range test below leaves it to svd_ranks
     with np.errstate(all="ignore"):
-        e1 = (a * a + b * b + c * c).sum(axis=0)
-        ab = a[i] * b[j] - a[j] * b[i]
-        ac = a[i] * c[j] - a[j] * c[i]
-        bc = b[i] * c[j] - b[j] * c[i]
-        e2 = (ab * ab + ac * ac + bc * bc).sum(axis=0)
-        p, q, r = cofactors
-        t0, t1, t2 = triples
-        det = a[t0] * bc[p] - a[t1] * bc[q] + a[t2] * bc[r]
-        e3 = (det * det).sum(axis=0)
-        if thr is None:
-            thr = tol * np.maximum(1.0, np.sqrt(e1))
-        certified = ((e1 > _E1_RANGE[0]) & (e1 < _E1_RANGE[1])
-                     & (e3 / e2 > (_KAPPA * thr) ** 2)
-                     & (np.sqrt(e3) > _VOLUME_RTOL * e1 * np.sqrt(e1)))
-    return certified, thr
+        cols, sq2, sq3, tau = _cauchy_binet(M, tol)
+        return (_certified(cols.sum(axis=0), sq2.sum(axis=0),
+                           sq3.sum(axis=0), tau), tau)
 
 
 def certified_svd_ranks(M, tol: float) -> np.ndarray:
@@ -172,6 +181,34 @@ def certified_svd_ranks(M, tol: float) -> np.ndarray:
     if open_rows.any():
         ranks[open_rows] = svd_ranks(M[open_rows], tol)[0]
     return ranks
+
+
+def _charted_rank3(J, tol) -> np.ndarray:
+    """Per row of an (n, m, k) float stack, k >= 3, at a checked tol: rank
+    3 and a 3-column minor of rank 3 at the row's threshold (a chart).
+
+    For m = 3, certify_rank3's test runs on every column triple against
+    the row's tau. A triple that passes has sigma3 > 2 tau >= the row's
+    SVD threshold, so the SVD charts it and, by interlacing, reads rank 3
+    on the row. One svd_ranks call on all ten minors decides the rest.
+    """
+    _, triples, cofactors = _cauchy_binet_tables(J.shape[2])
+    charted = np.zeros(len(J), dtype=bool)
+    if J.shape[1] == 3:
+        with np.errstate(all="ignore"):
+            cols, sq2, sq3, tau = _cauchy_binet(J, tol)
+            (i, j, l), (p, q, r) = triples, cofactors  # r: pair (i, j)
+            charted = _certified(cols[i] + cols[j] + cols[l],
+                                 sq2[p] + sq2[q] + sq2[r], sq3,
+                                 tau).any(axis=0)
+    rest = np.flatnonzero(~charted)
+    if len(rest):
+        ranks, thr = svd_ranks(J[rest], tol)
+        # (rows, triples, m, 3): every minor of a row at the row's threshold
+        minors = J[rest][:, :, triples.T].transpose(0, 2, 1, 3)
+        full = svd_ranks(minors, tol, thr[:, None])[0] == 3
+        charted[rest] = (ranks == 3) & full.any(axis=1)
+    return charted
 
 
 def skew_ranks(B, tol: float) -> np.ndarray:
@@ -215,18 +252,12 @@ def orbit_dimension(alg: algebra.LieAlgebra, F, tol: float = 1e-9) -> int:
 
 
 # md_scan ranks its covectors this many rows at a time, so that its buffers
-# stay resident from block to block and from call to call. Each entry
-# vector of a block is then 64 KiB, below glibc's 128 KiB default mmap
-# threshold, and the block's (5, 5, rows) form buffer, 1.6 MB, stays on the
-# heap too: glibc raises its mmap threshold to the largest mapping freed so
-# far, here the (n, 5) covector draw (4.0 MB at n = 10^5), which the form
-# buffer of a 20 000-row block just reached. A mapped buffer is unmapped
-# when freed and page-faulted in again on its next use: one warm pass of
-# the perfbench scan workload took 38 760 minor faults at 20 000 rows and
-# 33 460 at 16 384, and takes 0 at 8192 and 4096. Drawing the covectors
-# block by block gives the same covectors but leaves the threshold at its
-# default, and took 11 340 faults a pass. The mechanism is glibc's: another
-# allocator gives the same reports, perhaps not the same fault counts.
+# stay on the heap from block to block and from call to call, instead of
+# being unmapped when freed and page-faulted in again. Each entry vector of
+# a block is 64 KiB, below glibc's 128 KiB default mmap threshold, and the
+# (5, 5, rows) form buffer, 1.6 MB, below the threshold glibc raises to the
+# largest mapping freed so far: the (n, 5) covector draw, 4.0 MB at
+# n = 10^5. Another allocator gives the same reports.
 _SCAN_ROWS = 8192
 
 # Zero-coordinate index subsets of (gamma, delta, sigma) forced in the scan,

@@ -3,9 +3,12 @@ membership and tangency checks, and sampled end-to-end verification.
 
 A case is determined by which of (gamma, delta, sigma) vanish at the base
 covector. Every positive-dimensional orbit here is two-dimensional and is
-cut out by exactly three independent constraints plus strict sign
-conditions; y is always a free coordinate. Constraints carry analytic
-gradients and evaluability guards (positive power/log arguments).
+cut out by constraints of Jacobian rank 3 plus strict sign conditions:
+three constraints, or four on the sigma = 0 branch of family 5.3.8 case 3
+(s = 0 and the z, t and x motions), whose Jacobians both rank rules of
+kirillov leave to the SVD. y is always a free coordinate.
+Constraints carry analytic gradients and evaluability guards (positive
+power/log arguments).
 
 Each orbit description lives in one row of the case table ``_CASES``,
 keyed by (family, case). A row holds the constraint specs, the coordinate
@@ -613,9 +616,13 @@ def _admitted(desc, P):
 
 def _residual_rows(desc, P):
     """Normalized residuals of points whose guards hold (not checked)."""
-    scale = 1.0 + np.max(np.abs(P), axis=-1)
     res = np.stack([con.fn(P) for con in desc.constraints], axis=-1)
-    return res / scale[..., None]
+    return res / _scale(P)[..., None]
+
+
+def _scale(P):
+    """1 + |p|_inf per row: the normalization of residuals and tangency."""
+    return 1.0 + np.max(np.abs(P), axis=-1)
 
 
 def _stack(p):
@@ -677,7 +684,7 @@ def tangency_residual(alg: algebra.LieAlgebra, desc: OrbitDescriptor, p):
 def _tangency_rows(P, B, J):
     """tangency_residual of P, with Kirillov forms B and Jacobians J."""
     v = np.einsum("nij,ncj->nci", B, J)
-    return np.max(np.abs(v), axis=(1, 2)) / (1.0 + np.max(np.abs(P), axis=-1))
+    return np.max(np.abs(v), axis=(1, 2)) / _scale(P)
 
 
 def jacobian_rank_check(desc: OrbitDescriptor, p, tol: float = 1e-9):
@@ -752,33 +759,49 @@ def case_indices(family) -> tuple:
     return tuple(sorted(c for fam, c in _CASES if fam == family))
 
 
-def canonical_bases(family, case_index, sign_variants: bool = True) -> list:
+def canonical_bases(family, case_index) -> list:
     """Base covectors for verification: alpha = beta = 1 and every pattern
     of (gamma, delta, sigma) in {1, -1, 0} that lies in the case, so the
     nonzero stratum coordinates take all +-1 sign patterns (family 5.3.8
-    case 3 also includes sigma = 0 sub-branch bases). Without sign variants
-    only the first, all nonzero coordinates +1."""
+    case 3 also includes sigma = 0 sub-branch bases). The first has every
+    nonzero coordinate +1."""
     family = algebra.normalize_family(family)
     if case_index not in case_indices(family):
         raise DomainError(f"family {family} has no case {case_index}")
-    bases = [np.array([1.0, 1.0, g, d, s])
-             for g, d, s in itertools.product((1.0, -1.0, 0.0), repeat=3)
-             if _case_of(family, g, d, s) == case_index]
-    return bases if sign_variants else bases[:1]
+    return [np.array([1.0, 1.0, g, d, s])
+            for g, d, s in itertools.product((1.0, -1.0, 0.0), repeat=3)
+            if _case_of(family, g, d, s) == case_index]
 
 
-def _adjudication_entry(desc, P, mask, scale):
-    """The case's adjudication record evaluated on the sample, or None."""
+def _case_sample(alg, base, case_index, n, seed, radius):
+    """(descriptor, sample_orbit points) of a finite float base covector,
+    refusing a base outside the case and naming the family, case and base
+    when a motion leaves the float range."""
+    desc = _descriptor(alg.family, alg.params, base.copy())
+    if desc.case_index != case_index:
+        raise DomainError(f"base {base.tolist()} lies in case "
+                          f"{desc.case_index}, not requested case {case_index}")
+    try:
+        return desc, exp_action.sample_orbit(alg, base, n, seed, radius).points
+    except DomainError as exc:  # a motion beyond the float range
+        raise DomainError(f"family {alg.family} case {case_index}, "
+                          f"base {base.tolist()}: {exc}") from None
+
+
+def _adjudication_entry(desc, Pm):
+    """The case's adjudication record evaluated on the guarded rows Pm of
+    the sample, or None."""
     adj = _CASES[desc.family, desc.case_index].adjudication
     if adj is None:
         return None
     v = _namespace(desc.base, desc.params)
     cons = desc.constraints
+    scale = _scale(Pm)
 
     def worst(slot):
-        if slot is None or not np.any(mask):
+        if slot is None or not len(Pm):
             return None
-        return float(np.max([np.max(np.abs(con.fn(P[mask]) / scale[mask]))
+        return float(np.max([np.max(np.abs(con.fn(Pm) / scale))
                              for con in _slot(cons, slot, v)]))
 
     return {
@@ -838,8 +861,6 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
     raises DomainError naming the family, case and base.
     """
     alg = algebra.build_algebra(family, params)
-    p = alg.params
-    family = alg.family
     n = algebra.as_count("sample count", n, 1)
     seed = algebra.as_count("seed", seed, 0)
     radius = algebra.as_radius(radius)
@@ -848,39 +869,22 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
     tangency_tol = algebra.as_tolerance("tangency_tol", tangency_tol)
     grad_tol = algebra.as_tolerance("grad_tol", grad_tol)
     rank_tol = algebra.as_tolerance("rank tolerance", rank_tol)
-    if base is not None:
-        bases = [algebra.as_vector5(base, "base covector")]
-    else:
-        bases = canonical_bases(family, case_index)
+    bases = (canonical_bases(alg.family, case_index) if base is None
+             else [algebra.as_vector5(base, "base covector")])
 
-    max_residual = 0.0
-    tangency_max = 0.0
-    sign_violations = 0
-    jacobian_failures = 0
-    dimension_mismatches = 0
-    grad_worst = 0.0
+    max_residual = tangency_max = grad_worst = 0.0
+    sign_violations = jacobian_failures = dimension_mismatches = 0
     prov_acc = {}
 
-    descs = [_descriptor(family, p, B.copy()) for B in bases]
-    for k, (B, desc) in enumerate(zip(bases, descs)):
-        if desc.case_index != case_index:
-            raise DomainError(
-                f"base {list(map(float, B))} lies in case {desc.case_index}, "
-                f"not requested case {case_index}")
-        try:
-            P = exp_action.sample_orbit(alg, B, n, seed=seed + 7919 * k,
-                                        radius=radius).points
-        except DomainError as exc:  # a motion beyond the float range
-            raise DomainError(
-                f"family {family} case {case_index}, base "
-                f"{list(map(float, B))}: {exc}") from None
-        scale = 1.0 + np.max(np.abs(P), axis=-1)
+    descs = []
+    for k, B in enumerate(bases):
+        desc, P = _case_sample(alg, B, case_index, n, seed + 7919 * k, radius)
+        descs.append(desc)
         mask, admitted = _admitted(desc, P)
         sign_violations += int(P.shape[0] - np.count_nonzero(admitted))
 
-        if np.any(mask):
-            # the checks run on every guarded row; np.max keeps a NaN
-            Pm = P[mask]
+        Pm = P[mask]  # the checks run on every guarded row
+        if len(Pm):  # np.max keeps a NaN
             forms = kirillov.kirillov_forms(alg, Pm)
             J = _jacobian(desc, Pm)
             max_residual = float(np.max(np.abs(_residual_rows(desc, Pm)),
@@ -895,7 +899,7 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
             grad_worst = float(np.max(_fd_rows(desc, Pm, J, grad_step),
                                       initial=grad_worst))
 
-        entry = _adjudication_entry(desc, P, mask, scale)
+        entry = _adjudication_entry(desc, Pm)
         if entry is not None:
             old = prov_acc.setdefault(entry["equation"], entry)
             for slot in ("literal_residual", "corrected_residual"):
@@ -906,7 +910,7 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
               and sign_violations == 0 and jacobian_failures == 0
               and dimension_mismatches == 0 and grad_worst < grad_tol)
     return VerificationReport(
-        family=family, params=dict(p), case=case_index,
+        family=alg.family, params=dict(alg.params), case=case_index,
         base=[float(v) for v in bases[0]],
         bases=[[float(v) for v in b] for b in bases],
         n=n, seed=seed, radius=radius,

@@ -213,7 +213,7 @@ def test_criterion_7_gradients_and_first_order_flow():
     for fam in kb.FAMILY_TAGS:
         alg = kb.build_algebra(fam, None)
         for c in kb.case_indices(fam):
-            base = kb.canonical_bases(fam, c, sign_variants=False)[0]
+            base = kb.canonical_bases(fam, c)[0]
             desc = kb.classify_orbit(fam, None, base)
             pts = kb.sample_orbit(alg, base, 30, seed=SEED, radius=1.5).points
             for q in pts:

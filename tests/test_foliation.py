@@ -100,7 +100,7 @@ def test_chart_probe_matches_all_minor_loop(monkeypatch):
     for tol in (1e-9, 0.1, 0.3):
         for fam, params in CANONICAL:
             for c in kb.case_indices(fam):
-                base = orbits.canonical_bases(fam, c, sign_variants=False)[0]
+                base = orbits.canonical_bases(fam, c)[0]
                 if kb.classify_orbit(fam, params, base).dim != 2:
                     continue
                 got = kb.local_triviality_probe(fam, params, c, n=50, seed=6,
@@ -455,8 +455,57 @@ def test_probe_overflow_names_family_pair_base_and_row(fam):
                                "U = [0.6407756646576535, ")
 
 
-def test_chart_minors_leave_y_free_first():
-    assert sorted(foliation._CHART_MINORS) == list(
-        itertools.combinations(range(5), 3))
-    assert [1 in cols for cols in foliation._CHART_MINORS] == [False] * 4 + [
-        True] * 6
+def test_chart_probe_overflow_names_family_case_base_and_row():
+    # seed 1 draws row 0 of the radius-400 cube first; its motion overflows,
+    # and the refusal is verify_proposition's for the same base
+    with pytest.raises(DomainError) as err:
+        kb.local_triviality_probe("5.3.1", None, 8, n=20, seed=1, radius=400)
+    with pytest.raises(DomainError) as verify:
+        kb.verify_proposition("5.3.1", None, 8, n=20, seed=1, radius=400,
+                              base=[1, 1, 1, 1, 1])
+    assert str(err.value) == str(verify.value)
+    assert str(err.value).startswith(
+        "family 5.3.1 case 8, base [1.0, 1.0, 1.0, 1.0, 1.0]: exp(ad U) "
+        "overflows at row 0, U = [9.457299760205387, ")
+
+
+def test_chart_probe_samples_the_first_canonical_base(monkeypatch):
+    # the probe's points are verify_proposition's sample of base 0
+    jacobian = orbits._jacobian
+    seen = []
+
+    def recorded(desc, P):
+        seen.append(P)
+        return jacobian(desc, P)
+
+    monkeypatch.setattr(orbits, "_jacobian", recorded)
+    kb.local_triviality_probe("5.3.4", None, 8, n=30, seed=5, radius=1.5)
+    base = orbits.canonical_bases("5.3.4", 8)[0]
+    alg = kb.build_algebra("5.3.4", None)
+    assert np.array_equal(seen[0], kb.sample_orbit(alg, base, 30, seed=5,
+                                                   radius=1.5).points)
+
+
+_ZERO_EIGENVALUE = {"lambda": 0.0}
+
+
+def _refused_partition_check():
+    # refused at its first gamma != 0 pair, after the warning
+    with pytest.raises(DomainError, match="no valid closed-form"):
+        kb.partition_check("5.3.3", _ZERO_EIGENVALUE, pairs=3, seed=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kb.validate_params("5.3.3", _ZERO_EIGENVALUE),
+    lambda: kb.build_algebra("5.3.3", _ZERO_EIGENVALUE),
+    lambda: kb.verify_proposition("5.3.3", _ZERO_EIGENVALUE, 2, n=5, seed=1),
+    lambda: kb.local_triviality_probe("5.3.3", _ZERO_EIGENVALUE, 2, n=5),
+    _refused_partition_check,
+], ids=["validate_params", "build_algebra", "verify_proposition",
+        "local_triviality_probe", "partition_check"])
+def test_parameter_warning_names_the_callers_file(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    assert [w.category for w in caught] == [ParameterWarning]
+    assert caught[0].filename == __file__

@@ -361,11 +361,80 @@ def test_rank3_certificate_never_disagrees_with_svd(k):
     assert ok.tolist() == [False] * 5 + [True]
 
 
-def test_rank3_certificate_uses_the_given_thresholds():
-    # the minor's own threshold would certify it; its parent's does not
-    M = np.tile(np.eye(3), (2, 1, 1))
-    ok, thr = kirillov.certify_rank3(M, 1e-3, np.array([1e-3, 0.6]))
-    assert ok.tolist() == [True, False] and thr.tolist() == [1e-3, 0.6]
+def _all_minor_charts(J, tol):
+    """Per row: svd_ranks reads rank 3, and rank 3 on some 3-column minor
+    at the row's threshold."""
+    ranks, thr = kirillov.svd_ranks(J, tol)
+    charted = np.zeros(len(J), dtype=bool)
+    for cols in itertools.combinations(range(J.shape[2]), 3):
+        charted |= kirillov.svd_ranks(J[:, :, cols], tol, thr)[0] == 3
+    return (ranks == 3) & charted
+
+
+def _thin(c):
+    # rank 3 with sigma3 = c * sqrt(3); every 3-column minor has sigma3 <= c
+    m = np.zeros((3, 5))
+    m[:2, :2] = np.eye(2)
+    m[2, 2:] = c
+    return m
+
+
+def test_chart_certificate_never_disagrees_with_svd(monkeypatch):
+    rng = np.random.default_rng(47)
+    svd_ranks = kirillov.svd_ranks
+    sent = []  # the rows the certificate leaves to the SVD
+
+    def recorded(M, tol, thr=None):
+        if thr is None:
+            sent.extend(M)
+        return svd_ranks(M, tol, thr)
+
+    monkeypatch.setattr(kirillov, "svd_ranks", recorded)
+    decided = 0
+    for tol in (1e-9, 1e-6, 1e-3):
+        for s in (1e-3, 1.0, 1e3):
+            thr = tol * max(1.0, s)  # the threshold of a thin row
+            rows, margin = list(rng.normal(size=(20, 3, 5))), []
+            # charted by the SVD from f = 1.001 on, certifiable from f > 2
+            for f in (0.5, 0.999, 1.001, 1.5, 1.999, 2.5, 10.0):
+                if f * thr / s * math.sqrt(3.0) < 1.0:
+                    rows.append(_thin(f * thr / s))
+                    margin.append(f <= 2.0)
+            rows.append(np.outer([1.0, 2.0, 0.5], np.eye(5)[0]) + _thin(0.0))
+            margin += [False]
+            U = np.linalg.qr(rng.normal(size=(len(rows), 3, 3)))[0]
+            J = s * (U @ np.array(rows))  # minors keep their singular values
+            expect = _all_minor_charts(J, tol)
+            sent.clear()
+            got = kirillov._charted_rank3(J, tol)
+            assert np.array_equal(got, expect), (tol, s)
+            reached = np.array([any(np.array_equal(r, m) for m in sent)
+                                for r in J])
+            assert np.all(reached[20:][np.array(margin)]), (tol, s)
+            assert np.all(got[~reached]), (tol, s)
+            decided += int(np.count_nonzero(~reached))
+    assert decided > 0
+    # Minor (0, 1, 2) is diag(1, 10, 0.8): certify_rank3 proves it against
+    # its own threshold 0.01, but the row's threshold is 1.0, against
+    # which no minor (sigma3 <= 0.8) has rank 3, while the row (singular
+    # values 1000, 10, 0.8 * sqrt(2)) has
+    row = np.zeros((1, 3, 5))
+    row[0, 0, 0], row[0, 0, 4], row[0, 1, 1] = 1.0, 1000.0, 10.0
+    row[0, 2, 2:4] = 0.8
+    assert kirillov.certify_rank3(row[:, :, :3], 1e-3)[0].tolist() == [True]
+    assert kirillov.svd_ranks(row, 1e-3)[0].tolist() == [3]
+    for J in (row, np.concatenate([_thin(1.0)[None], row])):
+        assert kirillov._charted_rank3(J, 1e-3).tolist() == [True] * (
+            len(J) - 1) + [False]
+    # four-row stacks go to the SVD alone
+    J = rng.normal(size=(30, 4, 5))
+    J[:10, 3] = J[:10, 0] + J[:10, 1]  # rank 3
+    J[10:15, 1:] = J[10:15, :1]  # rank 1
+    expect = _all_minor_charts(J, 1e-9)
+    sent.clear()
+    got = kirillov._charted_rank3(J, 1e-9)
+    assert len(sent) == 30 and np.array_equal(got, expect)
+    assert got[:10].all() and not got[10:15].any()
 
 
 @pytest.mark.parametrize("shape", [(3, 5), (2, 4, 5), (2, 3, 2),

@@ -75,7 +75,7 @@ def test_classify_refuses_degenerate_first_eigenvalue_with_gamma():
 def test_constraint_count_and_rank():
     for fam, params in CANONICAL:
         for c in kb.case_indices(fam):
-            base = kb.canonical_bases(fam, c, sign_variants=False)[0]
+            base = kb.canonical_bases(fam, c)[0]
             desc = kb.classify_orbit(fam, params, base)
             if desc.dim == 0:
                 assert len(desc.constraints) == 5
@@ -185,7 +185,7 @@ def test_tangency_and_gradients_on_samples():
     for fam, params in CANONICAL:
         alg = kb.build_algebra(fam, params)
         for c in kb.case_indices(fam):
-            base = kb.canonical_bases(fam, c, sign_variants=False)[0]
+            base = kb.canonical_bases(fam, c)[0]
             desc = kb.classify_orbit(fam, params, base)
             pts = kb.sample_orbit(alg, base, 10, seed=9, radius=1.5).points
             for q in pts:
