@@ -179,10 +179,18 @@ _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 def _outside_stacklevel() -> int:
     """warnings.warn's stacklevel, called from this function's caller, for
-    the first frame outside the package: the user's call."""
+    the first frame outside the package: the user's call. Under
+    `python -m korbit` that frame is runpy's (frozen from Python 3.11 on,
+    runpy.py before), which is no caller's line, so the warning names the
+    outermost package frame instead, the call line of korbit/__main__.py.
+    A frozen frame has no source line either and is stepped back over
+    likewise."""
     level, frame = 1, sys._getframe(1)
     while frame and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
         level, frame = level + 1, frame.f_back
+    if frame and (frame.f_globals.get("__name__") == "runpy"
+                  or frame.f_code.co_filename.startswith("<frozen ")):
+        level -= 1
     return level
 
 

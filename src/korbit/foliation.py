@@ -5,13 +5,18 @@ The generic stratum (union of the two-dimensional orbits) is the set of
 covectors with (gamma, delta, sigma) != 0; everything else is a fixed
 point. Pair checks inject known same-orbit pairs and known mirror-stratum
 pairs among the random ones so both outcomes are exercised.
-The pair loop runs in two phases. The first classifies each pair,
-injects the known pairs and decides membership, in pair order; the
+The pairs are checked as arrays, in two phases. The first injects the
+known pairs (the same-leaf partners in one stacked motion) and groups
+the pairs by (zero pattern of a, zero pattern of b), the case groups of
+orbits._classify_stack; each group decides mutual membership with one
+stacked descriptor per side and one residual call per direction. The
 second moves the probes of every disjoint pair, whole pairs stacked up to
 _PROBE_CHUNK_ROWS rows per exp_ad call, each row by its own pair's
-covector. Only probes admitted by the partner descriptor's membership
-mask (guards and signs) get residuals, and failures are listed in pair
-order. The chart probe is verify_proposition's sample of one base
+covector, and groups the probes by the zero pattern of their partner:
+each probe row is checked against its own pair's partner base. Only
+probes admitted by the partner's membership mask (guards and signs) get
+residuals; they are counted, and failures are listed in pair order, then
+probe order. The chart probe is verify_proposition's sample of one base
 (orbits._case_sample) under kirillov's chart rule (_charted_rank3).
 """
 
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra, exp_action, kirillov, orbits
-from .errors import AsymmetryError, DomainError
+from .errors import DomainError
 
 # Disjoint-pair probes move in stacks of whole pairs up to this many rows.
 _PROBE_CHUNK_ROWS = 500
@@ -54,6 +59,10 @@ class StratumReport:
     same_leaf_pairs: int
     disjoint_pairs: int
     min_separation: object  # float | None when no probe was evaluable
+    probes_evaluated: int  # probes admitted by the partner, with residuals
+    probes_sign_rejected: int  # probes failing the partner's sign condition
+    probes_guard_rejected: int  # probes then failing a guard of the partner
+    vacuous_pairs: int  # disjoint pairs none of whose probes was evaluated
     failures: list = field(default_factory=list)
     notice: str = _NOTICE
 
@@ -80,8 +89,11 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
     failure, as is any probe that passes full membership. tol must be
     finite and positive (DomainError otherwise). Pair i's probes are the
     points of sample_orbit(alg, Fa, probe_points, seed + 104729 + i,
-    radius=1.5); a probe motion past the float range raises DomainError
-    naming the family, the pair and its base.
+    radius=1.5); a same-leaf or probe motion past the float range raises
+    DomainError naming the family, the pair and its base. The report
+    counts the probes evaluated, those failing the partner's sign
+    condition, and those passing it but failing a guard; a disjoint pair
+    with no evaluated probe is counted as vacuous and does not fail.
     """
     alg = algebra.build_algebra(family, params)
     pairs = algebra.as_count("pair count", pairs, 1)
@@ -93,78 +105,104 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
     n = 2 * pairs
     pts = rng.uniform(-radius, radius, size=(n, 5))
     generic = int(np.count_nonzero(generic_stratum_contains(pts)))
+    fam, p = alg.family, alg.params
+
+    # phase one: inject the known pairs, then decide mutual membership per
+    # group of pairs that share the zero patterns of both members; a
+    # degenerate parameter is refused before any motion
+    A, B = pts[0::2], pts[1::2].copy()
+    codes = orbits._pattern(*A.T[2:])
+    orbits._refuse_degenerate(fam, p, orbits._case_of(fam, codes))
+    same, mirror = np.arange(3, pairs, 5), np.arange(4, pairs, 5)
+    if len(same):
+        U = rng.uniform(-1.5, 1.5, size=(len(same), 5))
+        try:
+            B[same] = exp_action._move(alg, A[same], U)
+        except DomainError:
+            _refuse_pair_overflow(alg, [(i, A[i], None) for i in same], U, 1)
+            raise
+    # a mirror partner is its first member with the sign coordinate of its
+    # case negated, gamma where the case has none
+    coord = [orbits._sign_coord(fam, c) for c in range(8)]
+    j = np.array([orbits._Z if c is None else c for c in coord])[codes[mirror]]
+    B[mirror] = A[mirror]
+    B[mirror, j] = -A[mirror, j]
+
+    equal = np.zeros(pairs, dtype=bool)
+    odd = {}
+    for rows, desc_b in orbits._classify_stack(fam, p, B, by=codes):
+        desc_a = orbits._descriptor(fam, p, A[rows])
+        eq, asym = orbits._mutual_membership(desc_a, desc_b, tol)
+        equal[rows] = eq
+        odd.update((int(rows[k]), exc) for k, exc in asym.items())
 
     failures = []
-    same_leaf = 0
-    disjoint = []  # (i, Fa, desc_b) of every pair on distinct orbits
-    for i in range(pairs):
-        desc_a = orbits._descriptor(alg.family, alg.params, pts[2 * i].copy())
-        Fa, Fb = desc_a.base, pts[2 * i + 1]
-        expect = None
-        if i % 5 == 3:
-            U = rng.uniform(-1.5, 1.5, size=5)
-            Fb = exp_action._move(alg, Fa, U)
-            expect = True
-        elif i % 5 == 4:
-            j = desc_a.signs[0].coord if desc_a.signs else 2
-            Fb = Fa.copy()
-            Fb[j] = -Fb[j]
-            expect = False
-        desc_b = orbits._descriptor(alg.family, alg.params, Fb.copy())
-        try:
-            eq = orbits._mutual_membership(desc_a, desc_b, tol)
-        except AsymmetryError as exc:
+    missed = set(same[~equal[same]].tolist())
+    merged = set(mirror[equal[mirror]].tolist())
+    for i in sorted(odd.keys() | missed | merged):
+        if i in odd:
             failures.append({"pair": i, "kind": "asymmetry",
-                             "detail": str(exc)})
-            continue
-        if expect is True and not eq:
+                             "detail": str(odd[i])})
+        elif i in missed:
             failures.append({"pair": i, "kind": "same_leaf_missed",
                              "detail": f"coadjoint image not recognized, "
-                                       f"base {list(map(float, Fa))}"})
-            continue
-        if expect is False and eq:
+                                       f"base {list(map(float, A[i]))}"})
+        else:
             failures.append({"pair": i, "kind": "mirror_merged",
                              "detail": f"sign-flipped covector reported on "
                                        f"the same orbit, base "
-                                       f"{list(map(float, Fa))}"})
-            continue
-        if eq:
-            same_leaf += 1
-            continue
-        disjoint.append((i, Fa, desc_b))
+                                       f"{list(map(float, A[i]))}"})
+    settled = np.ones(pairs, dtype=bool)
+    settled[[f["pair"] for f in failures]] = False
+    disjoint = np.flatnonzero(settled & ~equal)
 
-    min_sep = None
-    for i, desc_b, probe in _moved_probes(alg, disjoint, seed, probe_points):
-        # probes failing a sign or guard of desc_b lie in another stratum
-        probe = probe[orbits._admitted(desc_b, probe)[1]]
-        sep = np.max(np.abs(orbits._residual_rows(desc_b, probe)), axis=-1)
-        if len(sep):
-            low = float(np.min(sep))
-            min_sep = low if min_sep is None else min(min_sep, low)
-        near = sep < 10.0 * tol  # in probe order
-        for q, d in zip(probe[near], sep[near]):
-            if d < tol:
-                failures.append({
-                    "pair": i, "kind": "overlap",
-                    "detail": f"orbit point {list(map(float, q))} is a "
-                              f"member of the partner descriptor"})
-            else:
-                failures.append({
-                    "pair": i, "kind": "margin",
-                    "detail": f"orbit point at normalized residual "
-                              f"{d:.3e} from the partner descriptor"})
+    # phase two: the probes of every disjoint pair, grouped by the zero
+    # pattern of its partner; row r is checked against its pair's partner
+    pair_of = np.repeat(disjoint, probe_points)
+    probe = np.concatenate([np.empty((0, 5))] + [
+        P for _, _, P in _moved_probes(
+            alg, [(i, A[i], B[i]) for i in disjoint], seed, probe_points)])
+    sep = np.full(len(probe), np.inf)
+    evaluated = np.zeros(len(probe), dtype=bool)
+    sign_rejected = guard_rejected = 0
+    for rows, desc_b in orbits._classify_stack(fam, p, B[pair_of]):
+        guarded, signed, res = orbits._screened(desc_b, probe[rows])
+        ok = guarded & signed
+        evaluated[rows] = ok
+        sep[rows[ok]] = np.max(np.abs(res), axis=-1)
+        sign_rejected += int(np.count_nonzero(~signed))
+        guard_rejected += int(np.count_nonzero(signed & ~guarded))
+    min_sep = float(np.min(sep[evaluated])) if evaluated.any() else None
+    for r in np.flatnonzero(sep < 10.0 * tol):  # pair order, then probe order
+        i, d = int(pair_of[r]), sep[r]
+        if d < tol:
+            failures.append({
+                "pair": i, "kind": "overlap",
+                "detail": f"orbit point {list(map(float, probe[r]))} is a "
+                          f"member of the partner descriptor"})
+        else:
+            failures.append({
+                "pair": i, "kind": "margin",
+                "detail": f"orbit point at normalized residual "
+                          f"{d:.3e} from the partner descriptor"})
     failures.sort(key=lambda f: f["pair"])  # stable: probe order per pair
     return StratumReport(
-        family=alg.family, params=dict(alg.params), pairs=pairs,
+        family=fam, params=dict(p), pairs=pairs,
         seed=seed, radius=radius, tol=tol, n=n,
-        generic=generic, fixed_point=n - generic, same_leaf_pairs=same_leaf,
+        generic=generic, fixed_point=n - generic,
+        same_leaf_pairs=int(np.count_nonzero(settled & equal)),
         disjoint_pairs=len(disjoint), min_separation=min_sep,
+        probes_evaluated=int(np.count_nonzero(evaluated)),
+        probes_sign_rejected=sign_rejected,
+        probes_guard_rejected=guard_rejected,
+        vacuous_pairs=int(np.count_nonzero(
+            ~evaluated.reshape(len(disjoint), probe_points).any(axis=1))),
         failures=failures)
 
 
 def _moved_probes(alg, disjoint, seed, probe_points):
-    """(i, desc_b, probe points) per disjoint pair (i, Fa, desc_b), in pair
-    order. Pair i's probes are the images of Fa along
+    """(i, Fb, probe points) per disjoint pair (i, Fa, Fb), in pair order.
+    Pair i's probes are the images of Fa along
     default_rng(seed + 104729 + i).uniform(-1.5, 1.5, (probe_points, 5)),
     bit for bit sample_orbit's; whole pairs move together in stacks of at
     most _PROBE_CHUNK_ROWS rows (one pair if it alone is larger)."""
@@ -180,8 +218,8 @@ def _moved_probes(alg, disjoint, seed, probe_points):
         except DomainError:
             _refuse_pair_overflow(alg, chunk, Us, probe_points)
             raise
-        for m, (i, _, desc_b) in enumerate(chunk):
-            yield i, desc_b, P[m * probe_points:(m + 1) * probe_points]
+        for m, (i, _, Fb) in enumerate(chunk):
+            yield i, Fb, P[m * probe_points:(m + 1) * probe_points]
 
 
 def _refuse_pair_overflow(alg, chunk, Us, probe_points):

@@ -26,6 +26,15 @@ The checks (residuals, tangency, Jacobian rank, finite-difference
 gradients) and the membership mask (guards, then signs, each in one loop)
 take one point or an (n, 5) stack; a single point is the n = 1 case, and
 verify_proposition runs them on whole samples.
+
+A descriptor may also hold an (n, 5) stack of bases that share one zero
+pattern: the table and builders resolve each base coordinate as an (n,)
+column, and row k of a stack of points is checked against base k. The
+stacked classifier (_classify_stack) groups covectors by zero pattern,
+which fixes the case, the sign condition and the 5.3.8 branch, and builds
+one descriptor per group. Mutual membership (_mutual_membership) takes
+two such stacks, so orbits_equal is its one-row case and partition_check
+decides all its pairs with it. A one-base descriptor is the n = 1 case.
 """
 
 import dataclasses
@@ -78,7 +87,7 @@ class OrbitCase:
 @dataclass(frozen=True)
 class OrbitDescriptor:
     case: OrbitCase
-    base: np.ndarray
+    base: np.ndarray  # (5,), or an (n, 5) stack of bases of one pattern
     params: dict
     constraints: tuple
     signs: tuple
@@ -97,8 +106,13 @@ class OrbitDescriptor:
 
 
 def _namespace(base, params) -> dict:
-    """Values of the symbols a spec may name: base coordinates, parameters."""
-    return dict(zip(_GREEK, (float(c) for c in base)), **params)
+    """Values of the symbols a spec may name: base coordinates, parameters.
+
+    A base coordinate is a float for one base, and an (n,) column for an
+    (n, 5) stack of bases; parameters are floats either way.
+    """
+    cols = base.tolist() if base.ndim == 1 else np.array(base.T)
+    return dict(zip(_GREEK, cols), **params)
 
 
 def _coef(sym, v):
@@ -129,20 +143,27 @@ def _ratio_guard(i, v) -> Guard:
 
 
 def _sign(i, v) -> SignPredicate:
-    # the coefficient's sign alone: the product with a huge coordinate
-    # could overflow, its sign is the same
-    sign = math.copysign(1.0, v[_GREEK[i]])
+    # the coefficient's sign alone (it is nonzero): the product with a
+    # huge coordinate could overflow, its sign is the same
+    sign = 1.0 - 2.0 * (v[_GREEK[i]] < 0.0)
     return SignPredicate(expr=f"{_GREEK[i]}*{_NAMES[i]} > 0",
                          fn=lambda P: sign * P[..., i], coord=i)
 
 
 def _aff(expr, v, coef, const) -> Constraint:
-    # g = p @ coef + const
-    c = np.asarray(coef, dtype=float)
-    const = float(const)
+    # g = p @ coef + const; coefficients that vary by row (a stack of
+    # bases) make a per-row product-sum, a stack of (1, 5) @ (5, 1)
+    # products that rounds each row as P @ coef does for one base
+    if np.ndarray in map(type, coef):
+        c = np.stack(np.broadcast_arrays(*coef), axis=-1)
 
-    def fn(P):
-        return P @ c + const
+        def fn(P):
+            return (P[..., None, :] @ c[..., None])[..., 0, 0] + const
+    else:
+        c = np.asarray(coef, dtype=float)
+
+        def fn(P):
+            return P @ c + const
 
     def grad(P):
         return np.broadcast_to(c, np.shape(P)).copy()
@@ -152,7 +173,7 @@ def _aff(expr, v, coef, const) -> Constraint:
 
 def _x_link(expr, v, m, i, c) -> Constraint:
     # g = m*(x - alpha) + c*p[i] - gamma
-    coef = np.zeros(5)
+    coef = [0.0] * 5
     coef[_X] = m
     coef[i] = c
     return _aff(expr, v, coef, -m * v["alpha"] - v["gamma"])
@@ -241,7 +262,7 @@ _X_MOTION = ("x = alpha - gamma*Re(w) - delta*Im(w), "
              "w = (exp(b*exp(i*phi)) - 1)*exp(-i*phi)")
 
 
-def _build_538_case3(v):
+def _build_538_case3(v, sigma_zero):
     """Family 5.3.8 with (gamma, delta) != 0: solve-then-check membership.
 
     Each of z, t and x is constrained as the coordinate minus its
@@ -253,19 +274,20 @@ def _build_538_case3(v):
     only b, d * grad(b) for a b-derivative d, and the display clause naming
     b; the gradient of a constraint is the chain rule through b. Applying
     grad(b) to d inside the route makes each product round as the route's
-    closed form, d/(lambda*s) or d*(z/(r**2*cos(phi))).
+    closed form, d/(lambda*s) or d*(z/(r**2*cos(phi))). The bases of a
+    stack share their zero pattern, so one branch serves every row.
     """
     lam, ph = v["lambda"], v["phi"]
     al, ga, de, si = v["alpha"], v["gamma"], v["delta"], v["sigma"]
-    zeta0 = complex(ga, de)
-    r0 = math.hypot(ga, de)
-    quarter = si == 0.0 and abs(math.cos(ph)) < _QUARTER_TURN_TOL
+    zeta0 = ga + 1j * de
+    r0 = np.hypot(ga, de)
+    quarter = sigma_zero and abs(math.cos(ph)) < _QUARTER_TURN_TOL
     # e^(-i*phi) moves (z, t), e^(+i*phi) moves x; exactly -i and i at the
     # quarter turn, where Re(w) = sin(b) and Im(w) = 1 - cos(b)
     ed = -1j if quarter else complex(math.cos(ph), -math.sin(ph))
     eu = ed.conjugate()
 
-    if si != 0.0:
+    if not sigma_zero:
         guard = _ratio_guard(_S, v)
         where = "b = log(s/sigma)/lambda"
 
@@ -283,7 +305,7 @@ def _build_538_case3(v):
                      "(gamma + i*delta), mod 2*pi")
 
             def b_of(P):
-                rho = (P[..., _Z] + 1j * P[..., _T]) * zeta0.conjugate()
+                rho = (P[..., _Z] + 1j * P[..., _T]) * np.conjugate(zeta0)
                 return -np.arctan2(np.imag(rho), np.real(rho))
 
             def d_grad_b(P, d):
@@ -325,7 +347,7 @@ def _build_538_case3(v):
         return Constraint(f"{expr}, {where}", lambda P: gap(P, i)[0], grad,
                           False, (guard,))
 
-    if si != 0.0:
+    if not sigma_zero:
         return motion(_Z, _Z_MOTION), motion(_T, _T_MOTION), motion(_X, _X_MOTION)
     s_zero = _build(_S0, v)
     if not quarter:
@@ -413,7 +435,8 @@ _SOLVED_538_3 = _Adjudication(
 
 @dataclass(frozen=True)
 class _Case:
-    specs: object  # tuple of constraint specs, or a builder taking the namespace
+    specs: object  # tuple of constraint specs, or a builder taking the
+    # namespace and whether sigma vanishes at the base
     sign: object  # coordinate of the sign condition, None for point orbits
     adjudication: object = None
 
@@ -505,12 +528,49 @@ _ROWS = (
 _CASES = {(fam, case): row for fams, case, row in _ROWS for fam in fams.split()}
 
 
-def _case_of(family, ga, de, si) -> int:
-    case_index = (1 + (4 if ga != 0.0 else 0) + (2 if de != 0.0 else 0)
-                  + (1 if si != 0.0 else 0))
+def _pattern(ga, de, si):
+    """Zero-pattern code 4*(gamma != 0) + 2*(delta != 0) + (sigma != 0) of
+    one covector's floats, or per row of the columns of an (n, 5) stack."""
+    return 4 * (ga != 0.0) + 2 * (de != 0.0) + (si != 0.0)
+
+
+def _case_of(family, code):
+    """Case index of a zero-pattern code, or of an array of codes: 1 + code,
+    except on 5.3.8, where (gamma, delta) != 0 (code >= 2) is one case, 3."""
     if family == "5.3.8":
-        return min(case_index, 3)  # (gamma, delta) != 0 is one case
-    return case_index
+        return 3 - (code < 2) * (2 - code)
+    return code + 1
+
+
+def _refuse_degenerate(family, p, cases):
+    """The case 5-8 equations divide by the row's warning parameter: refuse
+    them when it is 0 and any of the case indices is 5 or more."""
+    pname = algebra.family_row(family).zero_warning
+    if pname is not None and p[pname] == 0.0 and np.any(cases >= 5):
+        raise DomainError(
+            f"family {family} with {pname} = 0: cases with gamma != 0 have "
+            "no valid closed-form constraint set (the x coordinate "
+            "decouples from z); rank and dimension checks remain available")
+
+
+def _sign_coord(family, code):
+    """Coordinate of the sign condition of a zero-pattern code, None when
+    its case has none or the coordinate vanishes (5.3.8 case 3, sigma = 0)."""
+    sign = _CASES[family, _case_of(family, code)].sign
+    return sign if sign is not None and code >> (_S - sign) & 1 else None
+
+
+def _classify_stack(family, p, B, by=None):
+    """The stacked classifier: (rows, descriptor) per zero pattern of the
+    (n, 5) stack B, split further by the integer labels `by` when given,
+    in ascending order; row k of a descriptor is checked against its base
+    k, B[rows[k]]. A pattern fixes the case, its sign condition and, on
+    5.3.8 case 3, the branch that recovers b."""
+    codes = _pattern(*B.T[2:])
+    keys, groups = np.unique(codes if by is None else 8 * by + codes,
+                             return_inverse=True)
+    return [(rows, _descriptor(family, p, B[rows]))
+            for rows in (np.flatnonzero(groups == g) for g in range(len(keys)))]
 
 
 def classify_orbit(family, params, F, snap_tol: float = 0.0) -> OrbitDescriptor:
@@ -537,27 +597,24 @@ def classify_orbit(family, params, F, snap_tol: float = 0.0) -> OrbitDescriptor:
 
 def _descriptor(family, p, base, snapped=False) -> OrbitDescriptor:
     """classify_orbit of a canonical family tag, a validate_params dict and
-    a finite float covector, which the descriptor keeps as its base."""
-    ga, de, si = base[_Z], base[_T], base[_S]
+    a finite float covector, which the descriptor keeps as its base.
 
-    case_index = _case_of(family, ga, de, si)
-    # the case 5-8 equations divide by the row's warning parameter
-    pname = algebra.family_row(family).zero_warning
-    if case_index >= 5 and pname is not None and p[pname] == 0.0:
-        raise DomainError(
-            f"family {family} with {pname} = 0: cases with gamma != 0 have "
-            "no valid closed-form constraint set (the x coordinate "
-            "decouples from z); rank and dimension checks remain available")
+    base may also be an (n, 5) stack of bases sharing one zero pattern (as
+    _classify_stack groups them): the descriptor then checks row k of a
+    stack of points against base k.
+    """
+    code = _pattern(*(base if base.ndim == 1 else base[0]).tolist()[2:])
+    case_index = _case_of(family, code)
+    _refuse_degenerate(family, p, case_index)
 
     row = _CASES[family, case_index]
     v = _namespace(base, p)
     if callable(row.specs):
-        constraints = row.specs(v)
+        constraints = row.specs(v, not code & 1)
     else:
         constraints = tuple(_build(spec, v) for spec in row.specs)
-    signs = ()
-    if row.sign is not None and base[row.sign] != 0.0:
-        signs = (_sign(row.sign, v),)
+    coord = _sign_coord(family, code)
+    signs = () if coord is None else (_sign(coord, v),)
     dim = 0 if case_index == 1 else 2
     if dim == 0:
         shape = "point"
@@ -571,8 +628,8 @@ def _descriptor(family, p, base, snapped=False) -> OrbitDescriptor:
     base.setflags(write=False)
     return OrbitDescriptor(
         case=OrbitCase(family=family, case_index=case_index,
-                       zero_pattern=(bool(ga == 0.0), bool(de == 0.0),
-                                     bool(si == 0.0))),
+                       zero_pattern=(not code & 4, not code & 2,
+                                     not code & 1)),
         base=base, params=p, constraints=constraints, signs=signs,
         dim=dim, shape=shape, provenance=provenance, snapped=snapped)
 
@@ -602,16 +659,52 @@ def _guards(desc, P):
             yield con, g, np.asarray(g.fn(P)) > 0.0
 
 
-def _admitted(desc, P):
-    """Rows of P passing every guard (residuals are defined), and rows also
-    passing every strict sign predicate (admitted as members)."""
+def _guarded(desc, P):
+    """Rows of P passing every guard: their residuals are defined."""
     guarded = np.ones(P.shape[:-1], dtype=bool)
     for _, _, ok in _guards(desc, P):
         guarded &= ok
-    admitted = guarded.copy()
+    return guarded
+
+
+def _signed(desc, P):
+    """Rows of P passing every strict sign predicate."""
+    signed = np.ones(P.shape[:-1], dtype=bool)
     for sp in desc.signs:
-        admitted &= np.asarray(sp.fn(P)) > 0.0
-    return guarded, admitted
+        signed &= np.asarray(sp.fn(P)) > 0.0
+    return signed
+
+
+def _admitted(desc, P):
+    """Rows of P passing every guard (residuals are defined), and rows also
+    passing every strict sign predicate (admitted as members)."""
+    guarded = _guarded(desc, P)
+    return guarded, guarded & _signed(desc, P)
+
+
+def _screened(desc, P):
+    """(guarded, signed, residuals) of an (n, 5) stack P: the guard and
+    sign masks, and the normalized residuals of the rows passing both, in
+    row order. Row k of a stacked descriptor is checked against its base
+    k; a rejected row is never evaluated."""
+    guarded, signed = _guarded(desc, P), _signed(desc, P)
+    ok = guarded & signed
+    if not ok.all():
+        P = P[ok]
+        if not len(P):
+            return guarded, signed, np.zeros((0, len(desc.constraints)))
+        if desc.base.ndim == 2:
+            desc = _descriptor(desc.family, desc.params, desc.base[ok])
+    return guarded, signed, _residual_rows(desc, P)
+
+
+def _members(desc, P, tol):
+    """Rows of an (n, 5) stack P admitted by desc with every |normalized
+    residual| < tol: the membership mask."""
+    guarded, signed, res = _screened(desc, P)
+    member = guarded & signed
+    member[member] = np.all(np.abs(res) < tol, axis=-1)
+    return member
 
 
 def _residual_rows(desc, P):
@@ -659,14 +752,8 @@ def is_member(desc: OrbitDescriptor, p, tol: float = 1e-8) -> bool:
     tol must be finite and positive (DomainError otherwise).
     """
     tol = algebra.as_tolerance("membership tolerance", tol)
-    return _member(desc, algebra.as_vector5(p, "point"), tol)
-
-
-def _member(desc, p, tol) -> bool:
-    """is_member of a finite float point p with a checked tol."""
-    P = p[None, :]
-    return bool(_admitted(desc, P)[1][0]
-                and np.all(np.abs(_residual_rows(desc, P)) < tol))
+    P = algebra.as_vector5(p, "point")[None, :]
+    return bool(_members(desc, P, tol)[0])
 
 
 def tangency_residual(alg: algebra.LieAlgebra, desc: OrbitDescriptor, p):
@@ -738,19 +825,23 @@ def orbits_equal(alg: algebra.LieAlgebra, F1, F2, tol: float = 1e-8) -> bool:
     d1, d2 = (_descriptor(alg.family, alg.params,
                           algebra.as_vector5(F, "covector").copy())
               for F in (F1, F2))
-    return _mutual_membership(
+    equal, asymmetric = _mutual_membership(
         d1, d2, algebra.as_tolerance("membership tolerance", tol))
+    if asymmetric:
+        raise asymmetric[0]
+    return bool(equal[0])
 
 
-def _mutual_membership(d1, d2, tol) -> bool:
-    """orbits_equal of the bases of descriptors d1 and d2."""
-    a = _member(d1, d2.base, tol)
-    b = _member(d2, d1.base, tol)
-    if a != b:
-        raise AsymmetryError(
-            f"orbit membership disagreed for family {d1.family}: "
-            f"{d1.base.tolist()} vs {d2.base.tolist()} ({a} / {b})")
-    return a
+def _mutual_membership(d1, d2, tol):
+    """Whether base k of d1 and base k of d2 lie on one orbit, for
+    descriptors of one base or of equally long stacks: a bool per row, and
+    {row: AsymmetryError} where the two directions disagree."""
+    B1, B2 = np.reshape(d1.base, (-1, 5)), np.reshape(d2.base, (-1, 5))
+    a, b = _members(d1, B2, tol), _members(d2, B1, tol)
+    return a, {int(k): AsymmetryError(
+        f"orbit membership disagreed for family {d1.family}: "
+        f"{B1[k].tolist()} vs {B2[k].tolist()} ({a[k]} / {b[k]})")
+        for k in np.flatnonzero(a != b)}
 
 
 def case_indices(family) -> tuple:
@@ -770,7 +861,7 @@ def canonical_bases(family, case_index) -> list:
         raise DomainError(f"family {family} has no case {case_index}")
     return [np.array([1.0, 1.0, g, d, s])
             for g, d, s in itertools.product((1.0, -1.0, 0.0), repeat=3)
-            if _case_of(family, g, d, s) == case_index]
+            if _case_of(family, _pattern(g, d, s)) == case_index]
 
 
 def _case_sample(alg, base, case_index, n, seed, radius):

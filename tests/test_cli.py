@@ -9,12 +9,12 @@ import pytest
 from korbit import cli, foliation, kirillov, orbits
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, flags=()):
     env = os.environ.copy()
     env.pop("KORBIT_THREADS", None)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "korbit", *args],
+    return subprocess.run([sys.executable, *flags, "-m", "korbit", *args],
                           capture_output=True, text=True, env=env)
 
 
@@ -261,6 +261,27 @@ def test_degenerate_params_warning_goes_to_stderr():
     assert r.returncode == 0
     assert "degenerate" in r.stderr
     assert "degenerate" not in r.stdout
+
+
+# runpy is frozen from Python 3.11 on; with frozen modules off (and before
+# 3.11) its frame comes from runpy.py instead
+@pytest.mark.parametrize("flags", [(), ("-X", "frozen_modules=off")])
+def test_module_run_warning_names_a_source_line(flags):
+    # under python -m korbit the first frame outside the package is runpy's;
+    # the warning names korbit/__main__.py's call line instead
+    r = run_cli("verify-props", "--family", "5.3.3", "--params", "0",
+                "--case", "2", "--n", "5", "--seed", "1", flags=flags)
+    assert r.returncode == 0
+    lines = [ln for ln in r.stderr.splitlines() if "ParameterWarning:" in ln]
+    assert len(lines) == 1 and "<frozen" not in lines[0], r.stderr
+    where = lines[0].split(": ParameterWarning:")[0]
+    path, line = where.rsplit(":", 1)
+    assert os.path.samefile(
+        path, os.path.join(os.path.dirname(cli.__file__), "__main__.py"))
+    with open(path) as f:
+        source = f.read().splitlines()[int(line) - 1]
+    assert "entry()" in source
+    assert "entry()" in r.stderr
 
 
 def test_overflowing_motion_exits_2():

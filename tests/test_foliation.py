@@ -231,8 +231,9 @@ def test_vacuous_sample_counts_are_refused(call):
 
 
 def _reference_partition(family, params, pairs, seed, radius, tol,
-                         probe_points=50):
-    """partition_check with its probes evaluated one point at a time."""
+                         probe_points=50, counts=None):
+    """partition_check with its probes evaluated one point at a time. A
+    counts dict, when given, receives the probe counts of the report."""
     alg = kb.build_algebra(family, params)
     rng = np.random.default_rng(int(seed))
     pts = rng.uniform(-radius, radius, size=(2 * pairs, 5))
@@ -240,6 +241,8 @@ def _reference_partition(family, params, pairs, seed, radius, tol,
     min_sep = None
     same_leaf = 0
     disjoint = 0
+    tally = dict.fromkeys(("probes_evaluated", "probes_sign_rejected",
+                           "probes_guard_rejected", "vacuous_pairs"), 0)
     for i in range(pairs):
         Fa = pts[2 * i].copy()
         Fb = pts[2 * i + 1].copy()
@@ -279,15 +282,20 @@ def _reference_partition(family, params, pairs, seed, radius, tol,
         probe = exp_action.sample_orbit(
             alg, Fa, probe_points, seed=int(seed) + 104729 + i,
             radius=1.5).points
+        evaluated = 0
         for q in probe:
             for sp in desc_b.signs:
                 if not float(sp.fn(q)) > 0.0:
+                    tally["probes_sign_rejected"] += 1
                     break
             else:
                 try:
                     r = orbits.constraint_residuals(desc_b, q)
                 except EvaluationError:
-                    continue  # structurally separated (different stratum)
+                    # structurally separated (different stratum)
+                    tally["probes_guard_rejected"] += 1
+                    continue
+                evaluated += 1
                 sep = float(np.max(np.abs(r)))
                 if min_sep is None or sep < min_sep:
                     min_sep = sep
@@ -301,21 +309,51 @@ def _reference_partition(family, params, pairs, seed, radius, tol,
                         "pair": i, "kind": "margin",
                         "detail": f"orbit point at normalized residual "
                                   f"{sep:.3e} from the partner descriptor"})
+        tally["probes_evaluated"] += evaluated
+        tally["vacuous_pairs"] += evaluated == 0
+    if counts is not None:
+        counts.update(tally)
     return failures, min_sep, same_leaf, disjoint
+
+
+# At radius 1e10 the same-leaf partners of pairs 3, 8, 13 and 18 miss
+# membership (on 5.3.4 pair 3's two directions disagree): the residual
+# normalization does not scale with the coefficients (ROADMAP item 3), so
+# the delta*s = sigma*t residual is the rounding of two cancelling
+# products, as the BLAS dot behind P @ c rounds them.
+_FAR_FAILURES = {
+    "5.3.3": [(3, "same_leaf_missed"), (8, "same_leaf_missed"),
+              (13, "same_leaf_missed"), (18, "same_leaf_missed")],
+    "5.3.4": [(3, "asymmetry"), (8, "same_leaf_missed"),
+              (13, "same_leaf_missed"), (18, "same_leaf_missed")],
+}
 
 
 @pytest.mark.parametrize("fam,params", CANONICAL)
 def test_batched_probes_match_point_reference(fam, params):
-    # tol = 0.05 puts probes inside 10*tol, and some inside tol
+    # tol = 0.05 puts probes inside 10*tol, and some inside tol; radius
+    # 1e10 fails the known pairs of 5.3.3 and 5.3.4
     kinds = set()
-    for seed, tol in ((14, 1e-8), (1729, 1e-8), (5, 0.05)):
-        rep = kb.partition_check(fam, params, pairs=25, seed=seed, tol=tol)
+    runs = [(25, seed, 2.0, tol)
+            for seed, tol in ((14, 1e-8), (1729, 1e-8), (5, 0.05))]
+    if fam in _FAR_FAILURES:
+        runs.append((20, 1, 1e10, 1e-8))
+    for pairs, seed, radius, tol in runs:
+        rep = kb.partition_check(fam, params, pairs=pairs, seed=seed,
+                                 radius=radius, tol=tol)
+        counts = {}
         failures, min_sep, same_leaf, disjoint = _reference_partition(
-            fam, params, 25, seed, 2.0, tol)
+            fam, params, pairs, seed, radius, tol, counts=counts)
         assert rep.failures == failures
         assert (rep.same_leaf_pairs, rep.disjoint_pairs) == (same_leaf, disjoint)
+        assert {k: getattr(rep, k) for k in counts} == counts
+        assert rep.probes_evaluated + rep.probes_sign_rejected + \
+            rep.probes_guard_rejected == 50 * rep.disjoint_pairs
         # numpy's scalar and array loops may round the last bit differently
         assert rep.min_separation == pytest.approx(min_sep, rel=1e-15, abs=0)
+        if radius == 1e10:
+            assert [(f["pair"], f["kind"]) for f in failures] == \
+                _FAR_FAILURES[fam]
         kinds |= {f["kind"] for f in failures}
     assert kinds >= {"margin"}, kinds
 
@@ -386,6 +424,10 @@ def test_stacked_probes_are_bitwise_per_pair_samples(fam, params,
                                  probe_points=probe_points)
         order = [i for i, _, _ in probes]
         assert order == sorted(order) and len(order) == rep.disjoint_pairs
+        # the same-leaf partners of pairs 3, 8, ... move first, in one stack
+        same_leaf = len(range(3, pairs, 5))
+        if same_leaf:
+            assert stacks.pop(0) == same_leaf
         for i, Fa, P in probes:
             want = exp_action.sample_orbit(alg, Fa, probe_points,
                                            seed=9 + 104729 + i,
@@ -395,6 +437,71 @@ def test_stacked_probes_are_bitwise_per_pair_samples(fam, params,
         assert len(stacks) == -(-len(probes) // per_stack)
         assert sum(stacks) == probe_points * len(probes)
         assert max(stacks, default=0) <= max(500, probe_points)
+
+
+def test_partition_calls_scale_with_case_groups_not_pairs(monkeypatch):
+    # random pairs and their known partners are all in case 8: one
+    # membership group and one probe group, whatever the pair count
+    calls = dict.fromkeys(("_descriptor", "_residual_rows",
+                           "_mutual_membership"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(orbits, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(orbits, name, counted)
+    seen = []
+    for pairs in (20, 100):
+        calls.update(dict.fromkeys(calls, 0))
+        rep = kb.partition_check("5.3.2", None, pairs=pairs, seed=3)
+        assert rep.passed and rep.disjoint_pairs > 0
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+    # two directions of one membership group, then one probe group
+    assert seen[0]["_mutual_membership"] == 1
+    assert seen[0]["_residual_rows"] == 3
+    # a descriptor per side and per probe group, and one per screened subset
+    assert seen[0]["_descriptor"] <= 6
+
+
+@pytest.mark.parametrize("fam,params", CANONICAL)
+def test_mirror_partners_are_sign_flips_of_their_first_member(
+        monkeypatch, fam, params):
+    # every 5th pair from pair 4 on is its first member with the sign
+    # coordinate of its case negated (gamma where the case has none), as
+    # in the point reference; the drawn second member is discarded
+    pairs, seed = 30, 5
+    bases = set()
+
+    def recorded(d1, d2, tol, _fn=orbits._mutual_membership):
+        for a, b in zip(np.reshape(d1.base, (-1, 5)),
+                        np.reshape(d2.base, (-1, 5))):
+            bases.add((tuple(a.tolist()), tuple(b.tolist())))
+        return _fn(d1, d2, tol)
+    monkeypatch.setattr(orbits, "_mutual_membership", recorded)
+    rep = kb.partition_check(fam, params, pairs=pairs, seed=seed)
+    alg = algebra.build_algebra(fam, params)
+    pts = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(2 * pairs, 5))
+    for i in range(4, pairs, 5):
+        Fa = pts[2 * i]
+        desc_a = orbits.classify_orbit(alg.family, alg.params, Fa)
+        Fb = Fa.copy()
+        Fb[desc_a.signs[0].coord if desc_a.signs else 2] *= -1.0
+        assert (tuple(Fa.tolist()), tuple(Fb.tolist())) in bases, i
+        assert not any(f["pair"] == i for f in rep.failures)
+
+
+def test_partition_counts_probes_and_vacuous_pairs():
+    rep = kb.partition_check("5.3.2", None, pairs=100, seed=20240811)
+    doc = rep.to_json_dict()
+    assert list(doc)[list(doc).index("min_separation") + 1:][:4] == [
+        "probes_evaluated", "probes_sign_rejected", "probes_guard_rejected",
+        "vacuous_pairs"]
+    assert rep.probes_evaluated + rep.probes_sign_rejected \
+        + rep.probes_guard_rejected == 50 * rep.disjoint_pairs
+    # every probe of a pair shares its orbit's sign, so a pair is evaluated
+    # whole or not at all; vacuous pairs do not fail the partition
+    assert rep.probes_evaluated == 50 * (rep.disjoint_pairs - rep.vacuous_pairs)
+    assert rep.vacuous_pairs > 0 and rep.passed
 
 
 def test_public_calls_validate_their_arguments_once(monkeypatch):
@@ -453,6 +560,23 @@ def test_probe_overflow_names_family_pair_base_and_row(fam):
     if fam == "5.3.1":
         assert m[4].startswith("the coadjoint image overflows at row 1, "
                                "U = [0.6407756646576535, ")
+
+
+def test_same_leaf_overflow_names_family_pair_and_base():
+    # at radius 8e307 the same-leaf partner of pair 3 leaves the float range
+    # before any probe moves; the refusal is its one-row move's, prefixed
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DomainError) as err:
+            kb.partition_check("5.3.1", None, pairs=5, seed=1, radius=8e307)
+        rng = np.random.default_rng(1)
+        base = rng.uniform(-8e307, 8e307, (10, 5))[6]
+        U = rng.uniform(-1.5, 1.5, (1, 5))
+        with pytest.raises(DomainError) as alone:
+            exp_action._move(kb.build_algebra("5.3.1", None), base, U)
+    assert str(err.value) == (f"family 5.3.1, pair 3, base {base.tolist()}: "
+                              f"{alone.value}")
+    assert str(alone.value).startswith("the coadjoint image overflows at row 0")
 
 
 def test_chart_probe_overflow_names_family_case_base_and_row():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import korbit as kb
-from korbit import kirillov, orbits
+from korbit import algebra, kirillov, orbits
 from korbit.errors import AsymmetryError, DomainError, EvaluationError, ParameterWarning
 
 from conftest import CANONICAL, stack_with_singular_values
@@ -526,3 +526,123 @@ def test_jacobian_rank_check_matches_svd_reference(monkeypatch):
             ref = kirillov.svd_ranks(J, t)[0]
             assert ranks.dtype == ref.dtype and np.array_equal(ranks, ref)
     assert {2, 3} <= set(kirillov.svd_ranks(J3, tol)[0].tolist())
+
+
+# Catalog defaults (None) and a second parameter point per family; 5.3.8
+# adds the modulus branch (phi = 1) and the quarter turn (phi = pi/2) of
+# its sigma = 0 rows.
+_STACK_PARAMS = [
+    ("5.3.1", None), ("5.3.1", {"lambda1": -1.5, "lambda2": 0.6}),
+    ("5.3.2", None), ("5.3.2", {"lambda": -0.7}),
+    ("5.3.3", None), ("5.3.3", {"lambda": 0.4}),
+    ("5.3.4", None),
+    ("5.3.5", None), ("5.3.5", {"lambda": -1.6}),
+    ("5.3.6", None), ("5.3.6", {"lambda": 0.45}),
+    ("5.3.7", None),
+    ("5.3.8", None), ("5.3.8", {"lambda": 0.7, "phi": 1.0}),
+    ("5.3.8", {"lambda": -1.3, "phi": math.pi / 2}),
+]
+
+
+def _mixed_stack(alg, seed, per_pattern=3, points=8):
+    """Bases of every zero pattern of (gamma, delta, sigma), per_pattern of
+    each, and per base `points` rows: orbit points, then two points of the
+    cube that may fail a guard or a sign. Returns (bases, points) of equal
+    length, rows shuffled."""
+    rng = np.random.default_rng(seed)
+    bases, pts = [], []
+    for code in range(8):
+        for _ in range(per_pattern):
+            B = rng.uniform(-2.0, 2.0, 5)
+            mag = rng.uniform(0.3, 3.0, 3) * rng.choice([-1.0, 1.0], 3)
+            B[2:] = [mag[k] if code >> (2 - k) & 1 else 0.0 for k in range(3)]
+            P = kb.sample_orbit(alg, B, points - 2, seed=int(rng.integers(1 << 30)),
+                                radius=1.0).points
+            bases += [B] * points
+            pts += [*P, *rng.uniform(-2.0, 2.0, (2, 5))]
+    order = rng.permutation(len(bases))
+    return np.array(bases)[order], np.array(pts)[order]
+
+
+@pytest.mark.parametrize("fam,params", _STACK_PARAMS)
+def test_stacked_descriptors_match_one_base_descriptors(fam, params):
+    alg = kb.build_algebra(fam, params)
+    B, P = _mixed_stack(alg, seed=_STACK_PARAMS.index((fam, params)))
+    p = alg.params
+    cases = orbits._case_of(fam, orbits._pattern(*B.T[2:]))
+    singles = [kb.classify_orbit(fam, params, b) for b in B]
+    assert cases.tolist() == [d.case_index for d in singles]
+    assert len(set(cases.tolist())) == len(kb.case_indices(fam))
+    seen = np.zeros(len(B), dtype=bool)
+    for rows, desc in orbits._classify_stack(fam, p, B):
+        assert not seen[rows].any()
+        seen[rows] = True
+        assert np.array_equal(desc.base, B[rows])
+        guarded, signed, res = orbits._screened(desc, P[rows])
+        affine = np.array([c.affine for c in desc.constraints])
+        admitted = np.flatnonzero(guarded & signed)
+        assert res.shape == (len(admitted), len(desc.constraints))
+        for k, r in enumerate(rows):
+            one = singles[r]
+            assert (desc.case, desc.shape, desc.dim, desc.provenance) == (
+                one.case, one.shape, one.dim, one.provenance)
+            assert [c.expr for c in desc.constraints] == [
+                c.expr for c in one.constraints]
+            assert [s.expr for s in desc.signs] == [s.expr for s in one.signs]
+            q = P[r][None, :]
+            assert guarded[k] == orbits._guarded(one, q)[0]
+            assert signed[k] == orbits._signed(one, q)[0]
+            if not (guarded[k] and signed[k]):
+                continue
+            want = orbits._residual_rows(one, q)[0]
+            got = res[np.searchsorted(admitted, k)]
+            assert np.array_equal(got[~affine], want[~affine]), (fam, r)
+            np.testing.assert_allclose(got[affine], want[affine],
+                                       rtol=1e-15, atol=1e-15)
+    assert seen.all()
+
+
+def test_stacked_descriptor_covers_both_sigma_zero_branches():
+    # 5.3.8 case 3 with sigma = 0: four constraints on the modulus branch,
+    # three at the quarter turn; a stack holds one branch per zero pattern
+    for phi, count in ((1.0, 4), (math.pi / 2, 3)):
+        alg = kb.build_algebra("5.3.8", {"lambda": 1.0, "phi": phi})
+        B, _ = _mixed_stack(alg, seed=5)
+        groups = orbits._classify_stack("5.3.8", alg.params, B)
+        branch = [d for _, d in groups
+                  if d.case_index == 3 and d.case.zero_pattern[2]]
+        assert len(branch) == 3  # (gamma, delta) = (+, 0), (0, +), (+, +)
+        assert all(len(d.constraints) == count and not d.signs
+                   for d in branch)
+
+
+def test_stacked_classifier_refuses_degenerate_parameters():
+    with pytest.warns(ParameterWarning):
+        p = algebra.validate_params("5.3.3", {"lambda": 0.0})
+    fixed = np.array([[1.0, 1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0, 2.0]])
+    assert [d.case_index for _, d in orbits._classify_stack("5.3.3", p, fixed)
+            ] == [2, 4]
+    with pytest.raises(DomainError, match="no valid closed-form") as err:
+        orbits._classify_stack("5.3.3", p, np.vstack([fixed, [1, 1, 1, 0, 0]]))
+    with pytest.raises(DomainError) as one:
+        orbits._descriptor("5.3.3", p, np.array([1.0, 1.0, 1.0, 0.0, 0.0]))
+    assert str(err.value) == str(one.value)
+
+
+def test_orbits_equal_is_the_one_row_mutual_membership():
+    alg = kb.build_algebra("5.3.4", None)
+    F = np.array([0.3, -1.2, 1.1, 0.8, -0.6])
+    G = kb.coadjoint_move(alg, F, np.array([0.2, 0.9, -0.4, 0.3, 0.5]))
+    d1 = orbits._descriptor(alg.family, alg.params, F.copy())
+    d2 = orbits._descriptor(alg.family, alg.params, G.copy())
+    equal, odd = orbits._mutual_membership(d1, d2, 1e-8)
+    assert equal.tolist() == [True] and odd == {}
+    assert kb.orbits_equal(alg, F, G)
+    # the stacked call decides each row as orbits_equal decides it alone
+    H = F * np.array([1, 1, 1, 1, -1])
+    s1 = orbits._descriptor(alg.family, alg.params, np.array([F, F]))
+    s2 = orbits._descriptor(alg.family, alg.params, np.array([G, H]))
+    equal, odd = orbits._mutual_membership(s1, s2, 1e-8)
+    assert equal.tolist() == [kb.orbits_equal(alg, F, G),
+                              kb.orbits_equal(alg, F, H)] == [True, False]
+    assert odd == {}
