@@ -48,7 +48,8 @@ def _parse_covector(text):
 
 
 def _parse_params(family, raw):
-    """Accept 'name=value,...' or positional values in catalog order."""
+    """Accept 'name=value,...', each name once, or positional values in
+    catalog order."""
     if raw is None:
         return None
     if isinstance(raw, dict):
@@ -64,9 +65,15 @@ def _parse_params(family, raw):
                 if not item:
                     continue
                 name, _, val = item.partition("=")
-                out[name.strip()] = float(val)
+                name = name.strip()
+                if name in out:
+                    raise DomainError(f"parameter {name} is given more than "
+                                      f"once in {raw!r}")
+                out[name] = float(val)
             return out
         values = [float(v) for v in text.replace(",", " ").split()]
+    except DomainError:
+        raise
     except ValueError:
         raise DomainError(f"could not parse parameters {raw!r}") from None
     return algebra.params_from_sequence(family, values)

@@ -3,8 +3,8 @@
 exp(ad_U) is block lower-triangular: an identity 2x2 block, a 3x3 block
 exp(b*A) (A = ad_{X2} on the ideal, b = X2-coefficient of U) and a 3x2
 coupling block phi1(b*A) @ V, phi1(x) = (e^x - 1)/x. The generic route
-(exp_ad, coadjoint_move, sample_orbit) takes one element (5,) or an
-(n, 5) stack, one element being the n = 1 case of the same code.
+(exp_ad, coadjoint_move) takes one element (5,) or an (n, 5) stack, one
+element being the n = 1 case; every orbit sample moves by _move_items.
 
 The generic route's exponential, _expm, is family-blind: it reads only
 the matrices ad_U, never this module's spectral table or the block
@@ -60,6 +60,9 @@ _EYE.setflags(write=False)
 # of the perfbench verify workload took about 40 600 minor faults, chunked
 # about 3.
 _CORE_ROWS = 128
+# Rows per _move_items stack. All of partition_check's probes in one stack
+# took about 6 000 minor faults per pass over 8 families, 500 about 50.
+_STACK_ROWS = 500
 
 
 def _phi1(x):
@@ -419,8 +422,43 @@ def sample_orbit(alg: algebra.LieAlgebra, F, n: int, seed: int,
     n = algebra.as_count("sample count", n, 0)
     seed = algebra.as_count("seed", seed, 0)
     radius = algebra.as_radius(radius)
-    rng = np.random.default_rng(seed)
-    Us = rng.uniform(-radius, radius, size=(n, 5))
-    pts = _move(alg, F, Us)
+    pts = _move_items(alg, F[None], _draws([seed], n, radius), n)
     return OrbitSample(family=alg.family, params=dict(alg.params),
                        base=F, points=pts, seed=seed, radius=radius)
+
+
+def _draws(seeds, n, radius) -> np.ndarray:
+    """sample_orbit's n draws from [-radius, radius]^5 for each seed."""
+    return _joined([np.random.default_rng(s).uniform(-radius, radius, (n, 5))
+                    for s in seeds])
+
+
+def _move_items(alg, F, U, n, where=None) -> np.ndarray:
+    """Row k of the (m, 5) stack F moved by rows k*n ... (k+1)*n - 1 of U,
+    in stacks of whole items of at most _STACK_ROWS rows (or one item). A
+    refused stack raises its own DomainError, or with where given, that of
+    its first refused item k moved alone, after where(k)."""
+    per_stack = max(1, _STACK_ROWS // max(n, 1))
+    blocks = []
+    for k in range(0, len(F), per_stack):
+        items = range(k, min(k + per_stack, len(F)))
+        Fs = F[k] if len(items) == 1 else np.repeat(F[k:items.stop], n, axis=0)
+        try:
+            blocks.append(_move(alg, Fs, U[k * n:items.stop * n]))
+        except DomainError:
+            if where is None:
+                raise
+            with np.errstate(all="ignore"):  # the stack has warned already
+                for j in items:
+                    try:
+                        _move(alg, F[j], U[j * n:(j + 1) * n])
+                    except DomainError as exc:
+                        raise DomainError(f"{where(j)}: {exc}") from None
+            raise
+    return _joined(blocks)
+
+
+def _joined(blocks) -> np.ndarray:
+    # the (k, 5) blocks in order; one block as it is, not copied
+    return blocks[0] if len(blocks) == 1 else np.concatenate(
+        [np.empty((0, 5))] + blocks)

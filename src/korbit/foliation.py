@@ -10,9 +10,8 @@ known pairs (the same-leaf partners in one stacked motion) and groups
 the pairs by (zero pattern of a, zero pattern of b), the case groups of
 orbits._classify_stack; each group decides mutual membership with one
 stacked descriptor per side and one residual call per direction. The
-second moves the probes of every disjoint pair, whole pairs stacked up to
-_PROBE_CHUNK_ROWS rows per exp_ad call, each row by its own pair's
-covector, and groups the probes by the zero pattern of their partner:
+second moves the probes of every disjoint pair by exp_action._move_items,
+whole pairs stacked, and groups them by the zero pattern of their partner:
 each probe row is checked against its own pair's partner base. Only
 probes admitted by the partner's membership mask (guards and signs) get
 residuals; they are counted, and failures are listed in pair order, then
@@ -27,9 +26,6 @@ import numpy as np
 
 from . import algebra, exp_action, kirillov, orbits
 from .errors import DomainError
-
-# Disjoint-pair probes move in stacks of whole pairs up to this many rows.
-_PROBE_CHUNK_ROWS = 500
 
 _NOTICE = ("this report checks the set-theoretic orbit partition only; "
            "transverse-measure functionals on the leaf space have no finite "
@@ -116,11 +112,8 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
     same, mirror = np.arange(3, pairs, 5), np.arange(4, pairs, 5)
     if len(same):
         U = rng.uniform(-1.5, 1.5, size=(len(same), 5))
-        try:
-            B[same] = exp_action._move(alg, A[same], U)
-        except DomainError:
-            _refuse_pair_overflow(alg, [(i, A[i], None) for i in same], U, 1)
-            raise
+        B[same] = exp_action._move_items(alg, A[same], U, 1,
+                                         _pair_of(fam, A, same))
     # a mirror partner is its first member with the sign coordinate of its
     # case negated, gamma where the case has none
     coord = [orbits._sign_coord(fam, c) for c in range(8)]
@@ -159,9 +152,9 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
     # phase two: the probes of every disjoint pair, grouped by the zero
     # pattern of its partner; row r is checked against its pair's partner
     pair_of = np.repeat(disjoint, probe_points)
-    probe = np.concatenate([np.empty((0, 5))] + [
-        P for _, _, P in _moved_probes(
-            alg, [(i, A[i], B[i]) for i in disjoint], seed, probe_points)])
+    Us = exp_action._draws(seed + 104729 + disjoint, probe_points, 1.5)
+    probe = exp_action._move_items(alg, A[disjoint], Us, probe_points,
+                                   _pair_of(fam, A, disjoint))
     sep = np.full(len(probe), np.inf)
     evaluated = np.zeros(len(probe), dtype=bool)
     sign_rejected = guard_rejected = 0
@@ -200,40 +193,10 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
         failures=failures)
 
 
-def _moved_probes(alg, disjoint, seed, probe_points):
-    """(i, Fb, probe points) per disjoint pair (i, Fa, Fb), in pair order.
-    Pair i's probes are the images of Fa along
-    default_rng(seed + 104729 + i).uniform(-1.5, 1.5, (probe_points, 5)),
-    bit for bit sample_orbit's; whole pairs move together in stacks of at
-    most _PROBE_CHUNK_ROWS rows (one pair if it alone is larger)."""
-    per_chunk = max(1, _PROBE_CHUNK_ROWS // probe_points)
-    for k in range(0, len(disjoint), per_chunk):
-        chunk = disjoint[k:k + per_chunk]
-        Us = np.concatenate([
-            np.random.default_rng(seed + 104729 + i).uniform(
-                -1.5, 1.5, size=(probe_points, 5)) for i, _, _ in chunk])
-        Fs = np.repeat([Fa for _, Fa, _ in chunk], probe_points, axis=0)
-        try:
-            P = exp_action._move(alg, Fs, Us)
-        except DomainError:
-            _refuse_pair_overflow(alg, chunk, Us, probe_points)
-            raise
-        for m, (i, _, Fb) in enumerate(chunk):
-            yield i, Fb, P[m * probe_points:(m + 1) * probe_points]
-
-
-def _refuse_pair_overflow(alg, chunk, Us, probe_points):
-    """Move each pair of an overflowing chunk alone, and raise the first
-    pair's refusal: it names the row within that pair's draw, prefixed
-    with the family, the pair and its base."""
-    for m, (i, Fa, _) in enumerate(chunk):
-        try:
-            with np.errstate(all="ignore"):  # the stack has warned already
-                exp_action._move(
-                    alg, Fa, Us[m * probe_points:(m + 1) * probe_points])
-        except DomainError as exc:
-            raise DomainError(f"family {alg.family}, pair {i}, base "
-                              f"{list(map(float, Fa))}: {exc}") from None
+def _pair_of(family, A, pairs):
+    # the refusal prefix of item k, moved from pair pairs[k]'s first member
+    return lambda k: (f"family {family}, pair {pairs[k]}, "
+                      f"base {list(map(float, A[pairs[k]]))}")
 
 
 def local_triviality_probe(family, params, case_index, n: int = 100,
@@ -245,15 +208,17 @@ def local_triviality_probe(family, params, case_index, n: int = 100,
     case_index)[0] unless given), the constraint Jacobian must have rank
     3 and a 3-column submatrix (the complement of two chart coordinates)
     nonsingular at the Jacobian's threshold: the orbit is locally a graph
-    over two coordinates. rank_tol must be finite and positive. A base
-    outside the case and a motion past the float range raise DomainError,
-    as in verify_proposition.
+    over two coordinates. rank_tol must be finite and positive. A case
+    index that is not a case of the family, a base outside the case and a
+    motion past the float range raise DomainError, as in
+    verify_proposition.
     """
     alg = algebra.build_algebra(family, params)
     n = algebra.as_count("sample count", n, 1)
     seed = algebra.as_count("seed", seed, 0)
     radius = algebra.as_radius(radius)
     rank_tol = algebra.as_tolerance("rank tolerance", rank_tol)
+    case_index = orbits._checked_case(alg.family, case_index)
     base = (orbits.canonical_bases(alg.family, case_index)[0] if base is None
             else algebra.as_vector5(base, "base covector"))
     desc, pts = orbits._case_sample(alg, base, case_index, n, seed, radius)

@@ -151,9 +151,11 @@ def _sign(i, v) -> SignPredicate:
 
 
 def _aff(expr, v, coef, const) -> Constraint:
-    # g = p @ coef + const; coefficients that vary by row (a stack of
-    # bases) make a per-row product-sum, a stack of (1, 5) @ (5, 1)
-    # products that rounds each row as P @ coef does for one base
+    # g = p @ coef + const. Coefficients that vary by row (a stack of
+    # bases) make a stack of (1, 5) @ (5, 1) products: each row rounds as
+    # one point's p @ coef, a (5,) @ (5,) product, does for its own base,
+    # which partition_check relies on. One base's P @ coef over many
+    # points is a matrix-vector product and can differ in the last bit.
     if np.ndarray in map(type, coef):
         c = np.stack(np.broadcast_arrays(*coef), axis=-1)
 
@@ -857,26 +859,31 @@ def canonical_bases(family, case_index) -> list:
     case 3 also includes sigma = 0 sub-branch bases). The first has every
     nonzero coordinate +1."""
     family = algebra.normalize_family(family)
-    if case_index not in case_indices(family):
-        raise DomainError(f"family {family} has no case {case_index}")
+    case_index = _checked_case(family, case_index)
     return [np.array([1.0, 1.0, g, d, s])
             for g, d, s in itertools.product((1.0, -1.0, 0.0), repeat=3)
             if _case_of(family, _pattern(g, d, s)) == case_index]
 
 
+def _checked_case(family, case_index) -> int:
+    """A case index of the normalized family as an int, or DomainError."""
+    case_index = algebra.as_count("case index", case_index, 1)
+    if (family, case_index) not in _CASES:
+        raise DomainError(f"family {family} has no case {case_index}")
+    return case_index
+
+
 def _case_sample(alg, base, case_index, n, seed, radius):
     """(descriptor, sample_orbit points) of a finite float base covector,
-    refusing a base outside the case and naming the family, case and base
-    when a motion leaves the float range."""
+    refusing a base outside the case, and a motion past the float range
+    with the family, case and base first (exp_action._move_items)."""
     desc = _descriptor(alg.family, alg.params, base.copy())
     if desc.case_index != case_index:
         raise DomainError(f"base {base.tolist()} lies in case "
                           f"{desc.case_index}, not requested case {case_index}")
-    try:
-        return desc, exp_action.sample_orbit(alg, base, n, seed, radius).points
-    except DomainError as exc:  # a motion beyond the float range
-        raise DomainError(f"family {alg.family} case {case_index}, "
-                          f"base {base.tolist()}: {exc}") from None
+    U = exp_action._draws([seed], n, radius)
+    return desc, exp_action._move_items(alg, base[None], U, n, lambda k: (
+        f"family {alg.family} case {case_index}, base {base.tolist()}"))
 
 
 def _adjudication_entry(desc, Pm):
@@ -947,9 +954,10 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
     dimension, and analytic gradients against central differences. The base
     covectors are canonical_bases(family, case), one per sign pattern of
     the case, unless an explicit base is given; base k samples with
-    seed + 7919*k. The tolerances and grad_step must be finite and
-    positive (DomainError otherwise). A motion beyond the float range
-    raises DomainError naming the family, case and base.
+    seed + 7919*k. The case index must be an integer case of the family
+    and the tolerances and grad_step finite and positive (DomainError
+    otherwise). A motion beyond the float range raises DomainError naming
+    the family, case and base.
     """
     alg = algebra.build_algebra(family, params)
     n = algebra.as_count("sample count", n, 1)
@@ -960,6 +968,7 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
     tangency_tol = algebra.as_tolerance("tangency_tol", tangency_tol)
     grad_tol = algebra.as_tolerance("grad_tol", grad_tol)
     rank_tol = algebra.as_tolerance("rank tolerance", rank_tol)
+    case_index = _checked_case(alg.family, case_index)
     bases = (canonical_bases(alg.family, case_index) if base is None
              else [algebra.as_vector5(base, "base covector")])
 

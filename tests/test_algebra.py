@@ -271,6 +271,8 @@ COUNT_ENTRY_POINTS = {
         "5.3.2", None, 8, n=v, seed=1),
     "verify_proposition seed": lambda v: kb.verify_proposition(
         "5.3.2", None, 8, n=5, seed=v),
+    "verify_proposition case": lambda v: kb.verify_proposition(
+        "5.3.2", None, v, n=5, seed=1),
     "md_scan n": lambda v: kb.md_scan("5.3.1", None, n=v, seed=1),
     "md_scan seed": lambda v: kb.md_scan("5.3.1", None, n=16, seed=v),
     "partition_check pairs": lambda v: kb.partition_check(
@@ -287,6 +289,8 @@ COUNT_ENTRY_POINTS = {
         "5.3.2", None, 8, n=v, seed=1),
     "local_triviality_probe seed": lambda v: kb.local_triviality_probe(
         "5.3.2", None, 8, n=5, seed=v),
+    "local_triviality_probe case": lambda v: kb.local_triviality_probe(
+        "5.3.2", None, v, n=5, seed=1),
 }
 
 

@@ -489,6 +489,15 @@ def test_unset_options_take_the_library_defaults(capsys):
         foliation.partition_check, *names)
 
 
+def test_repeated_param_name_exits_2():
+    # the last value must not silently win
+    r = run_cli("classify", "--family", "5.3.2", "--params",
+                "lambda=2,lambda=3", "--covector", "1,1,1,1,1")
+    assert (r.returncode, r.stderr, r.stdout) == (
+        2, "error: parameter lambda is given more than once in "
+           "'lambda=2,lambda=3'\n", "")
+
+
 def test_non_finite_params_are_refused_by_name():
     for given, line in (("lambda=inf", "parameter lambda must be finite, got inf"),
                         ("lambda=nan", "parameter lambda must be finite, got nan"),

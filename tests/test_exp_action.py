@@ -468,6 +468,35 @@ def test_overflow_is_refused_on_every_motion_route():
                 move([0, 0, 0, 1e300, 1e300], [0, 200.0, 0, 0, 0])
 
 
+def test_item_motion_edges_and_refusals():
+    # _move_items, the sampler behind sample_orbit and both probes
+    alg = kb.build_algebra("5.3.1", None)
+    F = np.ones((3, 5))
+    assert exp_action._move_items(alg, F, np.empty((0, 5)), 0).shape == (0, 5)
+    U = exp_action._draws([1, 2, 3], 4, 1.5)
+    assert np.array_equal(U, np.concatenate([
+        np.random.default_rng(s).uniform(-1.5, 1.5, (4, 5)) for s in (1, 2, 3)]))
+    # item 1's second element overflows: the stack's own refusal counts the
+    # rows of the stack, where(1)'s the rows of item 1's four elements
+    U[5] = [0.0, 300.0, 0.0, 0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as err:
+            exp_action._move_items(alg, F, U, 4)
+        assert str(err.value) == "exp(ad U) " + _overflow_line(U[5], 5)
+        with pytest.raises(DomainError) as err:
+            exp_action._move_items(alg, F, U, 4, lambda k: f"item {k}")
+        assert str(err.value) == "item 1: exp(ad U) " + _overflow_line(U[5], 1)
+        # without where, one item's refusal is the kernel's own, unprefixed,
+        # as sample_orbit raises it
+        with pytest.raises(DomainError) as err:
+            exp_action._move_items(alg, F[:1], U[4:8], 4)
+        with pytest.raises(DomainError) as alone:
+            exp_action._move(alg, F[0], U[4:8])
+    assert str(err.value) == str(alone.value) == (
+        "exp(ad U) " + _overflow_line(U[5], 1))
+
+
 @pytest.mark.parametrize("bad", [
     ["a", 1, 1, 1, 1],
     [[1, 2], [1, 2, 3, 4, 5]],

@@ -397,46 +397,54 @@ def test_stacked_probes_are_bitwise_per_pair_samples(fam, params,
                                                      monkeypatch):
     # 500 rows hold 71 pairs of 7 probes (not a divisor), one pair of 333,
     # and less than one pair of 600
-    moved = foliation._moved_probes
-    move = exp_action._move
-    probes, stacks = [], []
+    move_items, move = exp_action._move_items, exp_action._move
+    calls, stacks = [], []
 
-    def recorded(alg, disjoint, seed, probe_points):
-        bases = {i: Fa for i, Fa, _ in disjoint}
-        for i, desc_b, P in moved(alg, disjoint, seed, probe_points):
-            probes.append((i, bases[i], P))
-            yield i, desc_b, P
+    def recorded(alg, F, U, n, where=None):
+        out = move_items(alg, F, U, n, where)
+        calls.append((F, n, where, out))
+        return out
 
     def counted(alg, F, U):
-        if np.ndim(F) == 2:
-            stacks.append(len(F))
+        stacks.append(len(U))
         return move(alg, F, U)
 
-    monkeypatch.setattr(foliation, "_moved_probes", recorded)
+    monkeypatch.setattr(exp_action, "_move_items", recorded)
     monkeypatch.setattr(exp_action, "_move", counted)
     alg = kb.build_algebra(fam, params)
-    assert list(moved(alg, [], 9, 50)) == []
     for pairs, probe_points in ((100, 1), (100, 7), (20, 50), (20, 333),
                                 (20, 600), (1, 50), (3, 50)):
-        probes.clear()
+        calls.clear()
         stacks.clear()
         rep = kb.partition_check(fam, params, pairs=pairs, seed=9,
                                  probe_points=probe_points)
-        order = [i for i, _, _ in probes]
-        assert order == sorted(order) and len(order) == rep.disjoint_pairs
+        moved = stacks[:]  # before sample_orbit below moves its own
         # the same-leaf partners of pairs 3, 8, ... move first, in one stack
         same_leaf = len(range(3, pairs, 5))
         if same_leaf:
-            assert stacks.pop(0) == same_leaf
-        for i, Fa, P in probes:
+            assert calls.pop(0)[1] == 1 and moved.pop(0) == same_leaf
+        (F, n, where, P), = calls
+        assert n == probe_points and P.shape == (n * len(F), 5)
+        order = []
+        for k, Fa in enumerate(F):
+            m = re.fullmatch(r"family (\S+), pair (\d+), base (\[[^]]*\])",
+                             where(k))
+            i = int(m[2])
+            assert m[1] == alg.family and json.loads(m[3]) == Fa.tolist()
             want = exp_action.sample_orbit(alg, Fa, probe_points,
                                            seed=9 + 104729 + i,
                                            radius=1.5).points
-            assert np.array_equal(P.view(np.int64), want.view(np.int64)), i
+            got = P[k * n:(k + 1) * n]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), i
+            order.append(i)
+        assert order == sorted(set(order)) and len(order) == rep.disjoint_pairs
         per_stack = max(1, 500 // probe_points)
-        assert len(stacks) == -(-len(probes) // per_stack)
-        assert sum(stacks) == probe_points * len(probes)
-        assert max(stacks, default=0) <= max(500, probe_points)
+        assert all(rows % probe_points == 0 for rows in moved)  # whole pairs
+        assert len(moved) == -(-len(F) // per_stack)
+        assert sum(moved) == probe_points * len(F)
+        assert max(moved, default=0) <= max(500, probe_points)
+    assert move_items(alg, np.empty((0, 5)), np.empty((0, 5)), 50).shape == (
+        0, 5)
 
 
 def test_partition_calls_scale_with_case_groups_not_pairs(monkeypatch):

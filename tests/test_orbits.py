@@ -291,6 +291,29 @@ def test_verify_rejects_mismatched_base():
                               base=[0, 0, 0, 0, 1.0])
 
 
+def test_case_index_is_a_checked_count():
+    # a bool or a numeric string is no case index, an integral float is its
+    # int, and a case outside the family is refused with an explicit base too
+    for bad in (True, "2"):
+        for call in (lambda: kb.verify_proposition("5.3.2", None, bad, n=5,
+                                                   seed=1),
+                     lambda: kb.local_triviality_probe("5.3.2", None, bad,
+                                                       n=5),
+                     lambda: kb.canonical_bases("5.3.2", bad)):
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == (f"case index must be an integer, "
+                                      f"got {bad!r}")
+    rep = kb.verify_proposition("5.3.2", None, 2.0, n=5, seed=1)
+    assert type(rep.case) is int and rep.case == 2
+    with pytest.raises(DomainError, match=r"^family 5\.3\.2 has no case 9$"):
+        kb.verify_proposition("5.3.2", None, 9, n=5, seed=1,
+                              base=[1, 1, 1, 1, 1])
+    with pytest.raises(DomainError,
+                       match=r"^case index must be at least 1, got 0$"):
+        kb.canonical_bases("5.3.2", 0)
+
+
 def test_descriptor_summary_is_json_ready():
     import json
 
