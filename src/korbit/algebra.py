@@ -276,12 +276,14 @@ def as_stack5(v, what="vector") -> np.ndarray:
 
 
 def _as_real(what, value) -> float:
-    """float(value), or a DomainError naming what if float() refuses it."""
+    """float(value), or a DomainError naming what if float() refuses it or
+    value is a bool, which float() would take as 0 or 1."""
     try:
-        return float(value)
+        if not isinstance(value, (bool, np.bool_)):
+            return float(value)
     except (TypeError, ValueError):  # None, "abc", 1j, a list
-        raise DomainError(
-            f"{what} must be a real number, got {value!r}") from None
+        pass
+    raise DomainError(f"{what} must be a real number, got {value!r}")
 
 
 def as_tolerance(what, value, zero_ok: bool = False) -> float:

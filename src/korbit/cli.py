@@ -35,12 +35,12 @@ def _check_threads() -> None:
 def _parse_covector(text):
     if text is None:
         raise DomainError("a covector is required (--covector 'x,y,z,t,s')")
-    try:  # a config file may give a list, of anything JSON holds
-        if isinstance(text, (list, tuple)):
-            vals = [float(v) for v in text]
-        else:
-            vals = [float(v) for v in str(text).replace(",", " ").split()]
-    except (TypeError, ValueError):
+    # a config file may give a list, of anything JSON holds
+    items = (text if isinstance(text, (list, tuple))
+             else str(text).replace(",", " ").split())
+    try:
+        vals = [algebra._as_real("covector", v) for v in items]
+    except DomainError:  # neither float() nor a bool will do
         raise DomainError(f"covector must be 5 numbers, got {text!r}") from None
     if len(vals) != 5:
         raise DomainError(f"covector must have 5 coordinates, got {len(vals)}")
@@ -372,10 +372,11 @@ _COMMANDS = {
                                         "covector",
                      _SAMPLING + ("family", "params", "covector"),
                      ("csv", "json")),
+    # its chart probes sample --members points each: it takes no --n
     "check-foliation": (_cmd_check_foliation, "orbit-partition and chart "
                                               "checks",
-                        _SAMPLING + ("family", "params", "pairs", "members",
-                                     "tol"), ()),
+                        ("seed", "radius", "family", "params", "pairs",
+                         "members", "tol"), ()),
 }
 
 

@@ -116,9 +116,8 @@ def phi_series(lam: float, b: float) -> float:
     below SERIES_CUTOFF.
     """
     try:
-        lam = float(lam)
-        b = float(b)
-    except (TypeError, ValueError):
+        lam, b = (algebra._as_real("phi_series argument", v) for v in (lam, b))
+    except DomainError:  # neither float() nor a bool will do
         raise DomainError("phi_series arguments must be real numbers, "
                           f"got {lam!r}, {b!r}") from None
     if not (math.isfinite(lam) and math.isfinite(b)):

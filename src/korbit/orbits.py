@@ -23,9 +23,11 @@ table row; rows shared by several families are written once. Family
 5.3.8 case 3 is the one row whose specs are a builder function.
 
 The checks (residuals, tangency, Jacobian rank, finite-difference
-gradients) and the membership mask (guards, then signs, each in one loop)
-take one point or an (n, 5) stack; a single point is the n = 1 case, and
-verify_proposition runs them on whole samples.
+gradients) and the one screen _masks (the guard mask, then the sign mask,
+each in one loop) take one point or an (n, 5) stack; a single point is the
+n = 1 case, and verify_proposition runs them on whole samples. It computes
+each base's residual rows once, and the adjudication record reads the
+adjudicated columns from them.
 
 A descriptor may also hold an (n, 5) stack of bases that share one zero
 pattern: the table and builders resolve each base coordinate as an (n,)
@@ -376,23 +378,17 @@ class _Adjudication:
     """How a flagged equation of a case was decided against the oracle.
 
     equation, literal and corrected are slots: an index into the case's
-    constraints, a slice of them, or an alternative spec. The equation slot
-    names what is adjudicated; the worst normalized residual of the literal
-    and corrected slots is reported under that label (None: not evaluated).
+    constraints, a slice of them, or (literal and corrected only) an
+    alternative spec. The equation slot names what is adjudicated; the
+    worst normalized residual of the literal and corrected slots is
+    reported under that label (None: not evaluated). An index or slice
+    reads the verification's own residual columns; a spec is evaluated.
     """
     equation: object
     literal: object
     corrected: object
     adopted: str  # literal | corrected | oracle-corrected
     note: str
-
-
-def _slot(cons, slot, v) -> tuple:
-    if isinstance(slot, int):
-        return (cons[slot],)
-    if isinstance(slot, slice):
-        return cons[slot]
-    return (_build(slot, v),)
 
 
 _PAIR_531_6 = _Adjudication(
@@ -661,27 +657,17 @@ def _guards(desc, P):
             yield con, g, np.asarray(g.fn(P)) > 0.0
 
 
-def _guarded(desc, P):
-    """Rows of P passing every guard: their residuals are defined."""
+def _masks(desc, P):
+    """(guarded, signed) of an (n, 5) stack P: the rows passing every guard,
+    whose residuals are defined, and the rows passing every strict sign
+    predicate. A row admitted as a member passes both."""
     guarded = np.ones(P.shape[:-1], dtype=bool)
     for _, _, ok in _guards(desc, P):
         guarded &= ok
-    return guarded
-
-
-def _signed(desc, P):
-    """Rows of P passing every strict sign predicate."""
     signed = np.ones(P.shape[:-1], dtype=bool)
     for sp in desc.signs:
         signed &= np.asarray(sp.fn(P)) > 0.0
-    return signed
-
-
-def _admitted(desc, P):
-    """Rows of P passing every guard (residuals are defined), and rows also
-    passing every strict sign predicate (admitted as members)."""
-    guarded = _guarded(desc, P)
-    return guarded, guarded & _signed(desc, P)
+    return guarded, signed
 
 
 def _screened(desc, P):
@@ -689,7 +675,7 @@ def _screened(desc, P):
     sign masks, and the normalized residuals of the rows passing both, in
     row order. Row k of a stacked descriptor is checked against its base
     k; a rejected row is never evaluated."""
-    guarded, signed = _guarded(desc, P), _signed(desc, P)
+    guarded, signed = _masks(desc, P)
     ok = guarded & signed
     if not ok.all():
         P = P[ok]
@@ -886,24 +872,27 @@ def _case_sample(alg, base, case_index, n, seed, radius):
         f"family {alg.family} case {case_index}, base {base.tolist()}"))
 
 
-def _adjudication_entry(desc, Pm):
-    """The case's adjudication record evaluated on the guarded rows Pm of
-    the sample, or None."""
+def _adjudication_entry(desc, Pm, res):
+    """The case's adjudication record on the guarded rows Pm of the sample,
+    or None. res holds the normalized residual rows of Pm: an index or
+    slice slot reads its columns, and only an alternative spec is built
+    and evaluated."""
     adj = _CASES[desc.family, desc.case_index].adjudication
     if adj is None:
         return None
-    v = _namespace(desc.base, desc.params)
-    cons = desc.constraints
-    scale = _scale(Pm)
 
     def worst(slot):
         if slot is None or not len(Pm):
             return None
-        return float(np.max([np.max(np.abs(con.fn(Pm) / scale))
-                             for con in _slot(cons, slot, v)]))
+        if isinstance(slot, (int, slice)):
+            return float(np.max(np.abs(res[:, slot])))
+        con = _build(slot, _namespace(desc.base, desc.params))
+        return float(np.max(np.abs(con.fn(Pm) / _scale(Pm))))
 
+    eq = desc.constraints[adj.equation]
     return {
-        "equation": "; ".join(c.expr for c in _slot(cons, adj.equation, v)),
+        "equation": "; ".join(c.expr for c in (
+            eq if isinstance(eq, tuple) else (eq,))),
         "literal_residual": worst(adj.literal),
         "corrected_residual": worst(adj.corrected),
         "adopted": adj.adopted,
@@ -980,15 +969,15 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
     for k, B in enumerate(bases):
         desc, P = _case_sample(alg, B, case_index, n, seed + 7919 * k, radius)
         descs.append(desc)
-        mask, admitted = _admitted(desc, P)
-        sign_violations += int(P.shape[0] - np.count_nonzero(admitted))
+        guarded, signed = _masks(desc, P)
+        sign_violations += int(P.shape[0] - np.count_nonzero(guarded & signed))
 
-        Pm = P[mask]  # the checks run on every guarded row
+        Pm = P[guarded]  # the checks run on every guarded row
+        res = _residual_rows(desc, Pm)
         if len(Pm):  # np.max keeps a NaN
             forms = kirillov.kirillov_forms(alg, Pm)
             J = _jacobian(desc, Pm)
-            max_residual = float(np.max(np.abs(_residual_rows(desc, Pm)),
-                                        initial=max_residual))
+            max_residual = float(np.max(np.abs(res), initial=max_residual))
             tangency_max = float(np.max(_tangency_rows(Pm, forms, J),
                                         initial=tangency_max))
             if desc.dim == 2:
@@ -999,7 +988,7 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
             grad_worst = float(np.max(_fd_rows(desc, Pm, J, grad_step),
                                       initial=grad_worst))
 
-        entry = _adjudication_entry(desc, Pm)
+        entry = _adjudication_entry(desc, Pm, res)
         if entry is not None:
             old = prov_acc.setdefault(entry["equation"], entry)
             for slot in ("literal_residual", "corrected_residual"):

@@ -153,7 +153,8 @@ def test_param_count_and_name_errors():
     (-math.inf, "parameter lambda must be finite, got -inf"),
     (math.nan, "parameter lambda must be finite, got nan"),
     ("abc", "parameter lambda must be a real number, got 'abc'"),
-    (None, "parameter lambda must be a real number, got None")])
+    (None, "parameter lambda must be a real number, got None"),
+    (True, "parameter lambda must be a real number, got True")])
 def test_non_finite_or_non_numeric_param_is_refused_by_name(value, line):
     # NaN != 0 holds, so only the finiteness check keeps NaN out of the
     # domain tests; both parameter paths refuse it by the parameter's name
@@ -332,10 +333,11 @@ def test_as_count_bounds():
         kb.algebra.as_count("seed", np.bool_(True), 0)
 
 
-@pytest.mark.parametrize("value", [None, "abc", 1j, [1.0]])
+@pytest.mark.parametrize("value", [None, "abc", 1j, [1.0], True, np.True_])
 def test_non_numeric_tolerance_or_radius_is_refused_by_name(value):
     # a library caller's value that float() cannot take is a DomainError
-    # naming the argument, not a TypeError or ValueError
+    # naming the argument, not a TypeError or ValueError; float() takes a
+    # bool as 0 or 1, which is refused as well
     calls = {
         "sampling radius": lambda: kb.md_scan("5.3.1", None, n=8, seed=1,
                                               radius=value),

@@ -328,11 +328,15 @@ def test_probe_overflow_exits_2_naming_the_pair():
 
 
 def test_non_numeric_covector_exits_2(tmp_path):
-    # from the command line, and as a config-file list holding a null
+    # from the command line, and as a config-file list holding a null or
+    # a true, which float() would take as 1
     cfg = tmp_path / "korbit.json"
     cfg.write_text(json.dumps({"covector": [1, None, 1, 1, 1]}))
+    flag = tmp_path / "flag.json"
+    flag.write_text(json.dumps({"covector": [1, True, 1, 1, 1]}))
     for rest, shown in ((("--covector", "1,1,x,1,1"), "'1,1,x,1,1'"),
-                        (("--config", str(cfg)), "[1, None, 1, 1, 1]")):
+                        (("--config", str(cfg)), "[1, None, 1, 1, 1]"),
+                        (("--config", str(flag)), "[1, True, 1, 1, 1]")):
         r = run_cli("sample-orbit", "--family", "5.3.1", "--n", "3",
                     "--seed", "1", *rest)
         assert (r.returncode, r.stderr, r.stdout) == (
@@ -517,3 +521,45 @@ def test_non_finite_params_are_refused_by_name():
                     "--covector", "1,1,1,1,1")
         assert (r.returncode, r.stderr, r.stdout) == (2, f"error: {line}\n",
                                                       ""), given
+
+
+# one short run of each command
+COMMAND_RUNS = {
+    "list-families": (),
+    "classify": ("--family", "5.3.1", "--covector", "1,1,1,1,1"),
+    "scan-md": ("--family", "5.3.1", "--n", "50", "--seed", "1"),
+    "verify-props": ("--family", "5.3.4", "--case", "2", "--n", "5",
+                     "--seed", "1"),
+    "sample-orbit": ("--family", "5.3.1", "--covector", "1,1,1,1,1",
+                     "--n", "3", "--seed", "1"),
+    "check-foliation": ("--family", "5.3.4", "--pairs", "3", "--members",
+                        "5", "--seed", "1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_RUNS))
+def test_each_command_reads_every_option_it_accepts(monkeypatch, capsys,
+                                                    command):
+    # an accepted option the command never reads is silently ignored, as
+    # check-foliation once did with --n; --config is read before the command
+    assert sorted(COMMAND_RUNS) == sorted(cli._COMMANDS)
+    seen = []
+    warn_unused = cli._Options.warn_unused
+
+    def record(opt):
+        seen.append(set(opt._seen))
+        warn_unused(opt)
+
+    monkeypatch.setattr(cli._Options, "warn_unused", record)
+    code, _, err = run_in_process(capsys, command, *COMMAND_RUNS[command])
+    assert (code, err) == (0, "")
+    accepted = set(vars(cli.build_parser().parse_args([command])))
+    assert seen == [accepted - {"command", "config"}]
+
+
+def test_check_foliation_refuses_n():
+    # it samples --members points per chart probe; --n was once ignored
+    r = run_cli("check-foliation", "--family", "5.3.1", "--pairs", "3",
+                "--n", "5", "--seed", "1")
+    assert r.returncode == 2 and r.stdout == ""
+    assert "unrecognized arguments: --n 5" in r.stderr

@@ -47,7 +47,8 @@ def test_phi_series_rejects_nonfinite():
     with pytest.raises(DomainError):
         kb.phi_series(1.0, float("inf"))
     # and what is not a real number at all
-    for lam, b in (("x", 1.0), (1.0, "y"), (1j, 1.0), (None, 1.0), ([1.0], 1.0)):
+    for lam, b in (("x", 1.0), (1.0, "y"), (1j, 1.0), (None, 1.0), ([1.0], 1.0),
+                   (True, 2.0), (1.0, np.True_)):
         with pytest.raises(DomainError,
                            match="phi_series arguments must be real numbers"):
             kb.phi_series(lam, b)

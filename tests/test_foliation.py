@@ -14,7 +14,7 @@ from korbit.errors import (AsymmetryError, DomainError, EvaluationError,
 
 from conftest import CANONICAL
 
-BAD_TOLS = (0.0, -1e-8, math.inf, math.nan)
+BAD_TOLS = (0.0, -1e-8, math.inf, math.nan, True, np.True_)  # a bool is no number
 
 
 def test_generic_stratum_predicate():

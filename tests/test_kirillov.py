@@ -463,9 +463,12 @@ RANK_TOL_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan, True,
+                                 np.True_])
 @pytest.mark.parametrize("entry", sorted(RANK_TOL_ENTRY_POINTS))
 def test_rank_tolerance_must_be_positive(entry, tol):
-    with pytest.raises(DomainError,
-                       match="rank tolerance must be finite and positive"):
+    # a bool is no number: True would run as tolerance 1.0
+    want = ("a real number" if isinstance(tol, (bool, np.bool_))
+            else "finite and positive")
+    with pytest.raises(DomainError, match=f"rank tolerance must be {want}"):
         RANK_TOL_ENTRY_POINTS[entry](tol)

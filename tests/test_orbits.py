@@ -154,13 +154,14 @@ def test_sign_predicate_at_huge_coordinates_does_not_overflow():
                                kb.sample_orbit(alg, B, 20, seed=3,
                                                radius=0.5).points])
                 P[::3, desc.signs[0].coord] *= -1.0
-                product = orbits._admitted(desc, P)[0]
+                product = orbits._masks(desc, P)[0]
                 for sp in desc.signs:
                     product &= desc.base[sp.coord] * P[:, sp.coord] > 0.0
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     big = kb.classify_orbit(fam, params, 1e300 * B)
-                    admitted = orbits._admitted(big, 1e300 * P)[1]
+                    guarded, signed = orbits._masks(big, 1e300 * P)
+                    admitted = guarded & signed
                     assert np.array_equal(admitted, product), (fam, c, B)
                     assert not any(orbits.is_member(big, q)
                                    for q in 1e300 * P[~admitted])
@@ -211,10 +212,11 @@ def test_orbits_equal_point_orbits():
     assert not kb.orbits_equal(alg, [1, 2, 0, 0, 0], [1, 3, 0, 0, 0])
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan, True,
+                                 np.True_])
 def test_membership_tolerance_must_be_finite_and_positive(tol):
     # an infinite tol made these two distinct orbits compare equal, and a
-    # negative one made every point a non-member
+    # negative one made every point a non-member; True ran as tol 1.0
     alg = kb.build_algebra("5.3.1", None)
     F1, F2 = [1, 1, 1, 1, 1], [5, 7, 3, 9, 2]
     assert not kb.orbits_equal(alg, F1, F2)
@@ -277,6 +279,65 @@ def test_verify_report_provenance_538_case3():
     assert entry["adopted"] == "oracle-corrected"
     assert entry["literal_residual"] is None
     assert entry["corrected_residual"] < 1e-8
+
+
+def _slot_worst(desc, slot, P):
+    """Worst normalized residual of a slot's constraints on P, evaluated
+    directly: an index, a slice, or an alternative spec built here."""
+    cons = desc.constraints
+    if isinstance(slot, int):
+        cons = (cons[slot],)
+    elif isinstance(slot, slice):
+        cons = cons[slot]
+    else:
+        cons = (orbits._build(slot, orbits._namespace(desc.base, desc.params)),)
+    scale = 1.0 + np.max(np.abs(P), axis=-1)
+    return max(float(np.max(np.abs(con.fn(P) / scale))) for con in cons)
+
+
+def test_adjudicated_residuals_equal_direct_slot_evaluation():
+    # each adjudicated unit: the reported literal and corrected residuals
+    # are, bit for bit, the slot's constraints evaluated on every base's
+    # guarded sample, maximised over the bases (one entry per equation
+    # label, so per branch on 5.3.8 case 3)
+    n, seed, radius = 40, 11, 2.0
+    units, kinds = set(), set()
+    for fam, params in CANONICAL:
+        alg = kb.build_algebra(fam, params)
+        for c in kb.case_indices(fam):
+            adj = orbits._CASES[fam, c].adjudication
+            if adj is None:
+                continue
+            units.add((fam, c))
+            want = {}
+            for k, base in enumerate(kb.canonical_bases(fam, c)):
+                desc = kb.classify_orbit(fam, params, base)
+                P = kb.sample_orbit(alg, base, n, seed=seed + 7919 * k,
+                                    radius=radius).points
+                ok = np.ones(n, dtype=bool)
+                for con in desc.constraints:
+                    for g in con.guards:
+                        ok &= g.fn(P) > 0.0
+                eq = desc.constraints[adj.equation]
+                label = "; ".join(
+                    con.expr for con in (eq if isinstance(eq, tuple) else (eq,)))
+                got = want.setdefault(label, [None, None])
+                for i, slot in enumerate((adj.literal, adj.corrected)):
+                    if slot is None:
+                        continue
+                    kinds.add(type(slot).__name__)
+                    r = _slot_worst(desc, slot, P[ok])
+                    got[i] = r if got[i] is None else max(got[i], r)
+            rep = kb.verify_proposition(fam, params, c, n=n, seed=seed,
+                                        radius=radius)
+            reported = {e["equation"]: [e["literal_residual"],
+                                        e["corrected_residual"]]
+                        for e in rep.provenance}
+            assert reported == want, (fam, params, c)
+            if (fam, c) == ("5.3.8", 3):
+                assert len(reported) >= 2  # the sigma != 0 and = 0 branches
+    assert len(units) == 8
+    assert kinds == {"int", "slice", "tuple"}
 
 
 def test_verify_quarter_turn_branch():
@@ -516,7 +577,7 @@ def test_stacked_fd_rows_match_per_shift_loop_bitwise():
                 for radius, step in ((1.5, 1e-6), (6.0, 1e-4)):
                     P = kb.sample_orbit(alg, base, 40, seed=k,
                                         radius=radius).points
-                    P = P[orbits._admitted(desc, P)[0]]
+                    P = P[orbits._masks(desc, P)[0]]
                     J = orbits._jacobian(desc, P)
                     with np.errstate(all="ignore"):
                         got = kb.gradient_fd_error(desc, P, step)
@@ -613,8 +674,9 @@ def test_stacked_descriptors_match_one_base_descriptors(fam, params):
                 c.expr for c in one.constraints]
             assert [s.expr for s in desc.signs] == [s.expr for s in one.signs]
             q = P[r][None, :]
-            assert guarded[k] == orbits._guarded(one, q)[0]
-            assert signed[k] == orbits._signed(one, q)[0]
+            one_guarded, one_signed = orbits._masks(one, q)
+            assert guarded[k] == one_guarded[0]
+            assert signed[k] == one_signed[0]
             if not (guarded[k] and signed[k]):
                 continue
             want = orbits._residual_rows(one, q)[0]
