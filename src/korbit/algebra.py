@@ -250,7 +250,8 @@ def _as_real_array(v, what) -> np.ndarray:
         raise DomainError(f"{what} must hold real numbers, got a complex array")
     try:
         return np.asarray(v, dtype=float)
-    except (TypeError, ValueError) as exc:  # strings, ragged lists, complex
+    except (TypeError, ValueError, OverflowError) as exc:
+        # strings, ragged lists, complex, an int past the float range
         raise DomainError(f"{what} must hold real numbers: {exc}") from None
 
 
@@ -281,9 +282,18 @@ def _as_real(what, value) -> float:
     try:
         if not isinstance(value, (bool, np.bool_)):
             return float(value)
-    except (TypeError, ValueError):  # None, "abc", 1j, a list
+    except (TypeError, ValueError, OverflowError):  # None, "abc", 1j, 10**400
         pass
-    raise DomainError(f"{what} must be a real number, got {value!r}")
+    raise DomainError(f"{what} must be a real number, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """repr(value) for a message; an int of more digits than str() may
+    convert (4300 by default) is named by its type instead."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an {type(value).__name__} too long to show"
 
 
 def as_tolerance(what, value, zero_ok: bool = False) -> float:

@@ -118,8 +118,9 @@ def phi_series(lam: float, b: float) -> float:
     try:
         lam, b = (algebra._as_real("phi_series argument", v) for v in (lam, b))
     except DomainError:  # neither float() nor a bool will do
-        raise DomainError("phi_series arguments must be real numbers, "
-                          f"got {lam!r}, {b!r}") from None
+        shown = ", ".join(map(algebra._shown, (lam, b)))
+        raise DomainError(
+            f"phi_series arguments must be real numbers, got {shown}") from None
     if not (math.isfinite(lam) and math.isfinite(b)):
         raise DomainError("phi_series arguments must be finite")
     return b * _phi1(b * lam)

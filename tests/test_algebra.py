@@ -348,3 +348,30 @@ def test_non_numeric_tolerance_or_radius_is_refused_by_name(value):
         with pytest.raises(DomainError) as err:
             call()
         assert str(err.value) == f"{what} must be a real number, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [10**400, 10**5000],
+                         ids=["401 digits", "5001 digits"])
+def test_number_past_the_float_range_is_refused(value):
+    # float() raises OverflowError on such an int, and past 4300 digits
+    # repr() raises ValueError; either way it is a domain error
+    shown = "an int too long to show" if value > 10**4300 else repr(value)
+    calls = {
+        f"parameter lambda must be a real number, got {shown}":
+            lambda: kb.validate_params("5.3.2", {"lambda": value}),
+        "vector must hold real numbers: int too large to convert to float":
+            lambda: kb.algebra.as_vector5([value, 0, 0, 0, 0]),
+        f"tol must be a real number, got {shown}":
+            lambda: kb.algebra.as_tolerance("tol", value),
+        f"sampling radius must be a real number, got {shown}":
+            lambda: kb.algebra.as_radius(value),
+        f"phi_series arguments must be real numbers, got {shown}, 1.0":
+            lambda: kb.phi_series(value, 1.0),
+        f"snap_tol must be a real number, got {shown}":
+            lambda: kb.classify_orbit("5.3.1", None, [1, 1, 1, 1, 1],
+                                      snap_tol=value),
+    }
+    for line, call in calls.items():
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == line

@@ -3,36 +3,72 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from collections import namedtuple
 
 import pytest
 
 from korbit import cli, foliation, kirillov, orbits
 
-
-def run_cli(*args, env_extra=None, flags=()):
-    env = os.environ.copy()
-    env.pop("KORBIT_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run([sys.executable, *flags, "-m", "korbit", *args],
-                          capture_output=True, text=True, env=env)
+Run = namedtuple("Run", "returncode stdout stderr")
 
 
-def test_list_families_text():
+def _warning_to_stderr(message, category, filename, lineno, file=None,
+                       line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename,
+                                            lineno, line))
+
+
+@pytest.fixture
+def run_cli(capsys, monkeypatch):
+    """The command line in this process: run(*args) calls cli.entry and
+    returns its exit status (argparse's SystemExit code included), stdout
+    and stderr. KORBIT_THREADS is unset unless threads gives it. As in a
+    fresh interpreter, each call prints every warning to stderr once per
+    source line; a DeprecationWarning still fails the test."""
+    monkeypatch.delenv("KORBIT_THREADS", raising=False)
+
+    def run(*args, threads=None):
+        capsys.readouterr()
+        with monkeypatch.context() as mp, warnings.catch_warnings():
+            if threads is not None:
+                mp.setenv("KORBIT_THREADS", threads)
+            warnings.simplefilter("default")
+            warnings.simplefilter("error", DeprecationWarning)
+            warnings.showwarning = _warning_to_stderr
+            try:
+                code = cli.entry(list(args))
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        return Run(code, *capsys.readouterr())
+
+    return run
+
+
+def run_module(*args, flags=()):
+    """Start python -m korbit in its own interpreter, KORBIT_THREADS unset,
+    its streams piped as bytes; for the tests of the interpreter itself."""
+    env = {k: v for k, v in os.environ.items() if k != "KORBIT_THREADS"}
+    return subprocess.Popen([sys.executable, *flags, "-m", "korbit", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+
+
+def test_list_families_text(run_cli):
     r = run_cli("list-families")
     assert r.returncode == 0
     for tag in ("5.3.1", "5.3.4", "5.3.8"):
         assert tag in r.stdout
 
 
-def test_list_families_json():
+def test_list_families_json(run_cli):
     r = run_cli("list-families", "--format", "json")
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert len(doc["families"]) == 8
 
 
-def test_classify_text_and_json():
+def test_classify_text_and_json(run_cli):
     r = run_cli("classify", "--family", "5.3.1", "--params", "2,3",
                 "--covector", "0,0,1,1,1")
     assert r.returncode == 0
@@ -43,7 +79,7 @@ def test_classify_text_and_json():
     assert doc["case"] == 8 and doc["dim"] == 2
 
 
-def test_classify_named_params():
+def test_classify_named_params(run_cli):
     r = run_cli("classify", "--family", "5.3.8",
                 "--params", "lambda=2,phi=0.5", "--covector", "1,1,0,0,3")
     assert r.returncode == 0
@@ -58,7 +94,7 @@ def test_classify_named_params():
     ("verify-props", ("--case", "8", "--n", "20", "--seed", "1")),
     ("check-foliation", ("--pairs", "3", "--members", "5", "--seed", "1")),
 ])
-def test_negative_values_in_either_spelling(command, rest):
+def test_negative_values_in_either_spelling(run_cli, command, rest):
     # '--params -2,0.5' starts like an option; it must read as '--params=...'
     spaced = [command, "--family", "5.3.1", "--params", "-2,0.5", *rest]
     joined = (" ".join(spaced).replace("--params ", "--params=")
@@ -70,7 +106,7 @@ def test_negative_values_in_either_spelling(command, rest):
     assert a.stdout == b.stdout and a.stdout
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(run_cli):
     assert run_cli("classify", "--family", "5.3.9",
                    "--covector", "0,0,1,1,1").returncode == 2
     assert run_cli("classify", "--family", "5.3.1",
@@ -80,7 +116,7 @@ def test_usage_errors_exit_2():
     assert run_cli("no-such-command").returncode == 2
 
 
-def test_stochastic_commands_require_seed():
+def test_stochastic_commands_require_seed(run_cli):
     for cmd in (("scan-md", "--family", "5.3.1"),
                 ("verify-props", "--family", "5.3.1"),
                 ("sample-orbit", "--family", "5.3.1",
@@ -91,7 +127,7 @@ def test_stochastic_commands_require_seed():
         assert "seed" in r.stderr
 
 
-def test_scan_md_json_and_exit():
+def test_scan_md_json_and_exit(run_cli):
     r = run_cli("scan-md", "--family", "5.3.6", "--n", "2000", "--seed", "5")
     assert r.returncode == 0
     doc = json.loads(r.stdout)
@@ -100,7 +136,7 @@ def test_scan_md_json_and_exit():
     assert doc["passed"] is True
 
 
-def test_verify_props_text_pass():
+def test_verify_props_text_pass(run_cli):
     r = run_cli("verify-props", "--family", "5.3.4", "--n", "60",
                 "--seed", "3")
     assert r.returncode == 0
@@ -108,7 +144,7 @@ def test_verify_props_text_pass():
     assert "FAIL" not in r.stdout
 
 
-def test_verify_props_json_single_case():
+def test_verify_props_json_single_case(run_cli):
     r = run_cli("verify-props", "--family", "5.3.5", "--case", "8",
                 "--n", "60", "--seed", "3", "--format", "json")
     assert r.returncode == 0
@@ -117,7 +153,7 @@ def test_verify_props_json_single_case():
     assert doc["provenance"][0]["adopted"] == "corrected"
 
 
-def test_vacuous_sample_counts_exit_2():
+def test_vacuous_sample_counts_exit_2(run_cli):
     for args in (("verify-props", "--family", "5.3.4", "--n", "0"),
                  ("check-foliation", "--family", "5.3.2", "--pairs", "0",
                   "--members", "0"),
@@ -174,7 +210,7 @@ def test_vacuous_sample_counts_exit_2():
                                                       ""), args
 
 
-def test_sample_orbit_csv():
+def test_sample_orbit_csv(run_cli):
     r = run_cli("sample-orbit", "--family", "5.3.3", "--covector",
                 "0,0,1,1,1", "--n", "4", "--seed", "9")
     assert r.returncode == 0
@@ -184,14 +220,14 @@ def test_sample_orbit_csv():
     assert all(len(line.split(",")) == 5 for line in lines[1:])
 
 
-def test_sample_orbit_zero_rows():
+def test_sample_orbit_zero_rows(run_cli):
     r = run_cli("sample-orbit", "--family", "5.3.3", "--covector",
                 "0,0,1,1,1", "--n", "0", "--seed", "9")
     assert r.returncode == 0
     assert r.stdout == "x,y,z,t,s\n"
 
 
-def test_check_foliation_json():
+def test_check_foliation_json(run_cli):
     r = run_cli("check-foliation", "--family", "5.3.2", "--pairs", "10",
                 "--members", "15", "--seed", "12")
     assert r.returncode == 0
@@ -201,25 +237,25 @@ def test_check_foliation_json():
     assert all(doc["local_triviality"].values())
 
 
-def test_reruns_are_byte_identical_and_thread_env_neutral():
+def test_reruns_are_byte_identical_and_thread_env_neutral(run_cli):
     args = ("scan-md", "--family", "5.3.7", "--n", "5000", "--seed", "31")
     a = run_cli(*args)
     b = run_cli(*args)
-    c = run_cli(*args, env_extra={"KORBIT_THREADS": "8"})
+    c = run_cli(*args, threads="8")
     assert a.returncode == b.returncode == c.returncode == 0
     assert a.stdout == b.stdout == c.stdout
 
 
-def test_invalid_thread_env_exits_2():
+def test_invalid_thread_env_exits_2(run_cli):
     r = run_cli("scan-md", "--family", "5.3.1", "--n", "100", "--seed", "1",
-                env_extra={"KORBIT_THREADS": "abc"})
+                threads="abc")
     assert r.returncode == 2
     r = run_cli("scan-md", "--family", "5.3.1", "--n", "100", "--seed", "1",
-                env_extra={"KORBIT_THREADS": "0"})
+                threads="0")
     assert r.returncode == 2
 
 
-def test_config_file_defaults_and_flag_priority(tmp_path):
+def test_config_file_defaults_and_flag_priority(run_cli, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 5, "n": 600, "family": "5.3.2"}))
     r = run_cli("scan-md", "--config", str(cfg))
@@ -229,7 +265,7 @@ def test_config_file_defaults_and_flag_priority(tmp_path):
     assert json.loads(r.stdout)["n"] == 400
 
 
-def test_config_unknown_key_warns(tmp_path):
+def test_config_unknown_key_warns(run_cli, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 5, "n": 200, "family": "5.3.2",
                                "typo_key": 1}))
@@ -238,7 +274,7 @@ def test_config_unknown_key_warns(tmp_path):
     assert "typo_key" in r.stderr
 
 
-def test_out_file_writes_payload(tmp_path):
+def test_out_file_writes_payload(run_cli, tmp_path):
     out = tmp_path / "scan.json"
     r = run_cli("scan-md", "--family", "5.3.1", "--n", "800", "--seed", "2",
                 "--out", str(out))
@@ -247,7 +283,7 @@ def test_out_file_writes_payload(tmp_path):
     assert doc["family"] == "5.3.1"
 
 
-def test_family_all_scan():
+def test_family_all_scan(run_cli):
     r = run_cli("scan-md", "--family", "all", "--n", "400", "--seed", "8")
     assert r.returncode == 0
     docs = json.loads(r.stdout)
@@ -255,7 +291,7 @@ def test_family_all_scan():
                                            "5.3.5", "5.3.6", "5.3.7", "5.3.8"]
 
 
-def test_degenerate_params_warning_goes_to_stderr():
+def test_degenerate_params_warning_goes_to_stderr(run_cli):
     r = run_cli("classify", "--family", "5.3.3", "--params", "0",
                 "--covector", "0,0,0,1,0")
     assert r.returncode == 0
@@ -269,11 +305,12 @@ def test_degenerate_params_warning_goes_to_stderr():
 def test_module_run_warning_names_a_source_line(flags):
     # under python -m korbit the first frame outside the package is runpy's;
     # the warning names korbit/__main__.py's call line instead
-    r = run_cli("verify-props", "--family", "5.3.3", "--params", "0",
-                "--case", "2", "--n", "5", "--seed", "1", flags=flags)
-    assert r.returncode == 0
-    lines = [ln for ln in r.stderr.splitlines() if "ParameterWarning:" in ln]
-    assert len(lines) == 1 and "<frozen" not in lines[0], r.stderr
+    proc = run_module("verify-props", "--family", "5.3.3", "--params", "0",
+                      "--case", "2", "--n", "5", "--seed", "1", flags=flags)
+    stderr = proc.communicate()[1].decode()
+    assert proc.returncode == 0
+    lines = [ln for ln in stderr.splitlines() if "ParameterWarning:" in ln]
+    assert len(lines) == 1 and "<frozen" not in lines[0], stderr
     where = lines[0].split(": ParameterWarning:")[0]
     path, line = where.rsplit(":", 1)
     assert os.path.samefile(
@@ -281,10 +318,10 @@ def test_module_run_warning_names_a_source_line(flags):
     with open(path) as f:
         source = f.read().splitlines()[int(line) - 1]
     assert "entry()" in source
-    assert "entry()" in r.stderr
+    assert "entry()" in stderr
 
 
-def test_overflowing_motion_exits_2():
+def test_overflowing_motion_exits_2(run_cli):
     # seed 1 draws row 0 of the radius-400 cube first; its b = 360 overflows
     # exp(3b) = e^1081, so both commands stop at the same refusal, and
     # verify-props names the family, case and base it was moving
@@ -309,7 +346,7 @@ def test_overflowing_motion_exits_2():
     ("scan-md", "--family", "5.3.1", "--n", "8"),
     ("check-foliation", "--family", "5.3.1", "--pairs", "3"),
 ], ids=lambda args: args[0])
-def test_radius_with_an_overflowing_cube_exits_2(args):
+def test_radius_with_an_overflowing_cube_exits_2(run_cli, args):
     # the cube [-1e308, 1e308] is wider than the float range
     r = run_cli(*args, "--radius", "1e308", "--seed", "1")
     assert (r.returncode, r.stderr, r.stdout) == (
@@ -317,7 +354,7 @@ def test_radius_with_an_overflowing_cube_exits_2(args):
            "2*radius exceeds the float range\n", "")
 
 
-def test_probe_overflow_exits_2_naming_the_pair():
+def test_probe_overflow_exits_2_naming_the_pair(run_cli):
     r = run_cli("check-foliation", "--family", "5.3.1", "--pairs", "3",
                 "--radius", "8e307", "--seed", "1")
     # numpy's overflow warnings come first; the refusal is the last line
@@ -327,33 +364,30 @@ def test_probe_overflow_exits_2_naming_the_pair():
     assert "]: the coadjoint image overflows at row 1, U = [" in line
 
 
-def test_non_numeric_covector_exits_2(tmp_path):
-    # from the command line, and as a config-file list holding a null or
-    # a true, which float() would take as 1
+def test_non_numeric_covector_exits_2(run_cli, tmp_path):
+    # from the command line, and as a config-file list holding a null, a
+    # true, which float() would take as 1, or an integer float() overflows on
     cfg = tmp_path / "korbit.json"
     cfg.write_text(json.dumps({"covector": [1, None, 1, 1, 1]}))
     flag = tmp_path / "flag.json"
     flag.write_text(json.dumps({"covector": [1, True, 1, 1, 1]}))
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"covector": [10**400, 1, 1, 1, 1]}))
     for rest, shown in ((("--covector", "1,1,x,1,1"), "'1,1,x,1,1'"),
                         (("--config", str(cfg)), "[1, None, 1, 1, 1]"),
-                        (("--config", str(flag)), "[1, True, 1, 1, 1]")):
+                        (("--config", str(flag)), "[1, True, 1, 1, 1]"),
+                        (("--config", str(big)),
+                         f"[{10**400}, 1, 1, 1, 1]")):
         r = run_cli("sample-orbit", "--family", "5.3.1", "--n", "3",
                     "--seed", "1", *rest)
         assert (r.returncode, r.stderr, r.stdout) == (
             2, f"error: covector must be 5 numbers, got {shown}\n", ""), rest
 
 
-def run_in_process(capsys, *args):
-    code = cli.entry(list(args))
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
 @pytest.mark.parametrize("case", ["2.5", "x", ""])
-def test_case_that_is_no_index_exits_2_naming_the_option(capsys, case):
-    code, out, err = run_in_process(capsys, "verify-props", "--family",
-                                    "5.3.4", "--case", case, "--n", "5",
-                                    "--seed", "1")
+def test_case_that_is_no_index_exits_2_naming_the_option(run_cli, case):
+    code, out, err = run_cli("verify-props", "--family", "5.3.4", "--case",
+                             case, "--n", "5", "--seed", "1")
     assert (code, out, err) == (
         2, "", "error: --case must be 'all' or a case of family 5.3.4 "
                f"(1, 2, 3, 4, 5, 6, 7, 8), got {case!r}\n")
@@ -380,14 +414,13 @@ def test_case_that_is_no_index_exits_2_naming_the_option(capsys, case):
     ("list-families", (), "format"),
 ])
 @pytest.mark.parametrize("value", [None, [1], "abc"])
-def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command,
+def test_config_value_of_the_wrong_type_exits_2(run_cli, tmp_path, command,
                                                 rest, key, value):
     # a config value is converted like its flag; one that cannot be is a
     # usage error naming the entry, not a traceback with exit status 1
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
-    code, out, err = run_in_process(capsys, command, *rest,
-                                    "--config", str(cfg))
+    code, out, err = run_cli(command, *rest, "--config", str(cfg))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: config entry {key!r} must be ")
     assert err.endswith(f", got {value!r}\n") and err.count("\n") == 1
@@ -398,13 +431,12 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command,
     ("out", ("scan-md", "--family", "5.3.1", "--n", "8")),
 ])
 @pytest.mark.parametrize("value", [None, [8], {"a": 1}, True])
-def test_config_string_options_refuse_other_json_types(tmp_path, capsys,
+def test_config_string_options_refuse_other_json_types(run_cli, tmp_path,
                                                        key, rest, value):
     # a string option takes a JSON string or number, read as its flag's text
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
-    code, out, err = run_in_process(capsys, *rest, "--seed", "1",
-                                    "--config", str(cfg))
+    code, out, err = run_cli(*rest, "--seed", "1", "--config", str(cfg))
     assert (code, out, err) == (
         2, "", f"error: config entry {key!r} must be a str value, "
                f"got {value!r}\n")
@@ -418,23 +450,23 @@ def test_config_string_options_refuse_other_json_types(tmp_path, capsys,
                 "1,1,1,1,1", "--seed", "1")),
 ])
 def test_config_integer_options_refuse_non_integral_numbers(
-        tmp_path, capsys, key, value, rest):
+        run_cli, tmp_path, key, value, rest):
     # int() would truncate the value and run n = 2 or seed 1 silently
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
-    code, out, err = run_in_process(capsys, *rest, "--config", str(cfg))
+    code, out, err = run_cli(*rest, "--config", str(cfg))
     assert (code, out, err) == (
         2, "", f"error: config entry {key!r} must be a int value, "
                f"got {value!r}\n")
 
 
-def test_config_integral_float_is_its_integer(tmp_path, capsys):
+def test_config_integral_float_is_its_integer(run_cli, tmp_path):
     # JSON reads 1e5 as the float 100000.0
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"n": 1e5}')
     args = ("scan-md", "--family", "5.3.1", "--seed", "1")
-    by_config = run_in_process(capsys, *args, "--config", str(cfg))
-    assert by_config == run_in_process(capsys, *args, "--n", "100000")
+    by_config = run_cli(*args, "--config", str(cfg))
+    assert by_config == run_cli(*args, "--n", "100000")
     assert by_config[0] == 0 and json.loads(by_config[1])["n"] == 100000
 
 
@@ -452,40 +484,39 @@ def test_config_integral_float_is_its_integer(tmp_path, capsys):
     ("check-foliation", "--family", "5.3.2", "--pairs", "6", "--members",
      "7", "--seed", "12", "--radius", "1.5", "--tol", "1e-7"),
 ], ids=lambda args: args[0])
-def test_config_entries_act_as_their_flags(tmp_path, capsys, args):
+def test_config_entries_act_as_their_flags(run_cli, tmp_path, args):
     command, rest = args[0], args[1:]
     cfg = {flag[2:].replace("-", "_"): value
            for flag, value in zip(rest[::2], rest[1::2])}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    by_flag = run_in_process(capsys, *args)
-    by_config = run_in_process(capsys, command, "--config", str(path))
+    by_flag = run_cli(*args)
+    by_config = run_cli(command, "--config", str(path))
     assert by_flag == by_config and by_flag[0] == 0 and by_flag[1]
 
 
-def test_unset_options_take_the_library_defaults(capsys):
+def test_unset_options_take_the_library_defaults(run_cli):
     # the command line passes only the options it was given, so the
     # reports carry the defaults of the library signatures
     def defaults(fn, *names):
         sig = inspect.signature(fn).parameters
         return {name: sig[name].default for name in names}
 
-    code, out, _ = run_in_process(capsys, "scan-md", "--family", "5.3.1",
-                                  "--n", "8", "--seed", "1")
+    code, out, _ = run_cli("scan-md", "--family", "5.3.1", "--n", "8",
+                           "--seed", "1")
     doc = json.loads(out)
     assert code == 0
     assert {k: doc[k] for k in ("radius", "rank_tol")} == defaults(
         kirillov.md_scan, "radius", "rank_tol")
-    code, out, _ = run_in_process(capsys, "verify-props", "--family",
-                                  "5.3.4", "--case", "8", "--n", "5",
-                                  "--seed", "1", "--format", "json")
+    code, out, _ = run_cli("verify-props", "--family", "5.3.4", "--case",
+                           "8", "--n", "5", "--seed", "1", "--format", "json")
     doc = json.loads(out)
     names = ("radius", "member_tol", "tangency_tol", "rank_tol")
     assert code == 0
     assert {k: doc[k] for k in names} == defaults(
         orbits.verify_proposition, *names)
-    code, out, _ = run_in_process(capsys, "check-foliation", "--family",
-                                  "5.3.2", "--seed", "1")
+    code, out, _ = run_cli("check-foliation", "--family", "5.3.2",
+                           "--seed", "1")
     doc = json.loads(out)
     names = ("pairs", "radius", "tol")
     assert code == 0
@@ -493,7 +524,7 @@ def test_unset_options_take_the_library_defaults(capsys):
         foliation.partition_check, *names)
 
 
-def test_repeated_param_name_exits_2():
+def test_repeated_param_name_exits_2(run_cli):
     # the last value must not silently win
     r = run_cli("classify", "--family", "5.3.2", "--params",
                 "lambda=2,lambda=3", "--covector", "1,1,1,1,1")
@@ -502,7 +533,7 @@ def test_repeated_param_name_exits_2():
            "'lambda=2,lambda=3'\n", "")
 
 
-def test_non_finite_params_are_refused_by_name():
+def test_non_finite_params_are_refused_by_name(run_cli):
     for given, line in (("lambda=inf", "parameter lambda must be finite, got inf"),
                         ("lambda=nan", "parameter lambda must be finite, got nan"),
                         ("lambda=-inf", "parameter lambda must be finite, got -inf")):
@@ -538,7 +569,7 @@ COMMAND_RUNS = {
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_RUNS))
-def test_each_command_reads_every_option_it_accepts(monkeypatch, capsys,
+def test_each_command_reads_every_option_it_accepts(run_cli, monkeypatch,
                                                     command):
     # an accepted option the command never reads is silently ignored, as
     # check-foliation once did with --n; --config is read before the command
@@ -551,15 +582,52 @@ def test_each_command_reads_every_option_it_accepts(monkeypatch, capsys,
         warn_unused(opt)
 
     monkeypatch.setattr(cli._Options, "warn_unused", record)
-    code, _, err = run_in_process(capsys, command, *COMMAND_RUNS[command])
+    code, _, err = run_cli(command, *COMMAND_RUNS[command])
     assert (code, err) == (0, "")
     accepted = set(vars(cli.build_parser().parse_args([command])))
     assert seen == [accepted - {"command", "config"}]
 
 
-def test_check_foliation_refuses_n():
+def test_check_foliation_refuses_n(run_cli):
     # it samples --members points per chart probe; --n was once ignored
     r = run_cli("check-foliation", "--family", "5.3.1", "--pairs", "3",
                 "--n", "5", "--seed", "1")
     assert r.returncode == 2 and r.stdout == ""
     assert "unrecognized arguments: --n 5" in r.stderr
+
+
+# every command once, a refusal of the package's and one of argparse's
+DRIFT_RUNS = [(command, *COMMAND_RUNS[command])
+              for command in sorted(COMMAND_RUNS)] + [
+    ("scan-md", "--family", "5.3.4", "--rank-tol", "inf", "--seed", "3"),
+    ("check-foliation", "--family", "5.3.1", "--pairs", "3", "--n", "5",
+     "--seed", "1"),
+]
+
+
+def test_in_process_runs_match_module_runs(run_cli):
+    # the in-process runner stands for `python -m korbit`: the same exit
+    # status, stdout bytes and stderr. None of these runs warns: a warning
+    # names another caller in-process, which the module-run test covers
+    procs = [run_module(*args) for args in DRIFT_RUNS]  # run concurrently
+    codes = []
+    for args, proc in zip(DRIFT_RUNS, procs):
+        out, err = proc.communicate()
+        r = run_cli(*args)
+        assert (proc.returncode, out, err.decode()) == (
+            r.returncode, r.stdout.encode(), r.stderr), args
+        codes.append(r.returncode)
+    assert codes == [0] * len(COMMAND_RUNS) + [2, 2]
+
+
+def test_parameter_past_the_float_range_in_a_config_exits_2(run_cli,
+                                                            tmp_path):
+    # float() raises OverflowError on a 401-digit integer; it is a domain
+    # error, not a traceback with the exit status of a failed check
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"lambda": 10**400}}))
+    r = run_cli("classify", "--family", "5.3.2", "--covector", "1,1,1,1,1",
+                "--config", str(cfg))
+    assert (r.returncode, r.stderr, r.stdout) == (
+        2, f"error: parameter lambda must be a real number, got {10**400}\n",
+        "")
