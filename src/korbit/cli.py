@@ -85,7 +85,9 @@ def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, bytes that are not UTF-8, an integer
+        # past int()'s digit limit; RecursionError: nesting too deep
         raise DomainError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise DomainError("config file must hold a JSON object")

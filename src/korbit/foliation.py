@@ -6,17 +6,15 @@ covectors with (gamma, delta, sigma) != 0; everything else is a fixed
 point. Pair checks inject known same-orbit pairs and known mirror-stratum
 pairs among the random ones so both outcomes are exercised.
 The pairs are checked as arrays, in two phases. The first injects the
-known pairs (the same-leaf partners in one stacked motion) and groups
-the pairs by (zero pattern of a, zero pattern of b), the case groups of
-orbits._classify_stack; each group decides mutual membership with one
-stacked descriptor per side and one residual call per direction. The
+known pairs (the same-leaf partners in one stacked motion) and decides
+mutual membership of all pairs in one orbits._mutual_membership call. The
 second moves the probes of every disjoint pair by exp_action._move_items,
-whole pairs stacked, and groups them by the zero pattern of their partner:
-each probe row is checked against its own pair's partner base. Only
-probes admitted by the partner's membership mask (guards and signs) get
-residuals; they are counted, and failures are listed in pair order, then
-probe order. The chart probe is verify_proposition's sample of one base
-(orbits._case_sample) under kirillov's chart rule (_charted_rank3).
+whole pairs stacked, and screens each probe row against its own pair's
+partner base in one orbits._screen call. Only probes admitted by the
+partner's guards and signs get residuals; they are counted, and failures
+are listed in pair order, then probe order. The chart probe is
+verify_proposition's sample of one base (orbits._case_sample) under
+kirillov's chart rule (_charted_rank3).
 """
 
 import dataclasses
@@ -103,9 +101,8 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
     generic = int(np.count_nonzero(generic_stratum_contains(pts)))
     fam, p = alg.family, alg.params
 
-    # phase one: inject the known pairs, then decide mutual membership per
-    # group of pairs that share the zero patterns of both members; a
-    # degenerate parameter is refused before any motion
+    # phase one: inject the known pairs, then decide mutual membership of
+    # every pair; a degenerate parameter is refused before any motion
     A, B = pts[0::2], pts[1::2].copy()
     codes = orbits._pattern(*A.T[2:])
     orbits._refuse_degenerate(fam, p, orbits._case_of(fam, codes))
@@ -121,13 +118,7 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
     B[mirror] = A[mirror]
     B[mirror, j] = -A[mirror, j]
 
-    equal = np.zeros(pairs, dtype=bool)
-    odd = {}
-    for rows, desc_b in orbits._classify_stack(fam, p, B, by=codes):
-        desc_a = orbits._descriptor(fam, p, A[rows])
-        eq, asym = orbits._mutual_membership(desc_a, desc_b, tol)
-        equal[rows] = eq
-        odd.update((int(rows[k]), exc) for k, exc in asym.items())
+    equal, odd = orbits._mutual_membership(fam, p, A, B, tol)
 
     failures = []
     missed = set(same[~equal[same]].tolist())
@@ -149,22 +140,14 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
     settled[[f["pair"] for f in failures]] = False
     disjoint = np.flatnonzero(settled & ~equal)
 
-    # phase two: the probes of every disjoint pair, grouped by the zero
-    # pattern of its partner; row r is checked against its pair's partner
+    # phase two: the probes of every disjoint pair; row r is screened
+    # against its pair's partner
     pair_of = np.repeat(disjoint, probe_points)
     Us = exp_action._draws(seed + 104729 + disjoint, probe_points, 1.5)
     probe = exp_action._move_items(alg, A[disjoint], Us, probe_points,
                                    _pair_of(fam, A, disjoint))
-    sep = np.full(len(probe), np.inf)
-    evaluated = np.zeros(len(probe), dtype=bool)
-    sign_rejected = guard_rejected = 0
-    for rows, desc_b in orbits._classify_stack(fam, p, B[pair_of]):
-        guarded, signed, res = orbits._screened(desc_b, probe[rows])
-        ok = guarded & signed
-        evaluated[rows] = ok
-        sep[rows[ok]] = np.max(np.abs(res), axis=-1)
-        sign_rejected += int(np.count_nonzero(~signed))
-        guard_rejected += int(np.count_nonzero(signed & ~guarded))
+    guarded, signed, sep = orbits._screen(fam, p, B[pair_of], probe)
+    evaluated = guarded & signed
     min_sep = float(np.min(sep[evaluated])) if evaluated.any() else None
     for r in np.flatnonzero(sep < 10.0 * tol):  # pair order, then probe order
         i, d = int(pair_of[r]), sep[r]
@@ -186,8 +169,8 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
         same_leaf_pairs=int(np.count_nonzero(settled & equal)),
         disjoint_pairs=len(disjoint), min_separation=min_sep,
         probes_evaluated=int(np.count_nonzero(evaluated)),
-        probes_sign_rejected=sign_rejected,
-        probes_guard_rejected=guard_rejected,
+        probes_sign_rejected=int(np.count_nonzero(~signed)),
+        probes_guard_rejected=int(np.count_nonzero(signed & ~guarded)),
         vacuous_pairs=int(np.count_nonzero(
             ~evaluated.reshape(len(disjoint), probe_points).any(axis=1))),
         failures=failures)

@@ -32,11 +32,13 @@ adjudicated columns from them.
 A descriptor may also hold an (n, 5) stack of bases that share one zero
 pattern: the table and builders resolve each base coordinate as an (n,)
 column, and row k of a stack of points is checked against base k. The
-stacked classifier (_classify_stack) groups covectors by zero pattern,
-which fixes the case, the sign condition and the 5.3.8 branch, and builds
-one descriptor per group. Mutual membership (_mutual_membership) takes
-two such stacks, so orbits_equal is its one-row case and partition_check
-decides all its pairs with it. A one-base descriptor is the n = 1 case.
+membership screen (_screen) checks row k of a stack of points against the
+orbit of row k of a stack of bases: it groups the rows by their base's
+zero pattern, which fixes the case, the sign condition and the 5.3.8
+branch, and builds one descriptor per group. Mutual membership
+(_mutual_membership) is two screens of two base stacks, so orbits_equal
+is its one-row case and partition_check decides all its pairs with it.
+A one-base descriptor is the n = 1 case.
 """
 
 import dataclasses
@@ -558,17 +560,28 @@ def _sign_coord(family, code):
     return sign if sign is not None and code >> (_S - sign) & 1 else None
 
 
-def _classify_stack(family, p, B, by=None):
-    """The stacked classifier: (rows, descriptor) per zero pattern of the
-    (n, 5) stack B, split further by the integer labels `by` when given,
-    in ascending order; row k of a descriptor is checked against its base
-    k, B[rows[k]]. A pattern fixes the case, its sign condition and, on
-    5.3.8 case 3, the branch that recovers b."""
-    codes = _pattern(*B.T[2:])
-    keys, groups = np.unique(codes if by is None else 8 * by + codes,
-                             return_inverse=True)
-    return [(rows, _descriptor(family, p, B[rows]))
-            for rows in (np.flatnonzero(groups == g) for g in range(len(keys)))]
+def _screen(family, p, bases, points):
+    """(guarded, signed, worst) of row k of the (n, 5) stack points against
+    the orbit of row k of the (n, 5) stack bases: the guard and sign masks,
+    and the largest |normalized residual|, inf where the row is not
+    admitted (both masks hold). Rows are grouped by their base's zero
+    pattern, which fixes the case, its sign condition and, on 5.3.8 case
+    3, the branch that recovers b; each group builds one stacked
+    descriptor for the masks and one for its admitted rows when some are
+    rejected, and only admitted rows are evaluated."""
+    codes = _pattern(*bases.T[2:])
+    guarded, signed = np.zeros((2, len(points)), dtype=bool)
+    worst = np.full(len(points), np.inf)
+    for code in np.unique(codes):
+        rows = np.flatnonzero(codes == code)
+        desc = _descriptor(family, p, bases[rows])
+        guarded[rows], signed[rows] = _masks(desc, points[rows])
+        ok = rows[guarded[rows] & signed[rows]]
+        if 0 < len(ok) < len(rows):
+            desc = _descriptor(family, p, bases[ok])
+        if len(ok):
+            worst[ok] = np.max(np.abs(_residual_rows(desc, points[ok])), axis=-1)
+    return guarded, signed, worst
 
 
 def classify_orbit(family, params, F, snap_tol: float = 0.0) -> OrbitDescriptor:
@@ -598,8 +611,8 @@ def _descriptor(family, p, base, snapped=False) -> OrbitDescriptor:
     a finite float covector, which the descriptor keeps as its base.
 
     base may also be an (n, 5) stack of bases sharing one zero pattern (as
-    _classify_stack groups them): the descriptor then checks row k of a
-    stack of points against base k.
+    _screen groups them): the descriptor then checks row k of a stack of
+    points against base k.
     """
     code = _pattern(*(base if base.ndim == 1 else base[0]).tolist()[2:])
     case_index = _case_of(family, code)
@@ -670,28 +683,13 @@ def _masks(desc, P):
     return guarded, signed
 
 
-def _screened(desc, P):
-    """(guarded, signed, residuals) of an (n, 5) stack P: the guard and
-    sign masks, and the normalized residuals of the rows passing both, in
-    row order. Row k of a stacked descriptor is checked against its base
-    k; a rejected row is never evaluated."""
-    guarded, signed = _masks(desc, P)
-    ok = guarded & signed
-    if not ok.all():
-        P = P[ok]
-        if not len(P):
-            return guarded, signed, np.zeros((0, len(desc.constraints)))
-        if desc.base.ndim == 2:
-            desc = _descriptor(desc.family, desc.params, desc.base[ok])
-    return guarded, signed, _residual_rows(desc, P)
-
-
 def _members(desc, P, tol):
-    """Rows of an (n, 5) stack P admitted by desc with every |normalized
-    residual| < tol: the membership mask."""
-    guarded, signed, res = _screened(desc, P)
+    """Rows of an (n, 5) stack P admitted by the one-base descriptor desc
+    with every |normalized residual| < tol: is_member's membership mask."""
+    guarded, signed = _masks(desc, P)
     member = guarded & signed
-    member[member] = np.all(np.abs(res) < tol, axis=-1)
+    member[member] = np.all(np.abs(_residual_rows(desc, P[member])) < tol,
+                            axis=-1)
     return member
 
 
@@ -810,24 +808,26 @@ def _fd_rows(desc, P, J, step):
 def orbits_equal(alg: algebra.LieAlgebra, F1, F2, tol: float = 1e-8) -> bool:
     """Mutual membership check; both directions must agree. tol must be
     finite and positive (DomainError otherwise)."""
-    d1, d2 = (_descriptor(alg.family, alg.params,
-                          algebra.as_vector5(F, "covector").copy())
-              for F in (F1, F2))
+    fam, p = alg.family, alg.params
+    B = []
+    for F in (F1, F2):  # each covector, then its case, in argument order
+        F = algebra.as_vector5(F, "covector")
+        _refuse_degenerate(fam, p, _case_of(fam, _pattern(*F.tolist()[2:])))
+        B.append(F[None])
     equal, asymmetric = _mutual_membership(
-        d1, d2, algebra.as_tolerance("membership tolerance", tol))
+        fam, p, *B, algebra.as_tolerance("membership tolerance", tol))
     if asymmetric:
         raise asymmetric[0]
     return bool(equal[0])
 
 
-def _mutual_membership(d1, d2, tol):
-    """Whether base k of d1 and base k of d2 lie on one orbit, for
-    descriptors of one base or of equally long stacks: a bool per row, and
+def _mutual_membership(family, p, B1, B2, tol):
+    """Whether row k of the (n, 5) stack B1 and row k of B2 lie on one
+    orbit, each screened against the other's orbit: a bool per row, and
     {row: AsymmetryError} where the two directions disagree."""
-    B1, B2 = np.reshape(d1.base, (-1, 5)), np.reshape(d2.base, (-1, 5))
-    a, b = _members(d1, B2, tol), _members(d2, B1, tol)
+    a, b = (_screen(family, p, X, Y)[2] < tol for X, Y in ((B1, B2), (B2, B1)))
     return a, {int(k): AsymmetryError(
-        f"orbit membership disagreed for family {d1.family}: "
+        f"orbit membership disagreed for family {family}: "
         f"{B1[k].tolist()} vs {B2[k].tolist()} ({a[k]} / {b[k]})")
         for k in np.flatnonzero(a != b)}
 

@@ -114,6 +114,16 @@ def test_usage_errors_exit_2(run_cli):
     assert run_cli("classify", "--family", "5.3.1", "--params", "1.0,3.0",
                    "--covector", "0,0,1,1,1").returncode == 2
     assert run_cli("no-such-command").returncode == 2
+    for args, line in (
+            (("classify", "--covector", "1,1,1,1,1"),
+             "--family is required (a tag like 5.3.1, or all)"),
+            (("scan-md", "--family", "all", "--params", "2", "--n", "8",
+              "--seed", "1"), "--params cannot be combined with --family all"),
+            (("classify", "--family", "all", "--covector", "1,1,1,1,1"),
+             "classify needs a single family"),
+            (("classify", "--family", "5.3.1"),
+             "a covector is required (--covector 'x,y,z,t,s')")):
+        assert run_cli(*args) == (2, "", f"error: {line}\n"), args
 
 
 def test_stochastic_commands_require_seed(run_cli):
@@ -263,6 +273,41 @@ def test_config_file_defaults_and_flag_priority(run_cli, tmp_path):
     assert json.loads(r.stdout)["n"] == 600
     r = run_cli("scan-md", "--config", str(cfg), "--n", "400")
     assert json.loads(r.stdout)["n"] == 400
+
+
+@pytest.mark.parametrize("content,reason", [
+    (None, "No such file or directory"),
+    ("a directory", "Is a directory"),
+    ('{"seed": 1,', "Expecting property name"),
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    (b'{"family": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    ('{"n": 1' + "0" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+], ids=["missing", "directory", "malformed", "nested", "not-utf-8",
+        "long-integer"])
+def test_unreadable_config_file_exits_2_naming_it(run_cli, tmp_path, content,
+                                                   reason):
+    # one refusal line naming the file, not a traceback with the exit
+    # status of a failed check
+    path = tmp_path / "cfg.json"
+    if content == "a directory":
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    code, out, err = run_cli("scan-md", "--family", "5.3.1", "--seed", "1",
+                             "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read config file {path}: ")
+    assert reason in err and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_config_file_that_is_no_object_exits_2(run_cli, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    assert run_cli("scan-md", "--family", "5.3.1", "--seed", "1", "--config",
+                   str(path)) == (
+        2, "", "error: config file must hold a JSON object\n")
 
 
 def test_config_unknown_key_warns(run_cli, tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import korbit as kb
-from korbit import algebra, exp_action, foliation, kirillov, orbits
+from korbit import algebra, exp_action, foliation, kirillov, orbits, reports
 from korbit.errors import (AsymmetryError, DomainError, EvaluationError,
                            ParameterWarning)
 
@@ -480,11 +480,10 @@ def test_mirror_partners_are_sign_flips_of_their_first_member(
     pairs, seed = 30, 5
     bases = set()
 
-    def recorded(d1, d2, tol, _fn=orbits._mutual_membership):
-        for a, b in zip(np.reshape(d1.base, (-1, 5)),
-                        np.reshape(d2.base, (-1, 5))):
+    def recorded(family, p, B1, B2, tol, _fn=orbits._mutual_membership):
+        for a, b in zip(B1, B2):
             bases.add((tuple(a.tolist()), tuple(b.tolist())))
-        return _fn(d1, d2, tol)
+        return _fn(family, p, B1, B2, tol)
     monkeypatch.setattr(orbits, "_mutual_membership", recorded)
     rep = kb.partition_check(fam, params, pairs=pairs, seed=seed)
     alg = algebra.build_algebra(fam, params)
@@ -496,6 +495,39 @@ def test_mirror_partners_are_sign_flips_of_their_first_member(
         Fb[desc_a.signs[0].coord if desc_a.signs else 2] *= -1.0
         assert (tuple(Fa.tolist()), tuple(Fb.tolist())) in bases, i
         assert not any(f["pair"] == i for f in rep.failures)
+
+
+def test_membership_merging_every_pair_fails_each_mirror_pair(monkeypatch):
+    # membership that calls every pair equal merges each mirror pair and
+    # leaves no disjoint pair: the probe screen runs on no rows and the
+    # report has no separation, written as null
+    pairs = 12
+    monkeypatch.setattr(orbits, "_mutual_membership",
+                        lambda family, p, B1, B2, tol: (
+                            np.ones(len(B1), dtype=bool), {}))
+    screened = []
+
+    def recorded(family, p, bases, points, _fn=orbits._screen):
+        out = _fn(family, p, bases, points)
+        screened.append((bases.shape, points.shape, [a.shape for a in out]))
+        return out
+    monkeypatch.setattr(orbits, "_screen", recorded)
+    rep = kb.partition_check("5.3.2", None, pairs=pairs, seed=3)
+    mirror = list(range(4, pairs, 5))
+    assert [(f["pair"], f["kind"]) for f in rep.failures] == [
+        (i, "mirror_merged") for i in mirror]
+    assert all(f["detail"].startswith(
+        "sign-flipped covector reported on the same orbit, base [")
+        for f in rep.failures)
+    assert screened == [((0, 5), (0, 5), [(0,), (0,), (0,)])]
+    assert (rep.same_leaf_pairs, rep.disjoint_pairs) == (
+        pairs - len(mirror), 0)
+    assert (rep.probes_evaluated, rep.probes_sign_rejected,
+            rep.probes_guard_rejected, rep.vacuous_pairs) == (0, 0, 0, 0)
+    assert rep.min_separation is None and not rep.passed
+    doc = reports.dumps(rep.to_json_dict())
+    assert '"min_separation": null, "probes_evaluated": 0' in doc
+    assert json.loads(doc)["min_separation"] is None
 
 
 def test_partition_counts_probes_and_vacuous_pairs():

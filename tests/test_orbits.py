@@ -227,6 +227,22 @@ def test_membership_tolerance_must_be_finite_and_positive(tol):
         kb.orbits_equal(alg, F1, F2, tol=tol)
 
 
+@pytest.mark.parametrize("F1,F2,message", [
+    ([1, 1, 1], [1, 1, 1, 0, 0], "covector must have 5 coordinates"),
+    ([1, 1, 1, 0, 0], [1, 1, 1], "family 5.3.3 with lambda = 0"),
+    ([1, 1, 0, 0, 1], [1, 1, 1], "covector must have 5 coordinates"),
+    ([1, 1, 0, 0, 1], [1, 1, 1, 0, 0], "family 5.3.3 with lambda = 0"),
+    ([1, 1, 0, 0, 1], [1, 1, 0, 0, 1], "membership tolerance"),
+])
+def test_orbits_equal_refuses_in_argument_order(F1, F2, message):
+    # F1 is checked as a covector and then for its case, then F2 the same
+    # way, and the tolerance last: the first refusal that applies is raised
+    with pytest.warns(ParameterWarning):
+        alg = kb.build_algebra("5.3.3", {"lambda": 0.0})
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        kb.orbits_equal(alg, F1, F2, tol=-1.0)
+
+
 def test_verify_proposition_passes_each_case():
     for fam, params in CANONICAL[:3] + [("5.3.8", {"lambda": 1.0, "phi": math.pi / 2})]:
         for c in kb.case_indices(fam):
@@ -653,18 +669,26 @@ def test_stacked_descriptors_match_one_base_descriptors(fam, params):
     alg = kb.build_algebra(fam, params)
     B, P = _mixed_stack(alg, seed=_STACK_PARAMS.index((fam, params)))
     p = alg.params
-    cases = orbits._case_of(fam, orbits._pattern(*B.T[2:]))
+    codes = orbits._pattern(*B.T[2:])
+    cases = orbits._case_of(fam, codes)
     singles = [kb.classify_orbit(fam, params, b) for b in B]
     assert cases.tolist() == [d.case_index for d in singles]
     assert len(set(cases.tolist())) == len(kb.case_indices(fam))
+    screen_guarded, screen_signed, worst = orbits._screen(fam, p, B, P)
     seen = np.zeros(len(B), dtype=bool)
-    for rows, desc in orbits._classify_stack(fam, p, B):
+    for code in np.unique(codes):
+        rows = np.flatnonzero(codes == code)
+        desc = orbits._descriptor(fam, p, B[rows])
         assert not seen[rows].any()
         seen[rows] = True
         assert np.array_equal(desc.base, B[rows])
-        guarded, signed, res = orbits._screened(desc, P[rows])
-        affine = np.array([c.affine for c in desc.constraints])
+        guarded, signed = orbits._masks(desc, P[rows])
+        assert np.array_equal(screen_guarded[rows], guarded)
+        assert np.array_equal(screen_signed[rows], signed)
         admitted = np.flatnonzero(guarded & signed)
+        ok = rows[admitted]
+        res = orbits._residual_rows(orbits._descriptor(fam, p, B[ok]), P[ok])
+        affine = np.array([c.affine for c in desc.constraints])
         assert res.shape == (len(admitted), len(desc.constraints))
         for k, r in enumerate(rows):
             one = singles[r]
@@ -678,11 +702,17 @@ def test_stacked_descriptors_match_one_base_descriptors(fam, params):
             assert guarded[k] == one_guarded[0]
             assert signed[k] == one_signed[0]
             if not (guarded[k] and signed[k]):
+                assert worst[r] == np.inf  # a rejected row is not evaluated
                 continue
             want = orbits._residual_rows(one, q)[0]
             got = res[np.searchsorted(admitted, k)]
             assert np.array_equal(got[~affine], want[~affine]), (fam, r)
             np.testing.assert_allclose(got[affine], want[affine],
+                                       rtol=1e-15, atol=1e-15)
+            # the screen's worst residual is the stacked row's, and matches
+            # the one-base descriptor's
+            assert worst[r] == np.max(np.abs(got)), (fam, r)
+            np.testing.assert_allclose(worst[r], np.max(np.abs(want)),
                                        rtol=1e-15, atol=1e-15)
     assert seen.all()
 
@@ -693,8 +723,10 @@ def test_stacked_descriptor_covers_both_sigma_zero_branches():
     for phi, count in ((1.0, 4), (math.pi / 2, 3)):
         alg = kb.build_algebra("5.3.8", {"lambda": 1.0, "phi": phi})
         B, _ = _mixed_stack(alg, seed=5)
-        groups = orbits._classify_stack("5.3.8", alg.params, B)
-        branch = [d for _, d in groups
+        codes = orbits._pattern(*B.T[2:])
+        groups = [orbits._descriptor("5.3.8", alg.params, B[codes == c])
+                  for c in np.unique(codes)]
+        branch = [d for d in groups
                   if d.case_index == 3 and d.case.zero_pattern[2]]
         assert len(branch) == 3  # (gamma, delta) = (+, 0), (0, +), (+, +)
         assert all(len(d.constraints) == count and not d.signs
@@ -705,10 +737,14 @@ def test_stacked_classifier_refuses_degenerate_parameters():
     with pytest.warns(ParameterWarning):
         p = algebra.validate_params("5.3.3", {"lambda": 0.0})
     fixed = np.array([[1.0, 1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0, 2.0]])
-    assert [d.case_index for _, d in orbits._classify_stack("5.3.3", p, fixed)
-            ] == [2, 4]
+    # the screen's groups, in ascending zero-pattern order
+    assert orbits._case_of("5.3.3", np.unique(orbits._pattern(*fixed.T[2:]))
+                           ).tolist() == [2, 4]
+    guarded, signed, worst = orbits._screen("5.3.3", p, fixed, fixed)
+    assert guarded.all() and signed.all() and np.all(worst < 1e-15)
+    degenerate = np.vstack([fixed, [1, 1, 1, 0, 0]])
     with pytest.raises(DomainError, match="no valid closed-form") as err:
-        orbits._classify_stack("5.3.3", p, np.vstack([fixed, [1, 1, 1, 0, 0]]))
+        orbits._screen("5.3.3", p, degenerate, degenerate)
     with pytest.raises(DomainError) as one:
         orbits._descriptor("5.3.3", p, np.array([1.0, 1.0, 1.0, 0.0, 0.0]))
     assert str(err.value) == str(one.value)
@@ -718,16 +754,15 @@ def test_orbits_equal_is_the_one_row_mutual_membership():
     alg = kb.build_algebra("5.3.4", None)
     F = np.array([0.3, -1.2, 1.1, 0.8, -0.6])
     G = kb.coadjoint_move(alg, F, np.array([0.2, 0.9, -0.4, 0.3, 0.5]))
-    d1 = orbits._descriptor(alg.family, alg.params, F.copy())
-    d2 = orbits._descriptor(alg.family, alg.params, G.copy())
-    equal, odd = orbits._mutual_membership(d1, d2, 1e-8)
+    equal, odd = orbits._mutual_membership(alg.family, alg.params, F[None],
+                                           G[None], 1e-8)
     assert equal.tolist() == [True] and odd == {}
     assert kb.orbits_equal(alg, F, G)
     # the stacked call decides each row as orbits_equal decides it alone
     H = F * np.array([1, 1, 1, 1, -1])
-    s1 = orbits._descriptor(alg.family, alg.params, np.array([F, F]))
-    s2 = orbits._descriptor(alg.family, alg.params, np.array([G, H]))
-    equal, odd = orbits._mutual_membership(s1, s2, 1e-8)
+    equal, odd = orbits._mutual_membership(alg.family, alg.params,
+                                           np.array([F, F]), np.array([G, H]),
+                                           1e-8)
     assert equal.tolist() == [kb.orbits_equal(alg, F, G),
                               kb.orbits_equal(alg, F, H)] == [True, False]
     assert odd == {}
