@@ -130,6 +130,9 @@ def params_from_sequence(family, values) -> dict:
     """Build a parameter dict from an ordered value list (CLI --params order)."""
     family = normalize_family(family)
     names = PARAM_NAMES[family]
+    if isinstance(values, (str, bytes, bytearray)):  # list() would split it
+        raise DomainError(f"family {family} takes its parameters as a dict or "
+                          f"a sequence of numbers, got {_shown(values)}")
     values = list(values)
     if len(values) != len(names):
         raise DomainError(
@@ -366,7 +369,7 @@ def _ad(alg: LieAlgebra, U: np.ndarray) -> np.ndarray:
     if U.ndim == 1:
         umax = max(map(abs, U.tolist()))
     else:
-        umax = np.abs(U).max(initial=0.0)
+        umax = float(np.abs(U).max(initial=0.0))  # no numpy overflow warning
     if umax * alg.c_max <= _DOT_SAFE:
         M = np.dot(U, c)
     else:  # the caller refuses what overflows, without a numpy warning

@@ -113,7 +113,8 @@ def phi_series(lam: float, b: float) -> float:
     """(e^(b*lam) - 1)/lam, continued by its limit b at lam = 0.
 
     Equal to b * phi1(b*lam); the series branch is used when |b*lam| is
-    below SERIES_CUTOFF.
+    below SERIES_CUTOFF. A value past the float range raises DomainError
+    naming both arguments.
     """
     try:
         lam, b = (algebra._as_real("phi_series argument", v) for v in (lam, b))
@@ -123,7 +124,11 @@ def phi_series(lam: float, b: float) -> float:
             f"phi_series arguments must be real numbers, got {shown}") from None
     if not (math.isfinite(lam) and math.isfinite(b)):
         raise DomainError("phi_series arguments must be finite")
-    return b * _phi1(b * lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = b * _phi1(b * lam)
+    if not math.isfinite(value):
+        raise DomainError(f"phi_series overflows at lam = {lam!r}, b = {b!r}")
+    return value
 
 
 def _expm(M: np.ndarray, U) -> np.ndarray:

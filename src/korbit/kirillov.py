@@ -13,14 +13,14 @@ small enough that its buffers stay resident between blocks and calls. A
 Kirillov form's rank has one rule: its Pfaffians (skew_ranks,
 and orbit_dimension for one covector), so it is even by construction.
 
-Constraint Jacobians are certificate-then-SVD: certify_rank3 proves rank
-3 from the Cauchy-Binet sums of squared minors where the bound has room,
-and svd_ranks decides every row it leaves open (certified_svd_ranks).
-The chart rule, _charted_rank3, tests each column triple of a row the
-same way, and one svd_ranks call on the ten minors decides what it
-leaves. Both leave four-row stacks to svd_ranks alone, which decides
-every other rank too. Every rank tolerance must be finite and positive
-(algebra.as_tolerance).
+Constraint Jacobians are certificate-then-SVD, with one certificate:
+_certified3 proves from Cauchy-Binet sums of squared minors that some
+column triple of a three-row Jacobian has rank 3 at the row's threshold.
+certified_svd_ranks sends the rows it leaves open to svd_ranks, and the
+chart rule, _charted_rank3, sends them to svd_ranks and one svd_ranks call
+on their ten minors. Both leave four-row stacks to svd_ranks alone, which
+decides every other rank too. Every rank tolerance must be finite and
+positive (algebra.as_tolerance).
 """
 
 import dataclasses
@@ -58,7 +58,7 @@ def kirillov_forms(alg: algebra.LieAlgebra, Fs: np.ndarray) -> np.ndarray:
     exact. A covector with a non-finite coordinate gets an all-NaN form,
     which skew_ranks refuses whichever coordinate it is.
     """
-    Fs = np.asarray(Fs, dtype=float)
+    Fs = algebra._as_real_array(Fs, "covector stack")
     if Fs.ndim != 2 or Fs.shape[1] != 5:
         raise DomainError(
             f"kirillov_forms expects an (n, 5) stack, got shape {Fs.shape}")
@@ -82,8 +82,8 @@ def svd_ranks(M, tol: float, thr=None):
     tol * max(1, largest singular value) unless thresholds are given (a
     submatrix tested against the threshold of its parent). Thresholds keep
     a trailing axis of length 1. Every numeric rank decision of the
-    package other than a Kirillov form's (skew_ranks) and a row or column
-    triple that the Cauchy-Binet certificate proves has rank 3 is made here.
+    package is made here, other than a Kirillov form's (skew_ranks) and a
+    Jacobian row that _certified3 proves has rank 3.
     """
     tol = algebra.as_tolerance("rank tolerance", tol)
     sv = np.linalg.svd(M, compute_uv=False)
@@ -94,11 +94,12 @@ def svd_ranks(M, tol: float, thr=None):
     return (sv > thr).sum(axis=-1), thr
 
 
-# certify_rank3's margins: sigma3 above _KAPPA times the threshold bound
-# absorbs the SVD's rounding at the threshold, and a volume above
-# _VOLUME_RTOL times its rounding bound keeps the minors' own rounding
-# errors negligible. Rows with |M|_F^2 inside _E1_RANGE keep every product
-# of six entries, and _VOLUME_RTOL^2 * |M|_F^6, normal floats.
+# _certified3's margins: a certified minor's sigma3 above _KAPPA times the
+# threshold bound absorbs the SVD's rounding at the threshold, and a
+# determinant above _VOLUME_RTOL * |M|_F^3 keeps the rounding errors of the
+# row's minors below 1e-3 of their values. Rows with |M|_F^2 inside
+# _E1_RANGE keep every product of six entries, and _VOLUME_RTOL^2 *
+# |M|_F^6, normal floats.
 _KAPPA = 2.0
 _VOLUME_RTOL = 1e-12
 _E1_RANGE = (1e-90, 1e90)
@@ -116,68 +117,59 @@ def _cauchy_binet_tables(k):
     return (np.array(pairs).T, np.array(triples).T, np.array(cofactors).T)
 
 
-def _cauchy_binet(M, tol):
-    """Column norms (k, n), 2x2 minors (pairs, n) and 3x3 minors (triples,
-    n), all squared, and tau (n,) of an (n, 3, k) stack. Call it under
-    np.errstate; _certified leaves overflowed or NaN rows open."""
-    pairs, triples, cofactors = _cauchy_binet_tables(M.shape[2])
-    # row r of every matrix as one contiguous (k, n) block
-    a, b, c = np.ascontiguousarray(M.transpose(1, 2, 0))
-    i, j = pairs
-    ab = a[i] * b[j] - a[j] * b[i]
-    ac = a[i] * c[j] - a[j] * c[i]
-    bc = b[i] * c[j] - b[j] * c[i]
-    p, q, r = cofactors
-    t0, t1, t2 = triples
-    det = a[t0] * bc[p] - a[t1] * bc[q] + a[t2] * bc[r]
-    cols = a * a + b * b + c * c
-    tau = tol * np.maximum(1.0, np.sqrt(cols.sum(axis=0)))
-    return cols, ab * ab + ac * ac + bc * bc, det * det, tau
+def _certified3(M, tol) -> np.ndarray:
+    """Per row of an (n, 3, k) float stack, k >= 3, at a checked tol: True
+    where some 3-column minor provably has rank 3 at the row's svd_ranks
+    threshold, so that svd_ranks reads rank 3 on the row and on that minor.
 
-
-def _certified(e1, e2, e3, tau):
-    """certify_rank3's test: e3 / e2 > (2 tau)^2 and enough volume."""
-    return ((e1 > _E1_RANGE[0]) & (e1 < _E1_RANGE[1])
-            & (e3 / e2 > (_KAPPA * tau) ** 2)
-            & (np.sqrt(e3) > _VOLUME_RTOL * e1 * np.sqrt(e1)))
-
-
-def certify_rank3(M, tol: float):
-    """(certified, thresholds) of an (n, 3, k) stack, k >= 3.
-
-    A row is certified only where the Cauchy-Binet identities prove that
-    svd_ranks(M, tol) reads rank 3 on it. With singular values s1 >= s2 >=
-    s3 of the row, e1 = |M|_F^2 = s1^2 + s2^2 + s3^2, e2 = the sum of the
-    squared 2x2 minors = s1^2 s2^2 + s1^2 s3^2 + s2^2 s3^2, and e3 = the
-    sum of the squared 3x3 minors = (s1 s2 s3)^2, so s3^2 >= e3 / e2 and
-    s1 <= sqrt(e1). The threshold bound tau = tol * max(1, sqrt(e1)) is at
-    least svd_ranks' threshold. A row is certified when e3 / e2 >
-    (2 tau)^2, and sqrt(e3) > 1e-12 e1^(3/2) keeps its minors far above
-    their rounding errors (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002). Rank-deficient, non-finite and near-threshold rows
-    are not certified; svd_ranks decides them. Thresholds are returned as
-    an (n,) vector.
+    Why it is sound. A minor m with singular values s1 >= s2 >= s3 has
+    det(m)^2 = (s1 s2 s3)^2, and the sum of its squared 2x2 minors is
+    s1^2 s2^2 + s1^2 s3^2 + s2^2 s3^2 >= s1^2 s2^2. That sum is part of
+    e2, the sum of the row's squared 2x2 minors, so s3^2 >= det(m)^2 / e2;
+    one e2 per row bounds every minor's sum at the cost of none. A row is
+    certified when some minor has det(m)^2 > (2 tau)^2 e2, with tau = tol
+    * max(1, |M|_F) at least the row's threshold tol * max(1, sigma1).
+    Then s3 > 2 tau, and by interlacing the row's sigma3 is at least s3,
+    so the SVD reads rank 3 on both. Rounding: the terms of det(m) sum in
+    absolute value to at most the product of m's row 1-norms, which is at
+    most |M|_F^3, and those of a 2x2 minor to at most |M|_F^2, so both
+    err by a few ulps of those powers. The certified minor also has
+    |det(m)| > 1e-12 |M|_F^3, hence sqrt(e2) >= |det(m)| / |M|_F > 1e-12
+    |M|_F^2, and the computed ratio is good to well below the factor 2
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002).
+    Rank-deficient, non-finite and near-threshold rows, and rows outside
+    _E1_RANGE, are not certified; svd_ranks decides them.
     """
-    tol = algebra.as_tolerance("rank tolerance", tol)
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 3 or M.shape[1] != 3 or M.shape[2] < 3:
-        raise DomainError(
-            f"certify_rank3 expects an (n, 3, k) stack with k >= 3, got "
-            f"shape {M.shape}")
-    with np.errstate(all="ignore"):
-        cols, sq2, sq3, tau = _cauchy_binet(M, tol)
-        return (_certified(cols.sum(axis=0), sq2.sum(axis=0),
-                           sq3.sum(axis=0), tau), tau)
+    pairs, triples, cofactors = _cauchy_binet_tables(M.shape[2])
+    with np.errstate(all="ignore"):  # overflowed and NaN rows stay open
+        # row r of every matrix as one contiguous (k, n) block
+        a, b, c = np.ascontiguousarray(M.transpose(1, 2, 0))
+        i, j = pairs
+        ab = a[i] * b[j] - a[j] * b[i]
+        ac = a[i] * c[j] - a[j] * c[i]
+        bc = b[i] * c[j] - b[j] * c[i]
+        p, q, r = cofactors
+        t0, t1, t2 = triples
+        det = a[t0] * bc[p] - a[t1] * bc[q] + a[t2] * bc[r]
+        e1 = (a * a + b * b + c * c).sum(axis=0)  # |M|_F^2
+        e2 = (ab * ab + ac * ac + bc * bc).sum(axis=0)
+        tau = tol * np.maximum(1.0, np.sqrt(e1))
+        return ((e1 > _E1_RANGE[0]) & (e1 < _E1_RANGE[1])
+                & (np.max(det * det, axis=0)
+                   > np.maximum((_KAPPA * tau) ** 2 * e2,
+                                _VOLUME_RTOL ** 2 * e1 ** 3)))
 
 
 def certified_svd_ranks(M, tol: float) -> np.ndarray:
-    """svd_ranks(M, tol)[0] of an (n, m, k) stack: rows that certify_rank3
-    proves read 3, and only the others go through the SVD."""
+    """svd_ranks(M, tol)[0] of an (n, m, k) stack: the rows of a three-row
+    stack that _certified3 proves read 3, and only the others go through
+    the SVD."""
+    tol = algebra.as_tolerance("rank tolerance", tol)
     M = np.asarray(M, dtype=float)
     if M.ndim != 3 or M.shape[1] != 3 or M.shape[2] < 3:
         return svd_ranks(M, tol)[0]
-    open_rows = ~certify_rank3(M, tol)[0]
     ranks = np.full(len(M), 3)
+    open_rows = ~_certified3(M, tol)
     if open_rows.any():
         ranks[open_rows] = svd_ranks(M[open_rows], tol)[0]
     return ranks
@@ -187,24 +179,16 @@ def _charted_rank3(J, tol) -> np.ndarray:
     """Per row of an (n, m, k) float stack, k >= 3, at a checked tol: rank
     3 and a 3-column minor of rank 3 at the row's threshold (a chart).
 
-    For m = 3, certify_rank3's test runs on every column triple against
-    the row's tau. A triple that passes has sigma3 > 2 tau >= the row's
-    SVD threshold, so the SVD charts it and, by interlacing, reads rank 3
-    on the row. One svd_ranks call on all ten minors decides the rest.
+    A three-row stack's rows that _certified3 proves are charted; one
+    svd_ranks call on all ten minors decides the rest.
     """
-    _, triples, cofactors = _cauchy_binet_tables(J.shape[2])
-    charted = np.zeros(len(J), dtype=bool)
-    if J.shape[1] == 3:
-        with np.errstate(all="ignore"):
-            cols, sq2, sq3, tau = _cauchy_binet(J, tol)
-            (i, j, l), (p, q, r) = triples, cofactors  # r: pair (i, j)
-            charted = _certified(cols[i] + cols[j] + cols[l],
-                                 sq2[p] + sq2[q] + sq2[r], sq3,
-                                 tau).any(axis=0)
+    charted = (_certified3(J, tol) if J.shape[1] == 3
+               else np.zeros(len(J), dtype=bool))
     rest = np.flatnonzero(~charted)
     if len(rest):
         ranks, thr = svd_ranks(J[rest], tol)
         # (rows, triples, m, 3): every minor of a row at the row's threshold
+        triples = _cauchy_binet_tables(J.shape[2])[1]
         minors = J[rest][:, :, triples.T].transpose(0, 2, 1, 3)
         full = svd_ranks(minors, tol, thr[:, None])[0] == 3
         charted[rest] = (ranks == 3) & full.any(axis=1)

@@ -109,6 +109,9 @@ def test_normalize_family_accepts_both_spellings():
     assert kb.normalize_family("5.3.4") == "5.3.4"
     with pytest.raises(DomainError):
         kb.normalize_family("5.3.9")
+    with pytest.raises(DomainError,
+                       match="^family tag must be a string, got float$"):
+        kb.normalize_family(5.31)
 
 
 @pytest.mark.parametrize("fam,params", CANONICAL)
@@ -146,6 +149,23 @@ def test_param_count_and_name_errors():
         kb.validate_params("5.3.2", {"mu": 2.0})
     with pytest.raises(DomainError):
         kb.validate_params("5.3.4", (1.0,))
+    with pytest.raises(DomainError,
+                       match=r"^family 5.3.2 does not take parameter\(s\) mu$"):
+        kb.validate_params("5.3.2", {"lambda": 2.0, "mu": 1.0})
+
+
+@pytest.mark.parametrize("family,params", [
+    ("5.3.1", "23"), ("5.3.2", b"2"), ("5.3.4", ""), ("5.3.2", bytearray(b"2"))])
+@pytest.mark.parametrize("entry", ["validate_params", "build_algebra",
+                                   "params_from_sequence"])
+def test_string_or_bytes_params_are_refused(entry, family, params):
+    # list() would split them into characters: '23' would read as
+    # lambda1 = 2, lambda2 = 3, and '' as the empty parameter list
+    with pytest.raises(DomainError) as err:
+        getattr(kb, entry)(family, params)
+    assert str(err.value) == (
+        f"family {family} takes its parameters as a dict or a sequence of "
+        f"numbers, got {params!r}")
 
 
 @pytest.mark.parametrize("value,line", [

@@ -77,6 +77,26 @@ def test_classify_text_and_json(run_cli):
                 "--covector", "0,0,1,1,1", "--format", "json")
     doc = json.loads(r.stdout)
     assert doc["case"] == 8 and doc["dim"] == 2
+    # a coordinate below --snap-tol reads as zero, and the text says so
+    r = run_cli("classify", "--family", "5.3.1", "--params", "2,3",
+                "--covector", "0,0,1,1,1e-12", "--snap-tol", "1e-9")
+    assert r.returncode == 0
+    lines = r.stdout.splitlines()
+    assert lines[0] == "case 7, cylinder, dim 2"
+    assert lines[-1] == ("note: coordinates below the snap tolerance were "
+                         "treated as zero")
+
+
+@pytest.mark.parametrize("given,same_as", [
+    ("", None),  # the catalog defaults, as with no --params
+    ("lambda1=-2,,lambda2=0.5", "lambda1=-2,lambda2=0.5"),  # no empty item
+])
+def test_params_spelled_another_way(run_cli, given, same_as):
+    run = ("classify", "--family", "5.3.1", "--covector", "0,0,1,1,1",
+           "--format", "json")
+    r = run_cli(*run, "--params=" + given)
+    expect = run_cli(*run, *(() if same_as is None else ("--params", same_as)))
+    assert r == expect and r.returncode == 0 and r.stderr == ""
 
 
 def test_classify_named_params(run_cli):
@@ -122,7 +142,10 @@ def test_usage_errors_exit_2(run_cli):
             (("classify", "--family", "all", "--covector", "1,1,1,1,1"),
              "classify needs a single family"),
             (("classify", "--family", "5.3.1"),
-             "a covector is required (--covector 'x,y,z,t,s')")):
+             "a covector is required (--covector 'x,y,z,t,s')"),
+            (("classify", "--family", "5.3.2", "--params", "lambda=x",
+              "--covector", "1,1,1,1,1"),
+             "could not parse parameters 'lambda=x'")):
         assert run_cli(*args) == (2, "", f"error: {line}\n"), args
 
 

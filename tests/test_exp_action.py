@@ -41,6 +41,17 @@ def test_phi_series_tight_at_series_cutoff():
         assert abs(got - want) <= 1e-14 * (1.0 + abs(want)), x
 
 
+@pytest.mark.parametrize("lam,b", [(800.0, 1.0), (1.0, 800.0),
+                                   (1e308, 1e308)])
+def test_phi_series_refuses_a_result_past_the_float_range(lam, b):
+    # finite arguments whose value is inf (or inf/inf), with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as err:
+            kb.phi_series(lam, b)
+    assert str(err.value) == f"phi_series overflows at lam = {lam!r}, b = {b!r}"
+
+
 def test_phi_series_rejects_nonfinite():
     with pytest.raises(DomainError):
         kb.phi_series(float("nan"), 1.0)
@@ -439,6 +450,8 @@ def test_overflow_is_refused_on_every_motion_route():
         # finite coordinates whose ad matrix already overflows
         (lambda: kb.exp_ad(alg, [1e308, 1.0, 1e308, 1e308, 1e308]),
          "ad U " + _overflow_line([1e308, 1.0, 1e308, 1e308, 1e308])),
+        (lambda: kb.exp_ad(alg, [[0.0, 1e308, 0.0, 0.0, 0.0]]),
+         "ad U " + _overflow_line([0.0, 1e308, 0.0, 0.0, 0.0], 0)),
         (lambda: kb.exp_ad_closed("5.3.1", None, [1e308, 1.0, 1e308, 1e308, 1e308]),
          "exp(ad U) " + _overflow_line([1e308, 1.0, 1e308, 1e308, 1e308])),
     ]

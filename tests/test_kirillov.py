@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,21 @@ def test_kirillov_forms_refuses_non_stack(shape):
         kb.kirillov_forms(kb.build_algebra("5.3.4", None), np.ones(shape))
 
 
+@pytest.mark.parametrize("Fs,message", [
+    (np.ones((2, 5), dtype=complex), "got a complex array"),
+    ([[1, 1, 1, 1, "a"]], "could not convert string to float"),
+], ids=["complex-array", "string-entry"])
+def test_kirillov_forms_refuses_non_real_input(Fs, message):
+    # not the forms of the real part with a ComplexWarning, and not a bare
+    # ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as err:
+            kb.kirillov_forms(kb.build_algebra("5.3.4", None), Fs)
+    assert str(err.value).startswith("covector stack must hold real numbers")
+    assert message in str(err.value)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_non_finite_covector_makes_skew_ranks_raise(value):
@@ -103,6 +119,10 @@ def test_non_finite_covector_makes_skew_ranks_raise(value):
             F[1, k] = value
             with pytest.raises(DomainError, match="finite"):
                 kirillov.skew_ranks(kb.kirillov_forms(alg, F), 1e-9)
+            # one covector is refused before any form is built
+            with pytest.raises(DomainError,
+                               match="^covector must have finite coordinates$"):
+                kb.kirillov_form(alg, F[1])
 
 
 @given(F=vec5)
@@ -155,6 +175,25 @@ def test_md_scan_small():
     assert rep.histogram[0] == 500  # exactly the forced all-zero stratum
     assert rep.violations == []
     assert rep.zero_rank_failures == []
+
+
+def test_md_scan_reports_each_rank_outside_zero_and_two(monkeypatch):
+    # skew_ranks cannot return 4 on these families, so a stub reads rank 4
+    # on row 7, which lies in the unconstrained stratum
+    skew_ranks = kirillov.skew_ranks
+
+    def rank4_at_7(B, tol):
+        ranks = skew_ranks(B, tol)
+        ranks[7] = 4
+        return ranks
+
+    monkeypatch.setattr(kirillov, "skew_ranks", rank4_at_7)
+    rep = kb.md_scan("5.3.1", None, n=100, seed=5)
+    F7 = np.random.default_rng(5).uniform(-10.0, 10.0, (100, 5))[7]
+    assert not rep.passed
+    assert rep.violations == [{"index": 7, "covector": F7.tolist(), "rank": 4}]
+    assert rep.zero_rank_failures == []
+    assert rep.histogram == {0: 12, 2: 87, 4: 1}
 
 
 def test_md_scan_deterministic():
@@ -338,14 +377,16 @@ def test_rank3_certificate_never_disagrees_with_svd(k):
         for s1 in 10.0 ** np.arange(-6.0, 7.0):
             M, margin, sure = _certificate_rows(rng, tol, s1, k)
             with np.errstate(all="raise"):
-                ok, thr = kirillov.certify_rank3(M, tol)
+                ok = kirillov._certified3(M, tol)
             ranks, svd_thr = kirillov.svd_ranks(M, tol)
             assert not np.any(ok & (ranks != 3)), (tol, s1)
             # a row within a factor 2 of the threshold is left to SVD
             assert not np.any(ok & margin), (tol, s1)
             assert np.all(ok[sure]), (tol, s1)
-            # tau bounds svd_ranks' threshold up to rounding, which the
-            # margin covers
+            # the certificate's threshold bound tau = tol * max(1, |M|_F)
+            # bounds svd_ranks' threshold up to rounding, which the margin
+            # covers
+            thr = tol * np.maximum(1.0, np.linalg.norm(M, axis=(1, 2)))
             assert np.all(thr * (1.0 + 1e-12) >= svd_thr[:, 0])
             certified_any += int(np.count_nonzero(ok))
             assert np.array_equal(kirillov.certified_svd_ranks(M, tol), ranks)
@@ -357,7 +398,7 @@ def test_rank3_certificate_never_disagrees_with_svd(k):
         M[r, r % 3, 0] = v
     M[4] *= 1e-200
     with np.errstate(all="raise"):
-        ok, _ = kirillov.certify_rank3(M, 1e-9)
+        ok = kirillov._certified3(M, 1e-9)
     assert ok.tolist() == [False] * 5 + [True]
 
 
@@ -414,14 +455,14 @@ def test_chart_certificate_never_disagrees_with_svd(monkeypatch):
             assert np.all(got[~reached]), (tol, s)
             decided += int(np.count_nonzero(~reached))
     assert decided > 0
-    # Minor (0, 1, 2) is diag(1, 10, 0.8): certify_rank3 proves it against
+    # Minor (0, 1, 2) is diag(1, 10, 0.8): _certified3 proves it against
     # its own threshold 0.01, but the row's threshold is 1.0, against
     # which no minor (sigma3 <= 0.8) has rank 3, while the row (singular
     # values 1000, 10, 0.8 * sqrt(2)) has
     row = np.zeros((1, 3, 5))
     row[0, 0, 0], row[0, 0, 4], row[0, 1, 1] = 1.0, 1000.0, 10.0
     row[0, 2, 2:4] = 0.8
-    assert kirillov.certify_rank3(row[:, :, :3], 1e-3)[0].tolist() == [True]
+    assert kirillov._certified3(row[:, :, :3], 1e-3).tolist() == [True]
     assert kirillov.svd_ranks(row, 1e-3)[0].tolist() == [3]
     for J in (row, np.concatenate([_thin(1.0)[None], row])):
         assert kirillov._charted_rank3(J, 1e-3).tolist() == [True] * (
@@ -437,19 +478,32 @@ def test_chart_certificate_never_disagrees_with_svd(monkeypatch):
     assert got[:10].all() and not got[10:15].any()
 
 
-@pytest.mark.parametrize("shape", [(3, 5), (2, 4, 5), (2, 3, 2),
-                                   (1, 2, 3, 5)])
-def test_rank3_certificate_refuses_other_shapes(shape):
-    with pytest.raises(DomainError, match=r"\(n, 3, k\) stack"):
-        kirillov.certify_rank3(np.zeros(shape), 1e-9)
+def test_verify_sends_only_four_row_jacobians_to_the_svd(monkeypatch):
+    # at catalog defaults the certificate decides every three-row Jacobian
+    # row of verify_proposition; only the sigma = 0 branch of 5.3.8 case 3,
+    # whose four constraints have rank 3, reaches svd_ranks
+    svd_ranks = kirillov.svd_ranks
+    sent = []
+
+    def recorded(M, tol, thr=None):
+        sent.append((unit, M.shape))
+        return svd_ranks(M, tol, thr)
+
+    monkeypatch.setattr(kirillov, "svd_ranks", recorded)
+    for fam in kb.FAMILY_TAGS:
+        for case in kb.case_indices(fam):
+            unit = (fam, case)
+            rep = kb.verify_proposition(fam, None, case, n=100, seed=20240811)
+            assert rep.passed, unit
+    assert sent
+    assert all(u == ("5.3.8", 3) and shape[1:] == (4, 5) for u, shape in sent)
 
 
 _CASE8_BASE = [1.0, 1.0, 1.0, 1.0, 1.0]
 RANK_TOL_ENTRY_POINTS = {
     "skew_ranks": lambda tol: kirillov.skew_ranks(np.zeros((1, 5, 5)), tol),
-    # every row of these stacks would certify at any tolerance
-    "certify_rank3": lambda tol: kirillov.certify_rank3(
-        np.tile(np.eye(3, 5), (4, 1, 1)), tol),
+    # at tolerance 0.0 every row of this stack certifies and svd_ranks
+    # never runs, so certified_svd_ranks must refuse the tolerance itself
     "certified_svd_ranks": lambda tol: kirillov.certified_svd_ranks(
         np.tile(np.eye(3, 5), (4, 1, 1)), tol),
     "md_scan": lambda tol: kb.md_scan("5.3.1", None, n=200, seed=1,
