@@ -130,10 +130,14 @@ def params_from_sequence(family, values) -> dict:
     """Build a parameter dict from an ordered value list (CLI --params order)."""
     family = normalize_family(family)
     names = PARAM_NAMES[family]
-    if isinstance(values, (str, bytes, bytearray)):  # list() would split it
-        raise DomainError(f"family {family} takes its parameters as a dict or "
-                          f"a sequence of numbers, got {_shown(values)}")
-    values = list(values)
+    try:
+        if isinstance(values, (str, bytes, bytearray)):
+            raise TypeError  # list() would split it into characters
+        values = list(values)  # TypeError: a number or other non-iterable
+    except TypeError:
+        raise DomainError(
+            f"family {family} takes its parameters as a dict or a sequence "
+            f"of numbers, got {_shown(values)}") from None
     if len(values) != len(names):
         raise DomainError(
             f"family {family} takes {len(names)} parameter(s) "
@@ -247,12 +251,26 @@ def build_algebra(family, params=None) -> LieAlgebra:
     return LieAlgebra(family=family, params=p, c=c)
 
 
+# np.exceptions arrived in numpy 1.25
+_ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
+
+
 def _as_real_array(v, what) -> np.ndarray:
     """v as a float array; DomainError if v does not hold real numbers."""
     if isinstance(v, np.ndarray) and v.dtype.kind == "c":
         raise DomainError(f"{what} must hold real numbers, got a complex array")
     try:
-        return np.asarray(v, dtype=float)
+        if isinstance(v, np.ndarray) or np.asarray(v).dtype.kind != "c":
+            return np.asarray(v, dtype=float)
+        # numpy casts a complex numpy value inside a list to its real part
+        # with only a ComplexWarning (a Python complex raises TypeError);
+        # the filters change only for input that is refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", _ComplexWarning)
+            return np.asarray(v, dtype=float)
+    except _ComplexWarning:
+        raise DomainError(
+            f"{what} must hold real numbers, got a complex value") from None
     except (TypeError, ValueError, OverflowError) as exc:
         # strings, ragged lists, complex, an int past the float range
         raise DomainError(f"{what} must hold real numbers: {exc}") from None

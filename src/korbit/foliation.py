@@ -143,7 +143,9 @@ def partition_check(family, params=None, pairs: int = 100, seed: int = 0,
     # phase two: the probes of every disjoint pair; row r is screened
     # against its pair's partner
     pair_of = np.repeat(disjoint, probe_points)
-    Us = exp_action._draws(seed + 104729 + disjoint, probe_points, 1.5)
+    # Python ints: seed is unbounded, and an int64 sum could overflow
+    Us = exp_action._draws([seed + 104729 + i for i in disjoint.tolist()],
+                           probe_points, 1.5)
     probe = exp_action._move_items(alg, A[disjoint], Us, probe_points,
                                    _pair_of(fam, A, disjoint))
     guarded, signed, sep = orbits._screen(fam, p, B[pair_of], probe)

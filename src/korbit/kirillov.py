@@ -8,8 +8,10 @@ rank 0 exactly on the gamma = delta = sigma = 0 stratum.
 kirillov_forms builds a stack of forms from the nonzero entries of the
 structure tensor, with the einsum's arithmetic and exact skewness. It
 stores them entry-major, so skew_ranks reads each entry as one contiguous
-vector. md_scan builds and ranks its forms in blocks of _SCAN_ROWS rows,
-small enough that its buffers stay resident between blocks and calls. A
+vector. md_scan is three steps: draw its covectors at once, rank their
+forms in blocks of _SCAN_ROWS rows (small enough that the buffers stay
+resident between blocks and calls) into one rank vector, and read the
+histogram and both failure lists off that vector. A
 Kirillov form's rank has one rule: its Pfaffians (skew_ranks,
 and orbit_dimension for one covector), so it is even by construction.
 
@@ -280,9 +282,11 @@ def md_scan(family, params, n: int, seed: int, rank_tol: float = 1e-9,
     The n draws are split evenly over the eight zero-subsets of
     (gamma, delta, sigma); the unconstrained subset takes the remainder.
     A violation is any rank outside {0, 2}; separately, rank 0 must occur
-    exactly where gamma = delta = sigma = 0. The covectors are drawn at
-    once and ranked in blocks of _SCAN_ROWS rows; the report does not
-    depend on the block size.
+    exactly where gamma = delta = sigma = 0. Three steps: draw every
+    covector at once and force each subset's zeros; rank the forms in
+    blocks of _SCAN_ROWS rows into one rank vector; read the histogram and
+    both failure lists, in index order, off that vector. The report does
+    not depend on the block size.
     """
     alg = algebra.build_algebra(family, params)
     n = algebra.as_count("sample count", n, 1)
@@ -295,35 +299,25 @@ def md_scan(family, params, n: int, seed: int, rank_tol: float = 1e-9,
     start = n - share * (len(_SCAN_PATTERNS) - 1)  # unconstrained stratum
     for k, pattern in enumerate(_SCAN_PATTERNS[1:]):
         lo = start + k * share
-        for idx in pattern:
-            Fs[lo:lo + share, idx] = 0.0
+        Fs[lo:lo + share, list(pattern)] = 0.0
 
-    violations = []
-    zero_failures = []
-    hist = np.zeros(5, dtype=np.int64)  # ranks of 5x5 skew forms
+    ranks = np.empty(n, dtype=np.int8)  # 0, 2 or 4: ranks of 5x5 skew forms
     for lo in range(0, n, _SCAN_ROWS):
-        block = Fs[lo:lo + _SCAN_ROWS]
-        B = kirillov_forms(alg, block)
-        ranks = skew_ranks(B, rank_tol)
-        hist += np.bincount(ranks, minlength=5)
-        bad = np.nonzero((ranks != 0) & (ranks != 2))[0]
-        for i in bad:
-            violations.append({"index": int(lo + i),
-                               "covector": [float(v) for v in block[i]],
-                               "rank": int(ranks[i])})
-        is_zero_rank = ranks == 0
-        # three compares, not np.all(block[:, 2:] == 0.0, axis=1), which
-        # reduces a strided length-3 axis slowly; the same predicate for
-        # every float, -0.0 and NaN included
-        is_zero_stratum = ((block[:, 2] == 0.0) & (block[:, 3] == 0.0)
-                           & (block[:, 4] == 0.0))
-        mism = np.nonzero(is_zero_rank != is_zero_stratum)[0]
-        for i in mism:
-            zero_failures.append({"index": int(lo + i),
-                                  "covector": [float(v) for v in block[i]],
-                                  "rank": int(ranks[i])})
-    return MdReport(family=alg.family, params=dict(alg.params), n=n,
-                    seed=seed, radius=radius,
-                    rank_tol=rank_tol,
-                    histogram={r: int(c) for r, c in enumerate(hist) if c},
-                    violations=violations, zero_rank_failures=zero_failures)
+        B = kirillov_forms(alg, Fs[lo:lo + _SCAN_ROWS])
+        ranks[lo:lo + _SCAN_ROWS] = skew_ranks(B, rank_tol)
+
+    # three compares, not np.all(Fs[:, 2:] == 0.0, axis=1), which
+    # reduces a strided length-3 axis slowly; the same predicate for
+    # every float, -0.0 and NaN included
+    is_zero_stratum = (Fs[:, 2] == 0.0) & (Fs[:, 3] == 0.0) & (Fs[:, 4] == 0.0)
+
+    def records(rows):
+        return [{"index": int(i), "covector": Fs[i].tolist(),
+                 "rank": int(ranks[i])} for i in np.flatnonzero(rows)]
+
+    return MdReport(
+        family=alg.family, params=dict(alg.params), n=n, seed=seed,
+        radius=radius, rank_tol=rank_tol,
+        histogram={r: int(c) for r, c in enumerate(np.bincount(ranks)) if c},
+        violations=records((ranks != 0) & (ranks != 2)),
+        zero_rank_failures=records((ranks == 0) != is_zero_stratum))

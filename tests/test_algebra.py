@@ -155,12 +155,14 @@ def test_param_count_and_name_errors():
 
 
 @pytest.mark.parametrize("family,params", [
-    ("5.3.1", "23"), ("5.3.2", b"2"), ("5.3.4", ""), ("5.3.2", bytearray(b"2"))])
+    ("5.3.1", "23"), ("5.3.2", b"2"), ("5.3.4", ""), ("5.3.2", bytearray(b"2")),
+    ("5.3.2", 2.0), ("5.3.4", 0), ("5.3.2", object())])
 @pytest.mark.parametrize("entry", ["validate_params", "build_algebra",
                                    "params_from_sequence"])
 def test_string_or_bytes_params_are_refused(entry, family, params):
     # list() would split them into characters: '23' would read as
-    # lambda1 = 2, lambda2 = 3, and '' as the empty parameter list
+    # lambda1 = 2, lambda2 = 3, and '' as the empty parameter list; a
+    # number or another object list() cannot iterate is refused the same way
     with pytest.raises(DomainError) as err:
         getattr(kb, entry)(family, params)
     assert str(err.value) == (

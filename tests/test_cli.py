@@ -270,6 +270,18 @@ def test_check_foliation_json(run_cli):
     assert all(doc["local_triviality"].values())
 
 
+def test_check_foliation_takes_the_largest_int64_seed(run_cli):
+    # the probe seeds seed + 104729 + i pass the int64 range; a seed is an
+    # unbounded integer, so this is a report, not exit 1 or 2
+    args = ("check-foliation", "--family", "5.3.1", "--pairs", "10",
+            "--seed", str(2**63 - 1))
+    a = run_cli(*args)
+    b = run_cli(*args)
+    assert a.returncode == b.returncode == 0, a.stderr
+    assert a.stdout == b.stdout
+    assert json.loads(a.stdout)["seed"] == 2**63 - 1
+
+
 def test_reruns_are_byte_identical_and_thread_env_neutral(run_cli):
     args = ("scan-md", "--family", "5.3.7", "--n", "5000", "--seed", "31")
     a = run_cli(*args)

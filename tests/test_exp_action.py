@@ -517,7 +517,10 @@ def test_item_motion_edges_and_refusals():
     [1j, 1, 1, 1, 1],
     np.ones(5, dtype=complex),
     {"a": 1},
-], ids=["string", "ragged", "complex-entry", "complex-array", "dict"])
+    [np.complex128(1), 1, 1, 1, 1],
+    [np.ones(5, dtype=complex)],
+], ids=["string", "ragged", "complex-entry", "complex-array", "dict",
+        "complex-scalar-in-list", "complex-array-in-list"])
 def test_non_numeric_input_is_refused(bad):
     alg = kb.build_algebra("5.3.2", None)
     F = [1.0, 1.0, 1.0, 1.0, 1.0]
@@ -526,7 +529,8 @@ def test_non_numeric_input_is_refused(bad):
                  lambda: kb.coadjoint_move(alg, bad, F),
                  lambda: kb.exp_ad_closed("5.3.2", None, bad),
                  lambda: kb.coadjoint_move_531(None, F, bad),
-                 lambda: kb.sample_orbit(alg, bad, 3, seed=1)):
+                 lambda: kb.sample_orbit(alg, bad, 3, seed=1),
+                 lambda: kb.classify_orbit("5.3.2", None, bad)):
         with pytest.raises(DomainError, match="must hold real numbers"):
             call()
 

@@ -602,6 +602,32 @@ def test_probe_overflow_names_family_pair_base_and_row(fam):
                                "U = [0.6407756646576535, ")
 
 
+@pytest.mark.parametrize("seed", [1, 2**63 - 104729 - 3, 2**64])
+def test_probe_seeds_are_unbounded_integers(monkeypatch, seed):
+    # pair i's probes are sample_orbit's points at seed + 104729 + i even
+    # where that sum leaves the int64 range, as it does for pairs 3 and up
+    # at 2**63 - 104729 - 3; the last _screen call screens the probes
+    screen, screened = orbits._screen, []
+
+    def recording(family, p, bases, points):
+        screened.append(points)
+        return screen(family, p, bases, points)
+
+    monkeypatch.setattr(orbits, "_screen", recording)
+    rep = kb.partition_check("5.3.1", None, pairs=10, seed=seed)
+    assert rep.passed and rep.seed == seed
+    # every pair but the same-leaf pairs 3 and 8 lies on two orbits
+    disjoint = [0, 1, 2, 4, 5, 6, 7, 9]
+    assert rep.disjoint_pairs == len(disjoint)
+    alg = kb.build_algebra("5.3.1", None)
+    A = np.random.default_rng(seed).uniform(-2.0, 2.0, (20, 5))[0::2]
+    probes = screened[-1].reshape(len(disjoint), 50, 5)
+    for k, i in enumerate(disjoint):
+        alone = exp_action.sample_orbit(alg, A[i], 50, seed=seed + 104729 + i,
+                                        radius=1.5)
+        assert np.array_equal(probes[k], alone.points)
+
+
 def test_same_leaf_overflow_names_family_pair_and_base():
     # at radius 8e307 the same-leaf partner of pair 3 leaves the float range
     # before any probe moves; the refusal is its one-row move's, prefixed

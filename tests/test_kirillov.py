@@ -97,7 +97,10 @@ def test_kirillov_forms_refuses_non_stack(shape):
 @pytest.mark.parametrize("Fs,message", [
     (np.ones((2, 5), dtype=complex), "got a complex array"),
     ([[1, 1, 1, 1, "a"]], "could not convert string to float"),
-], ids=["complex-array", "string-entry"])
+    ([[np.complex128(1), 1, 1, 1, 1]], "got a complex value"),
+    ([np.ones(5, dtype=complex)], "got a complex value"),
+], ids=["complex-array", "string-entry", "complex-scalar-in-list",
+        "complex-array-in-list"])
 def test_kirillov_forms_refuses_non_real_input(Fs, message):
     # not the forms of the real part with a ComplexWarning, and not a bare
     # ValueError
@@ -338,6 +341,29 @@ def test_md_scan_matches_svd_reference_across_blocks():
     assert rep == _svd_scan_payload("5.3.4", None, n, 29, 1.0)
     assert rep["histogram"] == {"0": n}
     assert len(rep["zero_rank_failures"]) == n - n // 8
+
+
+def test_md_scan_report_does_not_depend_on_the_block_size(monkeypatch):
+    # a stub reads rank 4 where the form's (1, 2) entry exceeds 9 and rank
+    # 0 where it is below -9: chosen by value, so the same covectors fail
+    # whichever block holds them, and violations, zero-rank failures and
+    # the histogram all cross blocks of 7 rows
+    skew_ranks = kirillov.skew_ranks
+
+    def by_value(B, tol):
+        ranks = skew_ranks(B, tol)
+        ranks[B[:, 1, 2] > 9.0] = 4
+        ranks[B[:, 1, 2] < -9.0] = 0
+        return ranks
+
+    monkeypatch.setattr(kirillov, "skew_ranks", by_value)
+    default = kb.md_scan("5.3.1", None, n=100, seed=5).to_json_dict()
+    monkeypatch.setattr(kirillov, "_SCAN_ROWS", 7)
+    small = kb.md_scan("5.3.1", None, n=100, seed=5).to_json_dict()
+    assert small == default
+    for key in ("violations", "zero_rank_failures"):
+        assert len({f["index"] // 7 for f in small[key]}) > 1
+    assert set(small["histogram"]) == {"0", "2", "4"}
 
 
 def _certificate_rows(rng, tol, s1, k):
