@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -131,8 +132,10 @@ def params_from_sequence(family, values) -> dict:
     family = normalize_family(family)
     names = PARAM_NAMES[family]
     try:
-        if isinstance(values, (str, bytes, bytearray)):
-            raise TypeError  # list() would split it into characters
+        if isinstance(values, (str, bytes, bytearray, set, frozenset)):
+            # list() would split a string into characters, and read a set
+            # in its iteration order
+            raise TypeError
         values = list(values)  # TypeError: a number or other non-iterable
     except TypeError:
         raise DomainError(
@@ -148,8 +151,10 @@ def params_from_sequence(family, values) -> dict:
 def validate_params(family, params=None) -> dict:
     """Check family parameters against their domain; return a canonical dict.
 
-    Raises DomainError naming the first violated domain entry of the
-    family's row. params=None selects the catalog defaults. A zero value
+    params maps the parameter names to their values (any Mapping), or
+    lists the values in the catalog's order; a set, which has no order, is
+    refused. Raises DomainError naming the first violated domain entry of
+    the family's row. params=None selects the catalog defaults. A zero value
     of the row's warning parameter (a first ideal eigenvalue) is accepted
     with a ParameterWarning because the generic orbit case equations lose
     a relation there; see classify_orbit.
@@ -160,7 +165,8 @@ def validate_params(family, params=None) -> dict:
     if params is None:
         params = dict(row.defaults)
     if not isinstance(params, dict):
-        params = params_from_sequence(family, params)
+        params = (dict(params) if isinstance(params, Mapping)
+                  else params_from_sequence(family, params))
     missing = [n for n in names if n not in params]
     if missing:
         raise DomainError(f"family {family} requires parameter(s) {', '.join(missing)}")
@@ -251,12 +257,15 @@ def build_algebra(family, params=None) -> LieAlgebra:
     return LieAlgebra(family=family, params=p, c=c)
 
 
+_FLOAT = np.dtype(float)
 # np.exceptions arrived in numpy 1.25
 _ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
 
 
 def _as_real_array(v, what) -> np.ndarray:
     """v as a float array; DomainError if v does not hold real numbers."""
+    if type(v) is np.ndarray and v.dtype is _FLOAT:
+        return v  # what np.asarray(v, dtype=float) returns
     if isinstance(v, np.ndarray) and v.dtype.kind == "c":
         raise DomainError(f"{what} must hold real numbers, got a complex array")
     try:
@@ -280,9 +289,7 @@ def as_vector5(v, what="vector") -> np.ndarray:
     arr = _as_real_array(v, what)
     if arr.shape != (5,):
         raise DomainError(f"{what} must have 5 coordinates, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DomainError(f"{what} must have finite coordinates")
-    return arr
+    return _finite(arr, what)
 
 
 def as_stack5(v, what="vector") -> np.ndarray:
@@ -292,7 +299,16 @@ def as_stack5(v, what="vector") -> np.ndarray:
         raise DomainError(f"{what} must have 5 coordinates, got shape {arr.shape}")
     if arr.ndim not in (1, 2) or arr.shape[-1] != 5:
         raise DomainError(f"{what} must have shape (5,) or (n, 5), got {arr.shape}")
-    if not np.isfinite(arr).all():
+    return _finite(arr, what)
+
+
+def _finite(arr, what) -> np.ndarray:
+    # one vector is checked in Python floats, cheaper than numpy on five
+    if arr.ndim == 1:
+        finite = all(map(math.isfinite, arr.tolist()))
+    else:
+        finite = np.isfinite(arr).all()
+    if not finite:
         raise DomainError(f"{what} must have finite coordinates")
     return arr
 

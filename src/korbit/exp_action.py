@@ -10,7 +10,9 @@ The generic route's exponential, _expm, is family-blind: it reads only
 the matrices ad_U, never this module's spectral table or the block
 structure above. It scales each matrix by a power of two to infinity norm
 at most 1 and evaluates the degree-19 Taylor polynomial by
-Paterson-Stockmeyer in seven matrix products, then squares back.
+Paterson-Stockmeyer in seven matrix products, then squares back. One
+matrix reads its norm and squaring count in Python floats, a stack in
+numpy; both add each row left to right, so the two agree bit for bit.
 
 The closed-form route, exp_ad_closed, takes one element and never reads
 the algebra's ad_x2 template: its table _SPECTRA gives per family the
@@ -143,7 +145,9 @@ def _expm(M: np.ndarray, U) -> np.ndarray:
     products in all. A stack runs this core _CORE_ROWS rows at a time. The
     squarings all matrices need run on the whole stack, the rest on the
     rows that need them. One matrix multiplies with np.dot, a stack with
-    np.matmul: the same BLAS product, np.dot with less per-call cost.
+    np.matmul: the same BLAS product, np.dot with less per-call cost. One
+    matrix reads its norm and squaring count in Python floats, a stack in
+    numpy, each row added left to right on both.
 
     Under this scaling ||exp(M)||inf <= e^(2 ||M||inf), so a matrix with at
     most _EXP_SAFE_SQUARINGS squarings cannot overflow; only when some
@@ -156,7 +160,7 @@ def _expm(M: np.ndarray, U) -> np.ndarray:
         mul = np.dot
         if not math.isfinite(counts):  # ad_U itself overflowed
             raise _overflow("ad U", U, norm)
-        counts = common = most = int(counts)
+        common = most = counts
         R = _taylor(M, math.ldexp(1.0, -common), mul, None)
     else:
         mul = np.matmul
@@ -179,7 +183,19 @@ def _expm(M: np.ndarray, U) -> np.ndarray:
 
 
 def _inf_norm(M):
-    # the largest row sum of |M|, each row summed left to right
+    # the largest row sum of |M|, each row summed left to right with +
+    # (sum() compensates float sums from Python 3.12 on). One matrix's
+    # norm is a float, and its first row sum that is not finite is
+    # returned as it is: a comparison, as in max(), passes over a NaN.
+    if M.ndim == 2:
+        norm = 0.0
+        for a, b, c, d, e in M.tolist():
+            s = abs(a) + abs(b) + abs(c) + abs(d) + abs(e)
+            if not s <= norm:  # a larger or a NaN row sum
+                if not math.isfinite(s):
+                    return s
+                norm = s
+        return norm
     a = np.abs(M.T, order="C")  # a[j, i] is |M[i, j]|, of each matrix
     return (a[0] + a[1] + a[2] + a[3] + a[4]).max(axis=0)
 
@@ -206,8 +222,14 @@ def _taylor(M, scale, mul, out):
 
 def _squarings(norm):
     # s = ceil(log2 ||M||inf), so that ||2^-s M||inf <= 1, and 0 for a norm
-    # of at most 1; inf or NaN where the norm is not finite
-    return np.ceil(np.log2(np.maximum(norm, 1.0)))
+    # of at most 1; inf or NaN where the norm is not finite. One matrix's
+    # float norm gives an int (math.ceil refuses inf and NaN), a stack's
+    # norms an array of floats.
+    if isinstance(norm, np.ndarray):
+        return np.ceil(np.log2(np.maximum(norm, 1.0)))
+    if not math.isfinite(norm):
+        return norm
+    return math.ceil(math.log2(norm)) if norm > 1.0 else 0
 
 
 def _square(R, counts, common, most, mul):

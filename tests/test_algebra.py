@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -156,18 +157,36 @@ def test_param_count_and_name_errors():
 
 @pytest.mark.parametrize("family,params", [
     ("5.3.1", "23"), ("5.3.2", b"2"), ("5.3.4", ""), ("5.3.2", bytearray(b"2")),
-    ("5.3.2", 2.0), ("5.3.4", 0), ("5.3.2", object())])
+    ("5.3.2", 2.0), ("5.3.4", 0), ("5.3.2", object()), ("5.3.1", {3.0, 2.0}),
+    ("5.3.2", frozenset({2.0})), ("5.3.4", set())])
 @pytest.mark.parametrize("entry", ["validate_params", "build_algebra",
                                    "params_from_sequence"])
 def test_string_or_bytes_params_are_refused(entry, family, params):
     # list() would split them into characters: '23' would read as
     # lambda1 = 2, lambda2 = 3, and '' as the empty parameter list; a
-    # number or another object list() cannot iterate is refused the same way
+    # number or another object list() cannot iterate is refused the same
+    # way, and so is a set, which list() would read in its iteration order
     with pytest.raises(DomainError) as err:
         getattr(kb, entry)(family, params)
     assert str(err.value) == (
         f"family {family} takes its parameters as a dict or a sequence of "
         f"numbers, got {params!r}")
+
+
+def test_a_mapping_is_read_as_a_dict():
+    # a Mapping that is not a dict gives the dict's result, or its refusal
+    for fam, params in (("5.3.2", {"lambda": 2.0}),
+                        ("5.3.1", {"lambda2": 3.0, "lambda1": 2.0})):
+        proxy = types.MappingProxyType(params)
+        assert kb.validate_params(fam, proxy) == kb.validate_params(fam, params)
+        got, want = kb.build_algebra(fam, proxy), kb.build_algebra(fam, params)
+        assert got.params == want.params and np.array_equal(got.c, want.c)
+    for params in ({"mu": 2.0}, {"lambda": "abc"}, {"lambda": 1.0}):
+        with pytest.raises(DomainError) as want:
+            kb.validate_params("5.3.2", params)
+        with pytest.raises(DomainError) as got:
+            kb.validate_params("5.3.2", types.MappingProxyType(params))
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("value,line", [
@@ -285,6 +304,34 @@ def test_ad_matrix_is_bracket_in_matrix_form():
 def test_as_vector_rejects_bad_shapes():
     with pytest.raises(DomainError):
         kb.classify_orbit("5.3.4", None, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_are_refused(value, k):
+    # one vector is checked in Python floats, a stack in numpy
+    v = np.ones(5)
+    v[k] = value
+    stack = np.ones((3, 5))
+    stack[1] = v
+    for check, arg in ((kb.algebra.as_vector5, v), (kb.algebra.as_vector5, list(v)),
+                       (kb.algebra.as_stack5, v), (kb.algebra.as_stack5, stack)):
+        with pytest.raises(DomainError) as err:
+            check(arg, "covector")
+        assert str(err.value) == "covector must have finite coordinates"
+
+
+def test_a_float64_array_is_taken_as_it_is():
+    # np.asarray(v, dtype=float) returns such an array itself; anything
+    # else becomes a new float64 ndarray
+    v = np.arange(5.0)
+    assert kb.algebra.as_vector5(v) is v
+    assert kb.algebra.as_stack5(v) is v
+    for other in (v.view(type("Sub", (np.ndarray,), {})), v.astype(np.float32),
+                  v.astype(">f8"), v.astype(int), v.tolist()):
+        got = kb.algebra.as_vector5(other)
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.dtype.isnative and np.array_equal(got, v)
 
 
 _CASE8 = [1.0, 1.0, 1.0, 1.0, 1.0]

@@ -726,6 +726,37 @@ def test_squaring_counts_follow_the_log2_rule_at_powers_of_two():
     assert not np.isfinite(bad).any()
 
 
+@pytest.mark.parametrize("row,col,value", [(0, 2, math.nan), (4, 1, math.nan),
+                                           (2, 3, math.inf), (3, 0, -math.inf)])
+def test_one_matrix_with_a_non_finite_entry_is_refused(row, col, value):
+    # one matrix's norm is a Python float: max() would drop a NaN after the
+    # first row sum, and math.ceil would raise on inf, so both must be
+    # refused as ad U overflowing, as a stack's row is
+    U = [1.0, 2.0, 3.0, 4.0, 5.0]
+    M = np.full((5, 5), 0.5)
+    M[row, col] = value
+    with pytest.raises(DomainError) as err:
+        exp_action._expm(M, np.array(U))
+    assert str(err.value) == "ad U " + _overflow_line(U)
+    with pytest.raises(DomainError) as err:
+        exp_action._expm(M[None], np.array([U]))
+    assert str(err.value) == "ad U " + _overflow_line(U, 0)
+
+
+def test_one_matrix_norm_adds_each_row_left_to_right():
+    # 4 + 4e-16 rounds back to 4 twice, so the norm is 4 and the count 2
+    # on both paths; a compensated sum (math.fsum, or sum() from Python
+    # 3.12 on) reads 4.000000000000001 and 3 squarings. No ad_U of these
+    # algebras has this row, so _expm is called directly.
+    M = np.zeros((5, 5))
+    M[2] = [4.0, 4e-16, 4e-16, 0.0, 0.0]
+    U = np.zeros(5)
+    assert exp_action._inf_norm(M) == 4.0
+    assert exp_action._squarings(exp_action._inf_norm(M)) == 2
+    assert exp_action._squarings(exp_action._inf_norm(M[None])).tolist() == [2]
+    assert _same_bits(exp_action._expm(M, U), exp_action._expm(M[None], U[None])[0])
+
+
 @pytest.mark.parametrize("fam,params", CANONICAL)
 def test_exp_ad_matches_scipy_over_radii(fam, params):
     # an independent exponential (Pade, scipy) over the radii of the
