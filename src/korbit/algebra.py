@@ -100,6 +100,7 @@ PARAM_NAMES = {tag: tuple(row.defaults) for tag, row in _FAMILIES.items()}
 # Used by the CLI when --params is omitted; the library API always takes
 # explicit parameters for parameterized families.
 DEFAULT_PARAMS = {tag: dict(row.defaults) for tag, row in _FAMILIES.items()}
+_NAME_SETS = {tag: frozenset(names) for tag, names in PARAM_NAMES.items()}
 
 
 def normalize_family(tag) -> str:
@@ -132,9 +133,10 @@ def params_from_sequence(family, values) -> dict:
     family = normalize_family(family)
     names = PARAM_NAMES[family]
     try:
-        if isinstance(values, (str, bytes, bytearray, set, frozenset)):
-            # list() would split a string into characters, and read a set
-            # in its iteration order
+        if isinstance(values, (str, bytes, bytearray, set, frozenset,
+                               Mapping)):
+            # list() would split a string into characters, read a set in
+            # its iteration order and a mapping as its keys
             raise TypeError
         values = list(values)  # TypeError: a number or other non-iterable
     except TypeError:
@@ -167,13 +169,17 @@ def validate_params(family, params=None) -> dict:
     if not isinstance(params, dict):
         params = (dict(params) if isinstance(params, Mapping)
                   else params_from_sequence(family, params))
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise DomainError(f"family {family} requires parameter(s) {', '.join(missing)}")
-    extra = [k for k in params if k not in names]
-    if extra:
+    if params.keys() != _NAME_SETS[family]:
+        missing = [n for n in names if n not in params]
+        if missing:
+            raise DomainError(f"family {family} requires parameter(s) {', '.join(missing)}")
+        extra = [k for k in params if k not in names]
         raise DomainError(f"family {family} does not take parameter(s) {', '.join(extra)}")
-    p = {n: _as_float(n, params[n]) for n in names}
+    # a finite Python float is taken as it is; v - v is NaN for inf and NaN
+    p = {}
+    for n in names:
+        v = params[n]
+        p[n] = v if type(v) is float and v - v == 0.0 else _as_float(n, v)
 
     for entry, holds in _DOMAIN_TESTS[family]:
         if not holds(p):
@@ -234,10 +240,6 @@ class LieAlgebra:
 
     def __post_init__(self):
         object.__setattr__(self, "c_max", float(np.abs(self.c).max()))
-
-    @property
-    def dim(self) -> int:
-        return 5
 
 
 def build_algebra(family, params=None) -> LieAlgebra:

@@ -17,8 +17,8 @@ numpy; both add each row left to right, so the two agree bit for bit.
 The closed-form route, exp_ad_closed, takes one element and never reads
 the algebra's ad_x2 template: its table _SPECTRA gives per family the
 eigenvalues of A on (z, t, s), a complex pair being a rotation-scaling
-block, and A's Jordan links. _matrix_function turns a row into f(b*A)
-for f = exp, phi1 and the identity (A itself): f(b*mu) on the diagonal,
+block, and A's Jordan links. _spectral_blocks walks a row once and
+gives A, exp(b*A) and phi1(b*A) together: f(b*mu) on the diagonal,
 b*f'(b*mu) on each link, (b^2/2)*f''(b*mu) across a two-link chain.
 
 Every motion function refuses a result past the float range with a
@@ -91,24 +91,6 @@ def _phi(x, k):
     if k == 2:
         return (np.expm1(x) - x) / (x * x)
     return (np.expm1(x) - x - 0.5 * x * x) / (x ** 3)
-
-
-def _exp_jet(x, order):
-    return (np.exp(x) if isinstance(x, complex) else math.exp(x),) * (order + 1)
-
-
-def _phi1_jet(x, order):
-    # phi1' = phi1 - phi2, phi1'' = phi1 - 2*phi2 + 2*phi3
-    f = _phi1(x)
-    if order == 0:
-        return (f,)
-    f2 = _phi(x, 2)
-    jet = (f, f - f2)
-    return jet if order == 1 else jet + (f - 2.0 * f2 + 2.0 * _phi(x, 3),)
-
-
-def _identity_jet(x, order):
-    return (x, 1.0, 0.0)[:order + 1]
 
 
 def phi_series(lam: float, b: float) -> float:
@@ -288,42 +270,59 @@ _SPECTRA = {
 }
 
 
-def _matrix_function(jet, mus, links, b):
-    """f(b*A) for a spectral row's A; jet(x, k) is f, f', ..., f^(k) at x
-    (Higham, Functions of Matrices, SIAM 2008, ch. 10)."""
-    M = np.zeros((3, 3))
-    taylor = (1.0, b, 0.5 * b * b)  # b^j / j!
+def _spectral_blocks(mus, links, b, E):
+    """A and phi1(b*A) of a spectral row, with exp(b*A) written into E
+    (3x3, zero off its diagonal), in one walk: each complex pair, and each
+    real eigenvalue with its Jordan block, is visited once, and phi2 and
+    phi3 are evaluated only across a link (Higham, Functions of Matrices,
+    SIAM 2008, ch. 10)."""
+    A = np.zeros((3, 3))
+    P = np.zeros((3, 3))
+    for i in links:
+        A[i, i + 1] = 1.0
     i = 0
     while i < 3:
-        if isinstance(mus[i], complex):  # the pair mu, conj(mu) on (i, i+1)
-            f = jet(complex(b * mus[i].real, b * mus[i].imag), 0)[0]
-            M[i, i] = M[i + 1, i + 1] = f.real
-            M[i, i + 1] = -f.imag
-            M[i + 1, i] = f.imag
+        mu = mus[i]
+        if isinstance(mu, complex):  # the pair mu, conj(mu) on (i, i+1)
+            x = complex(b * mu.real, b * mu.imag)
+            for M, f in ((A, mu), (E, np.exp(x)), (P, _phi1(x))):
+                M[i, i] = M[i + 1, i + 1] = f.real
+                M[i, i + 1] = -f.imag
+                M[i + 1, i] = f.imag
             i += 2
             continue
-        k = 0  # links from i to the end of its Jordan block
-        while i + k in links:
-            k += 1
-        d = jet(b * mus[i], k)
-        for j in range(k + 1):
-            M[i, i + j] = taylor[j] * d[j]
-        i += 1
-    return M
+        x = b * mu
+        e, f = math.exp(x), _phi1(x)
+        if i not in links:
+            A[i, i], E[i, i], P[i, i] = mu, e, f
+            i += 1
+            continue
+        # a Jordan block: phi1' = phi1 - phi2, phi1'' = phi1 - 2*phi2 + 2*phi3
+        f2 = _phi(x, 2)
+        es, fs = [e, b * e], [f, b * (f - f2)]
+        if i + 1 in links:
+            c = 0.5 * b * b
+            es.append(c * e)
+            fs.append(c * (f - 2.0 * f2 + 2.0 * _phi(x, 3)))
+        end = i + len(es)
+        for r in range(i, end):
+            A[r, r] = mu
+            for j in range(end - r):
+                E[r, r + j] = es[j]
+                P[r, r + j] = fs[j]
+        i = end
+    return A, P
 
 
 def _closed_form(mus, links, U):
     a, b, w = U[0], float(U[1]), U[2:]
-    A = _matrix_function(_identity_jet, mus, links, 1.0)
-    E3 = _matrix_function(_exp_jet, mus, links, b)
-    P3 = _matrix_function(_phi1_jet, mus, links, b)
+    m = _EYE.copy()
+    A, P3 = _spectral_blocks(mus, links, b, m[2:, 2:])
     V = np.zeros((3, 2))
     V[0, 0] = -b
     V[:, 1] = -A @ w
     V[0, 1] += a
-    m = _EYE.copy()
     m[2:, :2] = P3 @ V
-    m[2:, 2:] = E3
     return m
 
 

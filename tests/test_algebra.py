@@ -189,6 +189,80 @@ def test_a_mapping_is_read_as_a_dict():
         assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("params", [{"lambda": 2.0},
+                                    types.MappingProxyType({"lambda": 2.0})])
+def test_params_from_sequence_refuses_a_mapping(params):
+    # list() would read a mapping as its keys, and then refuse the key
+    # 'lambda' as no real number
+    with pytest.raises(DomainError) as err:
+        kb.params_from_sequence("5.3.2", params)
+    assert str(err.value) == (
+        "family 5.3.2 takes its parameters as a dict or a sequence of "
+        f"numbers, got {params!r}")
+
+
+# Every kind of value a parameter may be given as: Python floats with
+# their edges (signed zeros, subnormals, the largest, non-finite), numpy
+# floats, ints (one past the float range), bools, None and strings.
+param_value = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308,
+                     math.inf, -math.inf, math.nan, math.pi]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-3, 3),
+    st.sampled_from([10 ** 400, -(2 ** 1024)]),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4))
+
+
+def _validated(fam, params):
+    # the parameter dict or the refusal's message, and the ParameterWarnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = kb.validate_params(fam, params)
+        except DomainError as exc:
+            got = str(exc)
+    return got, sum(w.category is ParameterWarning for w in caught)
+
+
+@given(data=st.data(), fam=st.sampled_from(FAMS))
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_dict_and_sequence_params_agree(data, fam):
+    names = kb.PARAM_NAMES[fam]
+    values = data.draw(st.lists(param_value, min_size=len(names),
+                                max_size=len(names)))
+    by_dict, warned = _validated(fam, dict(zip(names, values)))
+    by_list, warned_list = _validated(fam, values)
+    if isinstance(by_dict, str):
+        assert by_list == by_dict
+        assert warned == warned_list == 0
+        return
+    assert isinstance(by_list, dict)
+    assert list(by_dict) == list(by_list) == list(names)
+    for n, v in zip(names, values):
+        assert type(by_dict[n]) is float and type(by_list[n]) is float
+        # equal bits: the sign of a zero is kept on both paths
+        assert by_dict[n].hex() == by_list[n].hex() == float(v).hex()
+    zero = kb.algebra.family_row(fam).zero_warning
+    zeroed = zero is not None and by_dict[zero] == 0.0
+    assert warned == warned_list == int(zeroed)
+
+
+@pytest.mark.parametrize("fam,params", [("5.3.1", {"lambda2": 3.0}),
+                                        ("5.3.3", {}), ("5.3.5", {})])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_zero_parameter_warns_once_in_both_spellings(fam, params, zero):
+    name = kb.algebra.family_row(fam).zero_warning
+    named = {name: zero, **params}
+    for spelled in (named, [named[n] for n in kb.PARAM_NAMES[fam]]):
+        got, warned = _validated(fam, spelled)
+        assert warned == 1
+        assert got[name].hex() == zero.hex()
+
+
 @pytest.mark.parametrize("value,line", [
     (math.inf, "parameter lambda must be finite, got inf"),
     (-math.inf, "parameter lambda must be finite, got -inf"),

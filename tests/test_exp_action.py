@@ -704,9 +704,31 @@ def test_spectral_row_reproduces_ad_x2_bitwise(fam):
     eigenvalues, links = exp_action._SPECTRA[fam]
     for p in _reference_params(fam):
         mus = eigenvalues(p)
-        A = exp_action._matrix_function(exp_action._identity_jet, mus,
-                                        links, 1.0)
+        A = exp_action._spectral_blocks(mus, links, 1.0, np.eye(3))[0]
         assert _same_bits(A, kb.ad2_matrix(fam, p)), p
+
+
+@pytest.mark.parametrize("fam,params", CANONICAL)
+def test_one_element_results_are_fresh_arrays(fam, params):
+    # the closed route writes exp(b*A) straight into its result: no result
+    # may be a module array of exp_action, or be handed out twice
+    alg = kb.build_algebra(fam, params)
+    U = np.array([0.3, -0.7, 0.2, 0.5, -0.1])
+    F = np.array([1.0, -2.0, 0.5, 0.25, 3.0])
+    calls = [lambda: kb.exp_ad(alg, U).m,
+             lambda: kb.exp_ad_closed(fam, params, U).m,
+             lambda: kb.coadjoint_move(alg, F, U)]
+    if fam == "5.3.1":
+        calls.append(lambda: kb.coadjoint_move_531(params, F, U))
+    constants = [v for v in vars(exp_action).values()
+                 if isinstance(v, np.ndarray)]
+    assert len(constants) >= 2  # _PS_COEFFS and _EYE at least
+    for call in calls:
+        want, first = call(), call()
+        assert not np.shares_memory(first, want)
+        assert not any(np.shares_memory(first, c) for c in constants)
+        first[...] = np.nan
+        assert _same_bits(call(), want)
 
 
 def test_squaring_counts_follow_the_log2_rule_at_powers_of_two():
