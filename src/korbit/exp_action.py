@@ -375,7 +375,8 @@ def _move(alg: algebra.LieAlgebra, F: np.ndarray, U: np.ndarray) -> np.ndarray:
         if not all(map(math.isfinite, G.tolist())):
             raise _overflow("the coadjoint image", U, None)
         return G
-    G = np.matmul(F[..., None, :], E)[..., 0, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        G = np.matmul(F[..., None, :], E)[..., 0, :]
     _refuse_non_finite("the coadjoint image", U, G)
     return G
 
@@ -474,12 +475,11 @@ def _move_items(alg, F, U, n, where=None) -> np.ndarray:
         except DomainError:
             if where is None:
                 raise
-            with np.errstate(all="ignore"):  # the stack has warned already
-                for j in items:
-                    try:
-                        _move(alg, F[j], U[j * n:(j + 1) * n])
-                    except DomainError as exc:
-                        raise DomainError(f"{where(j)}: {exc}") from None
+            for j in items:
+                try:
+                    _move(alg, F[j], U[j * n:(j + 1) * n])
+                except DomainError as exc:
+                    raise DomainError(f"{where(j)}: {exc}") from None
             raise
     return _joined(blocks)
 

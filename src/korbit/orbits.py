@@ -7,20 +7,19 @@ cut out by constraints of Jacobian rank 3 plus strict sign conditions:
 three constraints, or four on the sigma = 0 branch of family 5.3.8 case 3
 (s = 0 and the z, t and x motions), whose Jacobians both rank rules of
 kirillov leave to the SVD. y is always a free coordinate.
-Constraints carry analytic gradients and evaluability guards (positive
-power/log arguments).
 
 Each orbit description lives in one row of the case table ``_CASES``,
-keyed by (family, case). A row holds the constraint specs, the coordinate
-of the sign condition and the adjudication note. A spec names a
-constraint builder, the verbatim display string of the equation and the
-builder's arguments: coordinate indices, numbers and symbolic
-coefficients ("lambda2", "-gamma/delta") resolved against the base
-covector and the family parameters. Function, gradient and guard come
-from the builder, the sign display from the coordinate, and the
-descriptor's provenance from the adjudication note. Adding a case is one
-table row; rows shared by several families are written once. Family
-5.3.8 case 3 is the one row whose specs are a builder function.
+keyed by (family, case): its constraints as the paper's display strings
+("s = sigma*(t/delta)**lambda"), the coordinate of the sign condition and
+the adjudication note. _compile parses each display once at import with
+the ast module (names, numbers, + - * / **, unary minus and log; other
+syntax fails there) and derives, on first use, g = lhs - rhs, its partial
+derivatives, whether it is affine, and its guards: each log argument and
+each base of a power whose exponent is not an integer literal must be
+> 0. The sign display comes from the coordinate and the provenance from
+the adjudication note. Adding a case is one table row; rows shared by
+several families are written once. Family 5.3.8 case 3 is the one row
+whose specs are a builder.
 
 The checks (residuals, tangency, Jacobian rank, finite-difference
 gradients) and the one screen _masks (the guard mask, then the sign mask,
@@ -30,7 +29,7 @@ each base's residual rows once, and the adjudication record reads the
 adjudicated columns from them.
 
 A descriptor may also hold an (n, 5) stack of bases that share one zero
-pattern: the table and builders resolve each base coordinate as an (n,)
+pattern: the compiled displays read each base coordinate as an (n,)
 column, and row k of a stack of points is checked against base k. The
 membership screen (_screen) checks row k of a stack of points against the
 orbit of row k of a stack of bases: it groups the rows by their base's
@@ -41,10 +40,13 @@ is its one-row case and partition_check decides all its pairs with it.
 A one-base descriptor is the n = 1 case.
 """
 
+import ast
 import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cache, partial
+from operator import add, mul, neg, sub, truediv
 
 import numpy as np
 
@@ -110,7 +112,7 @@ class OrbitDescriptor:
 
 
 def _namespace(base, params) -> dict:
-    """Values of the symbols a spec may name: base coordinates, parameters.
+    """Values of the names a display may use: base coordinates, parameters.
 
     A base coordinate is a float for one base, and an (n,) column for an
     (n, 5) stack of bases; parameters are floats either way.
@@ -119,31 +121,134 @@ def _namespace(base, params) -> dict:
     return dict(zip(_GREEK, cols), **params)
 
 
-def _coef(sym, v):
-    """Resolve a spec argument against the namespace v.
-
-    Numbers and coordinate indices pass through; a string is a name of v,
-    optionally negated ("-sigma") or divided by another ("gamma/delta");
-    tuples resolve elementwise.
-    """
-    if isinstance(sym, str):
-        num, _, den = sym.partition("/")
-        val = -v[num[1:]] if num[0] == "-" else v[num]
-        return val / v[den] if den else val
-    if isinstance(sym, tuple):
-        return tuple([_coef(s, v) for s in sym])
-    return sym
+# The leaf of each name a display may use, as parsed: "lambda" is a Python
+# keyword, so a display spells it "lambd_" before parsing.
+_LEAVES = {n.replace("lambda", "lambd_"): ("v", n)
+           for n in _GREEK + sum(algebra.PARAM_NAMES.values(), ())}
+_LEAVES.update({n: ("x", i) for i, n in enumerate(_NAMES)})
+_BINARY = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: truediv,
+           ast.Pow: pow}
+_ONE = ("c", 1.0)
+# The origin as a tree indexes points, P[..., i]: an affine display's
+# constant term is its value there.
+_ORIGIN = {(..., i): 0.0 for i in range(5)}
 
 
-def _build(spec, v) -> Constraint:
-    builder, expr, *args = spec
-    return builder(expr, v, *[_coef(a, v) for a in args])
+def _parse(node, text, guards):
+    """Tree of an ast node of the display side text: ("x", i) for
+    coordinate i, ("v", name) for a namespace symbol, ("c", number), or
+    (op, *operands) with op the function that evaluates it (an operator of
+    _BINARY, neg or np.log). Each log argument and each base of a power
+    whose exponent is not an integer literal goes into the dict guards,
+    keyed by its text. Other syntax raises SyntaxError."""
+    match node:
+        case ast.BinOp(op=op, left=a, right=b) if type(op) in _BINARY:
+            e = (_BINARY[type(op)], _parse(a, text, guards),
+                 _parse(b, text, guards))
+            if e[0] is pow and any(_deriv(e[2], i) for i in range(5)):
+                raise SyntaxError(f"{text!r}: an exponent names a coordinate")
+            if e[0] is not pow or type(getattr(b, "value", None)) is int:
+                return e
+        case ast.Name(id=name) if name in _LEAVES:
+            return _LEAVES[name]
+        case ast.Constant(value=int() | float() as c) if type(c) is not bool:
+            return ("c", c)
+        case ast.UnaryOp(op=ast.USub(), operand=a):
+            return (neg, _parse(a, text, guards))
+        case ast.Call(func=ast.Name(id="log"), args=[a], keywords=[]):
+            e = (np.log, _parse(a, text, guards))
+        case _:
+            raise SyntaxError(f"{ast.unparse(node)!r} in {text!r}: not a term")
+    guards.setdefault(text[a.col_offset:a.end_col_offset], e[1])  # a > 0
+    return e
 
 
-def _ratio_guard(i, v) -> Guard:
-    den = v[_GREEK[i]]
-    return Guard(expr=f"{_NAMES[i]}/{_GREEK[i]} > 0",
-                 fn=lambda P: P[..., i] / den)
+def _node(op, a, b=None):
+    """The tree (op, a[, b]) simplified, None standing for zero: a factor 1
+    drops out, a sign moves out of a product, and (1/d)*b is b/d, so that
+    an affine display's coefficients round as written (gamma/delta); a/a
+    is 1, (p*q)/q is p and (p/c)/(q/c) is p/q (d log(z/gamma) is 1/z)."""
+    if op is truediv and a:
+        if a == b or a[0] is mul and a[2] == b:
+            return _ONE if a == b else a[1]
+        if a[0] is b[0] is truediv and a[2] == b[2]:
+            return _node(truediv, a[1], b[1])
+    elif op is mul:
+        if None in (a, b) or _ONE in (a, b):
+            return None if None in (a, b) else b if a == _ONE else a
+        for p, q in (a, b), (b, a):
+            if p[0] is neg:
+                return _node(neg, _node(mul, p[1], q))
+            if p[:2] == (truediv, _ONE):
+                return _node(truediv, q, p[2])
+    elif op in (add, sub) and None in (a, b):
+        return a if b is None else b if op is add else _node(neg, b)
+    elif op is neg:
+        return a and (a[1] if a[0] is neg else (op, a))
+    return a and (op, a, b)
+
+
+def _deriv(e, i):
+    """Partial derivative of the tree e in coordinate i (None: zero)."""
+    op, a, b = (*e, None)[:3]
+    if op in ("x", "v", "c"):
+        return _ONE if e == ("x", i) else None
+    da, db = _deriv(a, i), b and _deriv(b, i)
+    if op in (neg, add, sub):
+        return _node(op, da, db)
+    if op in (np.log, truediv):  # d(a/b) = (da - (a/b)*db)/b, d log a = da/a
+        return _node(truediv, _node(sub, da, db and _node(mul, e, db)), b or a)
+    if op is mul:
+        return _node(add, _node(mul, da, b), _node(mul, a, db))
+    n = ("c", b[1] - 1) if b[0] == "c" else (sub, b, _ONE)
+    return _node(mul, _node(mul, b, a if n == _ONE else (op, a, n)), da)
+
+
+def _closure(e):
+    """(v, P) -> value of the tree e on the namespace v and the points P."""
+    op, a, b = (*e, None)[:3]
+    if op == "x":
+        return lambda v, P: P[..., a]
+    if op in ("v", "c"):
+        return (lambda v, P: v[a]) if op == "v" else (lambda v, P: a)
+    a = _closure(a)
+    if b is None:
+        return lambda v, P: op(a(v, P))
+    b = _closure(b)
+    return lambda v, P: op(a(v, P), b(v, P))
+
+
+def _compile(display):
+    """v -> the Constraint of a display "lhs = rhs" on the namespace v. The
+    display is parsed now. On the first call, g = lhs - rhs is
+    differentiated by the chain rule over its tree, one partial per
+    coordinate; g is affine where its Hessian vanishes; and g, its partials
+    and its guards become closures."""
+    guards = {}
+    lhs, rhs = (_parse(ast.parse(side.replace("lambda", "lambd_"),
+                                 mode="eval").body, side, guards)
+                for side in display.split(" = "))
+    e = (sub, lhs, rhs)
+
+    @cache
+    def forms():
+        grads = {i: d for i in range(5) if (d := _deriv(e, i))}
+        return (not any(_deriv(d, j) for d in grads.values() for j in grads),
+                _closure(e),
+                {i: _closure(d) for i, d in grads.items()},
+                [(f"{t} > 0", _closure(g)) for t, g in guards.items()])
+
+    def build(v):
+        affine, fn, slope, checks = forms()
+        shown = tuple([Guard(t, partial(g, v)) for t, g in checks])
+        if affine:
+            return _aff(display, [slope[i](v, None) if i in slope else 0.0
+                                  for i in range(5)],
+                        fn(v, _ORIGIN) + 0.0, shown)
+        return Constraint(display, partial(fn, v), lambda P: _sparse(
+            P, {i: g(v, P) for i, g in slope.items()}), False, shown)
+
+    return build
 
 
 def _sign(i, v) -> SignPredicate:
@@ -154,7 +259,7 @@ def _sign(i, v) -> SignPredicate:
                          fn=lambda P: sign * P[..., i], coord=i)
 
 
-def _aff(expr, v, coef, const) -> Constraint:
+def _aff(expr, coef, const, guards) -> Constraint:
     # g = p @ coef + const. Coefficients that vary by row (a stack of
     # bases) make a stack of (1, 5) @ (5, 1) products: each row rounds as
     # one point's p @ coef, a (5,) @ (5,) product, does for its own base,
@@ -174,15 +279,7 @@ def _aff(expr, v, coef, const) -> Constraint:
     def grad(P):
         return np.broadcast_to(c, np.shape(P)).copy()
 
-    return Constraint(expr=expr, fn=fn, grad=grad, affine=True)
-
-
-def _x_link(expr, v, m, i, c) -> Constraint:
-    # g = m*(x - alpha) + c*p[i] - gamma
-    coef = [0.0] * 5
-    coef[_X] = m
-    coef[i] = c
-    return _aff(expr, v, coef, -m * v["alpha"] - v["gamma"])
+    return Constraint(expr, fn, grad, True, guards)
 
 
 def _sparse(P, entries) -> np.ndarray:
@@ -191,70 +288,6 @@ def _sparse(P, entries) -> np.ndarray:
     for i, val in entries.items():
         G[..., i] = val
     return G
-
-
-def _curve(expr, v, fn, out, lead, src, slope) -> Constraint:
-    """g = fn(P) depending on p[out] with slope lead and on p[src] with
-    slope(p[src]); guarded by p[src]/base[src] > 0."""
-    return Constraint(
-        expr, fn, lambda P: _sparse(P, {out: lead, src: slope(P[..., src])}),
-        False, (_ratio_guard(src, v),))
-
-
-def _pow_con(expr, v, out, i, expo) -> Constraint:
-    # g = p[out] - coef*(p[i]/den)**expo, coef and den the base coordinates
-    coef, den = v[_GREEK[out]], v[_GREEK[i]]
-
-    def fn(P):
-        return P[..., out] - coef * (P[..., i] / den) ** expo
-
-    def slope(u):
-        return -coef * expo * (u / den) ** (expo - 1.0) / den
-
-    return _curve(expr, v, fn, out, 1.0, i, slope)
-
-
-def _xpow_con(expr, v, m, out, i, expo) -> Constraint:
-    # g = m*(p[out] - alpha) - gamma*(1 - (p[i]/den)**expo)
-    al, ga, den = v["alpha"], v["gamma"], v[_GREEK[i]]
-
-    def fn(P):
-        return m * (P[..., out] - al) - ga + ga * (P[..., i] / den) ** expo
-
-    def slope(u):
-        return ga * expo * (u / den) ** (expo - 1.0) / den
-
-    return _curve(expr, v, fn, out, m, i, slope)
-
-
-def _log_con(expr, v, out, src, lin) -> Constraint:
-    # g = p[out] - p[src]*log(p[src]/den) - lin*p[src]
-    den = v[_GREEK[src]]
-
-    def fn(P):
-        u = P[..., src]
-        return P[..., out] - u * np.log(u / den) - lin * u
-
-    def slope(u):
-        return -np.log(u / den) - 1.0 - lin
-
-    return _curve(expr, v, fn, out, 1.0, src, slope)
-
-
-def _log2_con(expr, v, c1, c2) -> Constraint:
-    # g = s - (z/2)*L**2 - c1*z*L - c2*z with L = log(z/gamma)
-    den = v["gamma"]
-
-    def fn(P):
-        z = P[..., _Z]
-        L = np.log(z / den)
-        return P[..., _S] - 0.5 * z * L * L - c1 * z * L - c2 * z
-
-    def slope(z):
-        L = np.log(z / den)
-        return -(0.5 * L * L + L) - c1 * (L + 1.0) - c2
-
-    return _curve(expr, v, fn, _S, 1.0, _Z, slope)
 
 
 # Detection threshold for the quarter-turn branch of family 5.3.8: float pi/2
@@ -294,7 +327,7 @@ def _build_538_case3(v, sigma_zero):
     eu = ed.conjugate()
 
     if not sigma_zero:
-        guard = _ratio_guard(_S, v)
+        guard = Guard("s/sigma > 0", lambda P: P[..., _S] / si)
         where = "b = log(s/sigma)/lambda"
 
         def b_of(P):
@@ -355,7 +388,7 @@ def _build_538_case3(v, sigma_zero):
 
     if not sigma_zero:
         return motion(_Z, _Z_MOTION), motion(_T, _T_MOTION), motion(_X, _X_MOTION)
-    s_zero = _build(_S0, v)
+    s_zero = _DISPLAYS["s = 0"](v)
     if not quarter:
         return (s_zero, motion(_Z, _Z_MOTION), motion(_T, _T_MOTION),
                 motion(_X, _X_MOTION))
@@ -381,10 +414,10 @@ class _Adjudication:
 
     equation, literal and corrected are slots: an index into the case's
     constraints, a slice of them, or (literal and corrected only) an
-    alternative spec. The equation slot names what is adjudicated; the
+    alternative display. The equation slot names what is adjudicated; the
     worst normalized residual of the literal and corrected slots is
     reported under that label (None: not evaluated). An index or slice
-    reads the verification's own residual columns; a spec is evaluated.
+    reads the verification's own residual columns; a display is evaluated.
     """
     equation: object
     literal: object
@@ -395,7 +428,7 @@ class _Adjudication:
 
 _PAIR_531_6 = _Adjudication(
     equation=1, literal=slice(0, 2),
-    corrected=(_pow_con, "z = gamma*(s/sigma)**lambda1", _Z, _S, "lambda1"),
+    corrected="z = gamma*(s/sigma)**lambda1",
     adopted="literal",
     note=("both transcribed equations share the left-hand side "
           "lambda1*x; the pair is mutually consistent and, with the "
@@ -410,8 +443,7 @@ _AFFINE_533_4 = _Adjudication(
           "the structural test"))
 _Y_TO_X_535_8 = _Adjudication(
     equation=1,
-    literal=(_xpow_con, "lambda*y = lambda*alpha + gamma*(1 - (t/delta)**lambda)",
-             "lambda", _Y, _T, "lambda"),
+    literal="lambda*y = lambda*alpha + gamma*(1 - (t/delta)**lambda)",
     corrected=1, adopted="corrected",
     note=("the transcribed equation reads lambda*y on the left-hand "
           "side, but y is a free coordinate of the orbit; the "
@@ -435,97 +467,91 @@ _SOLVED_538_3 = _Adjudication(
 
 @dataclass(frozen=True)
 class _Case:
-    specs: object  # tuple of constraint specs, or a builder taking the
+    specs: object  # tuple of display strings, or a builder taking the
     # namespace and whether sigma vanishes at the base
     sign: object  # coordinate of the sign condition, None for point orbits
     adjudication: object = None
 
 
-# Constraint specs used by several rows: (builder, display, *arguments).
-_X_ALPHA = (_aff, "x = alpha", (1, 0, 0, 0, 0), "-alpha")
-_Y_BETA = (_aff, "y = beta", (0, 1, 0, 0, 0), "-beta")
-_Z0 = (_aff, "z = 0", (0, 0, 1, 0, 0), 0.0)
-_T0 = (_aff, "t = 0", (0, 0, 0, 1, 0), 0.0)
-_S0 = (_aff, "s = 0", (0, 0, 0, 0, 1), 0.0)
-_XZ = (_x_link, "x = alpha + gamma - z", 1.0, _Z, 1.0)
-_XZ_L = (_x_link, "lambda*x = lambda*alpha + gamma - z", "lambda", _Z, 1.0)
-_XZ_L1 = (_x_link, "lambda1*x = lambda1*alpha + gamma - z", "lambda1", _Z, 1.0)
-_XT = (_x_link, "x = alpha + (1 - t/delta)*gamma", 1.0, _T, "gamma/delta")
-_XS = (_x_link, "x = alpha + gamma*(1 - s/sigma)", 1.0, _S, "gamma/sigma")
-_TS = (_aff, "delta*s = sigma*t", (0, 0, 0, "-sigma", "delta"), 0.0)
-_S_T_LAM = (_pow_con, "s = sigma*(t/delta)**lambda", _S, _T, "lambda")
-_S_Z_LAM = (_pow_con, "s = sigma*(z/gamma)**lambda", _S, _Z, "lambda")
-_T_S_L2 = (_pow_con, "t = delta*(s/sigma)**lambda2", _T, _S, "lambda2")
-_Z_T_LAM = (_pow_con, "z = gamma*(t/delta)**lambda", _Z, _T, "lambda")
-_X_S_L1 = (_xpow_con, "lambda1*x = lambda1*alpha + gamma*(1 - (s/sigma)**lambda1)",
-           "lambda1", _X, _S, "lambda1")
-_X_S_LAM = (_xpow_con, "lambda*x = lambda*alpha + gamma*(1 - (s/sigma)**lambda)",
-            "lambda", _X, _S, "lambda")
-_X_T_LAM = (_xpow_con, "lambda*x = lambda*alpha + gamma*(1 - (t/delta)**lambda)",
-            "lambda", _X, _T, "lambda")
-_S_TLOGT = (_log_con, "s = t*log(t/delta)", _S, _T, 0.0)
-_T_ZLOGZ = (_log_con, "t = z*log(z/gamma)", _T, _Z, 0.0)
-_T_ZLOGZ_LIN = (_log_con, "t = z*log(z/gamma) + delta*z/gamma", _T, _Z,
-                "delta/gamma")
+# Displays used by several rows.
+_XZ = "x = alpha + gamma - z"
+_XZ_L = "lambda*x = lambda*alpha + gamma - z"
+_XZ_L1 = "lambda1*x = lambda1*alpha + gamma - z"
+_XT = "x = alpha + (1 - t/delta)*gamma"
+_XS = "x = alpha + gamma*(1 - s/sigma)"
+_TS = "delta*s = sigma*t"
+_S_T_LAM = "s = sigma*(t/delta)**lambda"
+_S_Z_LAM = "s = sigma*(z/gamma)**lambda"
+_T_S_L2 = "t = delta*(s/sigma)**lambda2"
+_Z_T_LAM = "z = gamma*(t/delta)**lambda"
+_X_S_L1 = "lambda1*x = lambda1*alpha + gamma*(1 - (s/sigma)**lambda1)"
+_X_S_LAM = "lambda*x = lambda*alpha + gamma*(1 - (s/sigma)**lambda)"
+_X_T_LAM = "lambda*x = lambda*alpha + gamma*(1 - (t/delta)**lambda)"
+_S_TLOGT = "s = t*log(t/delta)"
+_T_ZLOGZ = "t = z*log(z/gamma)"
+_T_ZLOGZ_LIN = "t = z*log(z/gamma) + delta*z/gamma"
+_S_LOG_LIN = "s = sigma*t/delta + t*log(t/delta)"
 
 _ALL = "5.3.1 5.3.2 5.3.3 5.3.4 5.3.5 5.3.6 5.3.7 5.3.8"
 
 # (families, case, row); a row listed for several families is shared by them.
 _ROWS = (
-    (_ALL, 1, _Case((_X_ALPHA, _Y_BETA, _Z0, _T0, _S0), None)),
-    (_ALL, 2, _Case((_X_ALPHA, _Z0, _T0), _S)),
-    ("5.3.1 5.3.2 5.3.3 5.3.4 5.3.6", 3, _Case((_X_ALPHA, _Z0, _S0), _T)),
-    ("5.3.5 5.3.7", 3, _Case((_X_ALPHA, _Z0, _S_TLOGT), _T)),
+    (_ALL, 1, _Case(("x = alpha", "y = beta", "z = 0", "t = 0", "s = 0"),
+                    None)),
+    (_ALL, 2, _Case(("x = alpha", "z = 0", "t = 0"), _S)),
+    ("5.3.1 5.3.2 5.3.3 5.3.4 5.3.6", 3,
+     _Case(("x = alpha", "z = 0", "s = 0"), _T)),
+    ("5.3.5 5.3.7", 3, _Case(("x = alpha", "z = 0", _S_TLOGT), _T)),
     # sigma may vanish at the base here; the sign condition is then dropped
     ("5.3.8", 3, _Case(_build_538_case3, _S, _SOLVED_538_3)),
-    ("5.3.1", 4, _Case((_X_ALPHA, _Z0, _T_S_L2), _S)),
-    ("5.3.2 5.3.6", 4, _Case((_X_ALPHA, _Z0, _S_T_LAM), _T)),
-    ("5.3.3", 4, _Case((_X_ALPHA, _Z0, _TS), _T, _AFFINE_533_4)),
-    ("5.3.4", 4, _Case((_X_ALPHA, _Z0, _TS), _T)),
-    ("5.3.5", 4, _Case((_X_ALPHA, _Z0, (
-        _log_con, "s = sigma*t/delta + t*log(t/delta)", _S, _T, "sigma/delta")), _T)),
-    ("5.3.7", 4, _Case((_X_ALPHA, _Z0, (
-        _log_con, "s = t*log(t/delta) + sigma*t/delta", _S, _T, "sigma/delta")), _T)),
-    ("5.3.1", 5, _Case((_XZ_L1, _T0, _S0), _Z)),
-    ("5.3.2 5.3.4", 5, _Case((_XZ, _T0, _S0), _Z)),
-    ("5.3.3 5.3.5", 5, _Case((_XZ_L, _T0, _S0), _Z)),
-    ("5.3.6", 5, _Case((_XZ, _T_ZLOGZ, _S0), _Z)),
-    ("5.3.7", 5, _Case((_XZ, _T_ZLOGZ, (
-        _log2_con, "s = (z/2)*log(z/gamma)**2", 0.0, 0.0)), _Z, _LOG2_537)),
-    ("5.3.1", 6, _Case((_XZ_L1, _X_S_L1, _T0), _S, _PAIR_531_6)),
-    ("5.3.2", 6, _Case((_XZ, _S_Z_LAM, _T0), _Z)),
-    ("5.3.3 5.3.5", 6, _Case((_XZ_L, _X_S_LAM, _T0), _S)),
-    ("5.3.4", 6, _Case((_XZ, _XS, _T0), _S)),
+    ("5.3.1", 4, _Case(("x = alpha", "z = 0", _T_S_L2), _S)),
+    ("5.3.2 5.3.6", 4, _Case(("x = alpha", "z = 0", _S_T_LAM), _T)),
+    ("5.3.3", 4, _Case(("x = alpha", "z = 0", _TS), _T, _AFFINE_533_4)),
+    ("5.3.4", 4, _Case(("x = alpha", "z = 0", _TS), _T)),
+    ("5.3.5", 4, _Case(("x = alpha", "z = 0", _S_LOG_LIN), _T)),
+    ("5.3.7", 4, _Case((
+        "x = alpha", "z = 0", "s = t*log(t/delta) + sigma*t/delta"), _T)),
+    ("5.3.1", 5, _Case((_XZ_L1, "t = 0", "s = 0"), _Z)),
+    ("5.3.2 5.3.4", 5, _Case((_XZ, "t = 0", "s = 0"), _Z)),
+    ("5.3.3 5.3.5", 5, _Case((_XZ_L, "t = 0", "s = 0"), _Z)),
+    ("5.3.6", 5, _Case((_XZ, _T_ZLOGZ, "s = 0"), _Z)),
+    ("5.3.7", 5, _Case((_XZ, _T_ZLOGZ, "s = (z/2)*log(z/gamma)**2"), _Z,
+                       _LOG2_537)),
+    ("5.3.1", 6, _Case((_XZ_L1, _X_S_L1, "t = 0"), _S, _PAIR_531_6)),
+    ("5.3.2", 6, _Case((_XZ, _S_Z_LAM, "t = 0"), _Z)),
+    ("5.3.3 5.3.5", 6, _Case((_XZ_L, _X_S_LAM, "t = 0"), _S)),
+    ("5.3.4", 6, _Case((_XZ, _XS, "t = 0"), _S)),
     ("5.3.6", 6, _Case((_XZ, _T_ZLOGZ, _S_Z_LAM), _S)),
     ("5.3.7", 6, _Case((_XZ, _T_ZLOGZ, (
-        _log2_con, "s = (z/2)*log(z/gamma)**2 + sigma*z/gamma",
-        0.0, "sigma/gamma")), _Z, _LOG2_537)),
-    ("5.3.1", 7, _Case((_XZ_L1, (
-        _xpow_con, "lambda1*x = lambda1*alpha + gamma*(1 - (t/delta)**(lambda1/lambda2))",
-        "lambda1", _X, _T, "lambda1/lambda2"), _S0), _T)),
-    ("5.3.2", 7, _Case((_XZ, _XT, _S0), _T)),
-    ("5.3.3", 7, _Case((_XZ_L, _Z_T_LAM, _S0), _T)),
-    ("5.3.4", 7, _Case((_XZ, (
-        _aff, "z = gamma*t/delta", (0, 0, 1, "-gamma/delta", 0), 0.0), _S0), _T)),
+        "s = (z/2)*log(z/gamma)**2 + sigma*z/gamma")), _Z, _LOG2_537)),
+    ("5.3.1", 7, _Case((_XZ_L1, "lambda1*x = lambda1*alpha + gamma*(1 - "
+                        "(t/delta)**(lambda1/lambda2))", "s = 0"), _T)),
+    ("5.3.2", 7, _Case((_XZ, _XT, "s = 0"), _T)),
+    ("5.3.3", 7, _Case((_XZ_L, _Z_T_LAM, "s = 0"), _T)),
+    ("5.3.4", 7, _Case((_XZ, "z = gamma*t/delta", "s = 0"), _T)),
     ("5.3.5", 7, _Case((_XZ_L, _Z_T_LAM, _S_TLOGT), _T)),
-    ("5.3.6", 7, _Case((_XZ, _T_ZLOGZ_LIN, _S0), _Z)),
+    ("5.3.6", 7, _Case((_XZ, _T_ZLOGZ_LIN, "s = 0"), _Z)),
     ("5.3.7", 7, _Case((_XZ, _T_ZLOGZ_LIN, (
-        _log2_con, "s = (z/2)*log(z/gamma)**2 + (delta/gamma)*z*log(z/gamma)",
-        "delta/gamma", 0.0)), _Z, _LOG2_537)),
+        "s = (z/2)*log(z/gamma)**2 + (delta/gamma)*z*log(z/gamma)")), _Z,
+        _LOG2_537)),
     ("5.3.1", 8, _Case((_XZ_L1, _X_S_L1, _T_S_L2), _S)),
     ("5.3.2", 8, _Case((_XZ, _XT, _S_T_LAM), _T)),
     ("5.3.3", 8, _Case((_XZ_L, _X_T_LAM, _TS), _T)),
     ("5.3.4", 8, _Case((_XZ, _XS, _TS), _T)),
-    ("5.3.5", 8, _Case((_XZ_L, _X_T_LAM, (
-        _log_con, "s = sigma*t/delta + t*log(t/delta)", _S, _T, "sigma/delta")),
-        _T, _Y_TO_X_535_8)),
+    ("5.3.5", 8, _Case((_XZ_L, _X_T_LAM, _S_LOG_LIN), _T, _Y_TO_X_535_8)),
     ("5.3.6", 8, _Case((_XZ, _T_ZLOGZ_LIN, _S_Z_LAM), _Z)),
     ("5.3.7", 8, _Case((_XZ, _T_ZLOGZ_LIN, (
-        _log2_con, "s = (z/2)*log(z/gamma)**2 + (delta/gamma)*z*log(z/gamma) "
-        "+ sigma*z/gamma", "delta/gamma", "sigma/gamma")), _Z, _LOG2_537)),
+        "s = (z/2)*log(z/gamma)**2 + (delta/gamma)*z*log(z/gamma) "
+        "+ sigma*z/gamma")), _Z, _LOG2_537)),
 )
 
 _CASES = {(fam, case): row for fams, case, row in _ROWS for fam in fams.split()}
+# Each display of the table and of the adjudication slots, parsed once.
+_DISPLAYS = {s: _compile(s) for s in {
+    spec for _, _, row in _ROWS for spec in (
+        *(() if callable(row.specs) else row.specs),
+        getattr(row.adjudication, "literal", None),
+        getattr(row.adjudication, "corrected", None)) if type(spec) is str}}
 
 
 def _pattern(ga, de, si):
@@ -623,7 +649,7 @@ def _descriptor(family, p, base, snapped=False) -> OrbitDescriptor:
     if callable(row.specs):
         constraints = row.specs(v, not code & 1)
     else:
-        constraints = tuple(_build(spec, v) for spec in row.specs)
+        constraints = tuple(_DISPLAYS[spec](v) for spec in row.specs)
     coord = _sign_coord(family, code)
     signs = () if coord is None else (_sign(coord, v),)
     dim = 0 if case_index == 1 else 2
@@ -650,9 +676,7 @@ def descriptor_summary(desc: OrbitDescriptor) -> dict:
         "family": desc.family,
         "params": dict(desc.params),
         "case": desc.case_index,
-        "zero_pattern": {"gamma": desc.case.zero_pattern[0],
-                         "delta": desc.case.zero_pattern[1],
-                         "sigma": desc.case.zero_pattern[2]},
+        "zero_pattern": dict(zip(_GREEK[2:], desc.case.zero_pattern)),
         "base": [float(v) for v in desc.base],
         "dim": desc.dim,
         "shape": desc.shape,
@@ -681,16 +705,6 @@ def _masks(desc, P):
     for sp in desc.signs:
         signed &= np.asarray(sp.fn(P)) > 0.0
     return guarded, signed
-
-
-def _members(desc, P, tol):
-    """Rows of an (n, 5) stack P admitted by the one-base descriptor desc
-    with every |normalized residual| < tol: is_member's membership mask."""
-    guarded, signed = _masks(desc, P)
-    member = guarded & signed
-    member[member] = np.all(np.abs(_residual_rows(desc, P[member])) < tol,
-                            axis=-1)
-    return member
 
 
 def _residual_rows(desc, P):
@@ -739,7 +753,8 @@ def is_member(desc: OrbitDescriptor, p, tol: float = 1e-8) -> bool:
     """
     tol = algebra.as_tolerance("membership tolerance", tol)
     P = algebra.as_vector5(p, "point")[None, :]
-    return bool(_members(desc, P, tol)[0])
+    return bool(_screen(desc.family, desc.params, desc.base[None], P)[2][0]
+                < tol)
 
 
 def tangency_residual(alg: algebra.LieAlgebra, desc: OrbitDescriptor, p):
@@ -875,7 +890,7 @@ def _case_sample(alg, base, case_index, n, seed, radius):
 def _adjudication_entry(desc, Pm, res):
     """The case's adjudication record on the guarded rows Pm of the sample,
     or None. res holds the normalized residual rows of Pm: an index or
-    slice slot reads its columns, and only an alternative spec is built
+    slice slot reads its columns, and only an alternative display is built
     and evaluated."""
     adj = _CASES[desc.family, desc.case_index].adjudication
     if adj is None:
@@ -886,7 +901,7 @@ def _adjudication_entry(desc, Pm, res):
             return None
         if isinstance(slot, (int, slice)):
             return float(np.max(np.abs(res[:, slot])))
-        con = _build(slot, _namespace(desc.base, desc.params))
+        con = _DISPLAYS[slot](_namespace(desc.base, desc.params))
         return float(np.max(np.abs(con.fn(Pm) / _scale(Pm))))
 
     eq = desc.constraints[adj.equation]

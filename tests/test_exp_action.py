@@ -511,6 +511,38 @@ def test_item_motion_edges_and_refusals():
         "exp(ad U) " + _overflow_line(U[5], 1))
 
 
+def test_stacked_motion_overflow_is_refused_without_a_warning():
+    # finite exponentials whose stacked product with a huge covector
+    # overflows: the finiteness check refuses it, and numpy does not warn
+    alg = kb.build_algebra("5.3.1", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^the coadjoint image "
+                                              r"overflows at row 0, U = \["):
+            kb.sample_orbit(alg, [1e307] * 5, 3, seed=1)
+
+
+def test_stack_refused_with_no_item_refused_raises_its_own_refusal(
+        monkeypatch):
+    # _move_items retries a refused stack item by item to name the item;
+    # when no item alone is refused, the stack's own refusal propagates
+    alg = kb.build_algebra("5.3.1", None)
+    move, tried = exp_action._move, []
+
+    def refuse_stacks(alg, F, U):
+        if F.ndim == 2:
+            raise DomainError("the stack is refused")
+        tried.append(len(U))
+        return move(alg, F, U)
+
+    monkeypatch.setattr(exp_action, "_move", refuse_stacks)
+    U = exp_action._draws([1, 2, 3], 4, 1.5)
+    with pytest.raises(DomainError) as err:
+        exp_action._move_items(alg, np.ones((3, 5)), U, 4, lambda k: "item")
+    assert str(err.value) == "the stack is refused"
+    assert tried == [4, 4, 4]
+
+
 @pytest.mark.parametrize("bad", [
     ["a", 1, 1, 1, 1],
     [[1, 2], [1, 2, 3, 4, 5]],

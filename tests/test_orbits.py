@@ -306,7 +306,8 @@ def _slot_worst(desc, slot, P):
     elif isinstance(slot, slice):
         cons = cons[slot]
     else:
-        cons = (orbits._build(slot, orbits._namespace(desc.base, desc.params)),)
+        v = orbits._namespace(desc.base, desc.params)
+        cons = (orbits._DISPLAYS[slot](v),)
     scale = 1.0 + np.max(np.abs(P), axis=-1)
     return max(float(np.max(np.abs(con.fn(P) / scale))) for con in cons)
 
@@ -353,7 +354,7 @@ def test_adjudicated_residuals_equal_direct_slot_evaluation():
             if (fam, c) == ("5.3.8", 3):
                 assert len(reported) >= 2  # the sigma != 0 and = 0 branches
     assert len(units) == 8
-    assert kinds == {"int", "slice", "tuple"}
+    assert kinds == {"int", "slice", "str"}
 
 
 def test_verify_quarter_turn_branch():
@@ -456,6 +457,205 @@ def test_rejected_points_are_never_evaluated():
                        match=r"^cannot evaluate 't = z\*log\(z/gamma\)': "
                              r"requires z/gamma > 0$"):
         kb.constraint_residuals(desc, [1.0, 0.0, -1.0, 0.0, 1.0])
+
+
+# Every constraint of every canonical descriptor, as "display [guard]" and
+# joined by "; ": one entry per (family, case), one string per form of the
+# case among the canonical bases and parameter sets (5.3.8 case 3 has three
+# branches).
+_PINNED_CONSTRAINTS = {
+    ("5.3.1", 1): "x = alpha; y = beta; z = 0; t = 0; s = 0",
+    ("5.3.1", 2): "x = alpha; z = 0; t = 0",
+    ("5.3.1", 3): "x = alpha; z = 0; s = 0",
+    ("5.3.1", 4): (
+        "x = alpha; z = 0; t = delta*(s/sigma)**lambda2 [s/sigma > 0]"),
+    ("5.3.1", 5): "lambda1*x = lambda1*alpha + gamma - z; t = 0; s = 0",
+    ("5.3.1", 6): (
+        "lambda1*x = lambda1*alpha + gamma - z; "
+        "lambda1*x = lambda1*alpha + gamma*(1 - (s/sigma)**lambda1) [s/sigma "
+        "> 0]; t = 0"),
+    ("5.3.1", 7): (
+        "lambda1*x = lambda1*alpha + gamma - z; "
+        "lambda1*x = lambda1*alpha + gamma*(1 - (t/delta)**(lambda1/lambda2))"
+        " [t/delta > 0]; s = 0"),
+    ("5.3.1", 8): (
+        "lambda1*x = lambda1*alpha + gamma - z; "
+        "lambda1*x = lambda1*alpha + gamma*(1 - (s/sigma)**lambda1) [s/sigma "
+        "> 0]; t = delta*(s/sigma)**lambda2 [s/sigma > 0]"),
+    ("5.3.2", 1): "x = alpha; y = beta; z = 0; t = 0; s = 0",
+    ("5.3.2", 2): "x = alpha; z = 0; t = 0",
+    ("5.3.2", 3): "x = alpha; z = 0; s = 0",
+    ("5.3.2", 4): (
+        "x = alpha; z = 0; s = sigma*(t/delta)**lambda [t/delta > 0]"),
+    ("5.3.2", 5): "x = alpha + gamma - z; t = 0; s = 0",
+    ("5.3.2", 6): (
+        "x = alpha + gamma - z; s = sigma*(z/gamma)**lambda [z/gamma > 0]; "
+        "t = 0"),
+    ("5.3.2", 7): (
+        "x = alpha + gamma - z; x = alpha + (1 - t/delta)*gamma; s = 0"),
+    ("5.3.2", 8): (
+        "x = alpha + gamma - z; x = alpha + (1 - t/delta)*gamma; "
+        "s = sigma*(t/delta)**lambda [t/delta > 0]"),
+    ("5.3.3", 1): "x = alpha; y = beta; z = 0; t = 0; s = 0",
+    ("5.3.3", 2): "x = alpha; z = 0; t = 0",
+    ("5.3.3", 3): "x = alpha; z = 0; s = 0",
+    ("5.3.3", 4): "x = alpha; z = 0; delta*s = sigma*t",
+    ("5.3.3", 5): "lambda*x = lambda*alpha + gamma - z; t = 0; s = 0",
+    ("5.3.3", 6): (
+        "lambda*x = lambda*alpha + gamma - z; "
+        "lambda*x = lambda*alpha + gamma*(1 - (s/sigma)**lambda) [s/sigma > "
+        "0]; t = 0"),
+    ("5.3.3", 7): (
+        "lambda*x = lambda*alpha + gamma - z; "
+        "z = gamma*(t/delta)**lambda [t/delta > 0]; s = 0"),
+    ("5.3.3", 8): (
+        "lambda*x = lambda*alpha + gamma - z; "
+        "lambda*x = lambda*alpha + gamma*(1 - (t/delta)**lambda) [t/delta > "
+        "0]; delta*s = sigma*t"),
+    ("5.3.4", 1): "x = alpha; y = beta; z = 0; t = 0; s = 0",
+    ("5.3.4", 2): "x = alpha; z = 0; t = 0",
+    ("5.3.4", 3): "x = alpha; z = 0; s = 0",
+    ("5.3.4", 4): "x = alpha; z = 0; delta*s = sigma*t",
+    ("5.3.4", 5): "x = alpha + gamma - z; t = 0; s = 0",
+    ("5.3.4", 6): (
+        "x = alpha + gamma - z; x = alpha + gamma*(1 - s/sigma); t = 0"),
+    ("5.3.4", 7): "x = alpha + gamma - z; z = gamma*t/delta; s = 0",
+    ("5.3.4", 8): (
+        "x = alpha + gamma - z; x = alpha + gamma*(1 - s/sigma); "
+        "delta*s = sigma*t"),
+    ("5.3.5", 1): "x = alpha; y = beta; z = 0; t = 0; s = 0",
+    ("5.3.5", 2): "x = alpha; z = 0; t = 0",
+    ("5.3.5", 3): "x = alpha; z = 0; s = t*log(t/delta) [t/delta > 0]",
+    ("5.3.5", 4): (
+        "x = alpha; z = 0; s = sigma*t/delta + t*log(t/delta) [t/delta > 0]"),
+    ("5.3.5", 5): "lambda*x = lambda*alpha + gamma - z; t = 0; s = 0",
+    ("5.3.5", 6): (
+        "lambda*x = lambda*alpha + gamma - z; "
+        "lambda*x = lambda*alpha + gamma*(1 - (s/sigma)**lambda) [s/sigma > "
+        "0]; t = 0"),
+    ("5.3.5", 7): (
+        "lambda*x = lambda*alpha + gamma - z; "
+        "z = gamma*(t/delta)**lambda [t/delta > 0]; "
+        "s = t*log(t/delta) [t/delta > 0]"),
+    ("5.3.5", 8): (
+        "lambda*x = lambda*alpha + gamma - z; "
+        "lambda*x = lambda*alpha + gamma*(1 - (t/delta)**lambda) [t/delta > "
+        "0]; s = sigma*t/delta + t*log(t/delta) [t/delta > 0]"),
+    ("5.3.6", 1): "x = alpha; y = beta; z = 0; t = 0; s = 0",
+    ("5.3.6", 2): "x = alpha; z = 0; t = 0",
+    ("5.3.6", 3): "x = alpha; z = 0; s = 0",
+    ("5.3.6", 4): (
+        "x = alpha; z = 0; s = sigma*(t/delta)**lambda [t/delta > 0]"),
+    ("5.3.6", 5): (
+        "x = alpha + gamma - z; t = z*log(z/gamma) [z/gamma > 0]; s = 0"),
+    ("5.3.6", 6): (
+        "x = alpha + gamma - z; t = z*log(z/gamma) [z/gamma > 0]; "
+        "s = sigma*(z/gamma)**lambda [z/gamma > 0]"),
+    ("5.3.6", 7): (
+        "x = alpha + gamma - z; "
+        "t = z*log(z/gamma) + delta*z/gamma [z/gamma > 0]; s = 0"),
+    ("5.3.6", 8): (
+        "x = alpha + gamma - z; "
+        "t = z*log(z/gamma) + delta*z/gamma [z/gamma > 0]; "
+        "s = sigma*(z/gamma)**lambda [z/gamma > 0]"),
+    ("5.3.7", 1): "x = alpha; y = beta; z = 0; t = 0; s = 0",
+    ("5.3.7", 2): "x = alpha; z = 0; t = 0",
+    ("5.3.7", 3): "x = alpha; z = 0; s = t*log(t/delta) [t/delta > 0]",
+    ("5.3.7", 4): (
+        "x = alpha; z = 0; s = t*log(t/delta) + sigma*t/delta [t/delta > 0]"),
+    ("5.3.7", 5): (
+        "x = alpha + gamma - z; t = z*log(z/gamma) [z/gamma > 0]; "
+        "s = (z/2)*log(z/gamma)**2 [z/gamma > 0]"),
+    ("5.3.7", 6): (
+        "x = alpha + gamma - z; t = z*log(z/gamma) [z/gamma > 0]; "
+        "s = (z/2)*log(z/gamma)**2 + sigma*z/gamma [z/gamma > 0]"),
+    ("5.3.7", 7): (
+        "x = alpha + gamma - z; "
+        "t = z*log(z/gamma) + delta*z/gamma [z/gamma > 0]; "
+        "s = (z/2)*log(z/gamma)**2 + (delta/gamma)*z*log(z/gamma) [z/gamma > "
+        "0]"),
+    ("5.3.7", 8): (
+        "x = alpha + gamma - z; "
+        "t = z*log(z/gamma) + delta*z/gamma [z/gamma > 0]; "
+        "s = (z/2)*log(z/gamma)**2 + (delta/gamma)*z*log(z/gamma) + "
+        "sigma*z/gamma [z/gamma > 0]"),
+    ("5.3.8", 1): "x = alpha; y = beta; z = 0; t = 0; s = 0",
+    ("5.3.8", 2): "x = alpha; z = 0; t = 0",
+    ("5.3.8", 3): (
+        "z = Re((gamma + i*delta)*exp(b*exp(-i*phi))), b = "
+        "log(s/sigma)/lambda [s/sigma > 0]; "
+        "t = Im((gamma + i*delta)*exp(b*exp(-i*phi))), b = "
+        "log(s/sigma)/lambda [s/sigma > 0]; "
+        "x = alpha - gamma*Re(w) - delta*Im(w), w = (exp(b*exp(i*phi)) - "
+        "1)*exp(-i*phi), b = log(s/sigma)/lambda [s/sigma > 0]",
+        "s = 0; "
+        "z = Re((gamma + i*delta)*exp(b*exp(-i*phi))), b = log(hypot(z, "
+        "t)/hypot(gamma, delta))/cos(phi) [z**2 + t**2 > 0]; "
+        "t = Im((gamma + i*delta)*exp(b*exp(-i*phi))), b = log(hypot(z, "
+        "t)/hypot(gamma, delta))/cos(phi) [z**2 + t**2 > 0]; "
+        "x = alpha - gamma*Re(w) - delta*Im(w), w = (exp(b*exp(i*phi)) - "
+        "1)*exp(-i*phi), b = log(hypot(z, t)/hypot(gamma, delta))/cos(phi) "
+        "[z**2 + t**2 > 0]",
+        "s = 0; hypot(z, t) = hypot(gamma, delta) [z**2 + t**2 > 0]; "
+        "x = alpha - gamma*sin(b) - delta*(1 - cos(b)), b = winding angle of "
+        "(z + i*t) against (gamma + i*delta), mod 2*pi [z**2 + t**2 > 0]",
+    ),
+}
+
+
+@pytest.mark.parametrize("display", [
+    "s = foo(t)", "s = t % 2", "s = unknown*t", "s = True*t", "s = 1j*t",
+    "s = t[0]", "s = +t", "s = log(t, 2)", "s = t**z", "s = t = z"])
+def test_display_compiler_refuses_other_syntax(display):
+    with pytest.raises((SyntaxError, ValueError)):
+        orbits._compile(display)
+
+
+def test_affine_coefficients_round_as_written():
+    # an affine display's gradient is its coefficient vector, and its value
+    # at the origin its constant, each rounded as the display writes them
+    al, ga, de, si = 1.1, 0.3, 0.7, 1.9
+    v = orbits._namespace(np.array([al, 2.0, ga, de, si]), {"lambda": 2.3})
+    origin = np.zeros((1, 5))
+    for display, coef, const in [
+            ("delta*s = sigma*t", [0, 0, 0, -si, de], 0.0),
+            ("x = alpha + (1 - t/delta)*gamma", [1, 0, 0, ga / de, 0],
+             -al - ga),
+            ("x = alpha + gamma*(1 - s/sigma)", [1, 0, 0, 0, ga / si],
+             -al - ga),
+            ("z = gamma*t/delta", [0, 0, 1, -(ga / de), 0], 0.0),
+            ("lambda*x = lambda*alpha + gamma - z", [2.3, 0, 1, 0, 0],
+             -2.3 * al - ga)]:
+        con = orbits._DISPLAYS[display](v)
+        assert con.affine and con.guards == ()
+        assert con.grad(origin)[0].tolist() == coef, display
+        assert con.fn(origin).tolist() == [const], display
+
+
+def _shown(desc):
+    return "; ".join(con.expr + "".join(f" [{g.expr}]" for g in con.guards)
+                     for con in desc.constraints)
+
+
+def test_constraint_displays_and_guards_are_pinned():
+    seen = {}
+    for fam, params in CANONICAL:
+        for c in kb.case_indices(fam):
+            for base in kb.canonical_bases(fam, c):
+                shown = _shown(kb.classify_orbit(fam, params, base))
+                forms = seen.setdefault((fam, c), [])
+                if shown not in forms:
+                    forms.append(shown)
+    pinned = {key: (v,) if isinstance(v, str) else v
+              for key, v in _PINNED_CONSTRAINTS.items()}
+    assert {key: tuple(v) for key, v in seen.items()} == pinned
+    # the first failing guard, in constraint order, names the refusal
+    desc = kb.classify_orbit("5.3.1", P531, [1.0, 1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(EvaluationError) as err:
+        kb.constraint_residuals(desc, [1.0, 0.0, 1.0, 1.0, -1.0])
+    assert str(err.value) == (
+        "cannot evaluate 'lambda1*x = lambda1*alpha + gamma*(1 - "
+        "(s/sigma)**lambda1)': requires s/sigma > 0")
 
 
 # Display strings are read as numpy expressions: "lhs = rhs" plus trailing
