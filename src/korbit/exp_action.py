@@ -22,8 +22,9 @@ gives A, exp(b*A) and phi1(b*A) together: f(b*mu) on the diagonal,
 b*f'(b*mu) on each link, (b^2/2)*f''(b*mu) across a two-link chain.
 
 Every motion function refuses a result past the float range with a
-DomainError naming the element, or its row of a stack. The checks run
-only where overflow is possible (_EXP_SAFE_SQUARINGS, _SAFE_EXPONENT).
+DomainError naming the element, or its row of a stack, and no numpy
+warning. The checks run only where overflow is possible (_SAFE_EXPONENT,
+_EXP_SAFE_SQUARINGS and, for F @ exp(M), ||F||_1 <= 1e85).
 """
 
 import cmath
@@ -115,7 +116,7 @@ def phi_series(lam: float, b: float) -> float:
     return value
 
 
-def _expm(M: np.ndarray, U) -> np.ndarray:
+def _expm(M: np.ndarray, U, norm=None) -> np.ndarray:
     """Scaling-and-squaring exponential with a degree-19 Taylor core.
 
     M is one 5x5 matrix or an (n, 5, 5) stack. Each matrix is scaled by
@@ -134,9 +135,10 @@ def _expm(M: np.ndarray, U) -> np.ndarray:
     Under this scaling ||exp(M)||inf <= e^(2 ||M||inf), so a matrix with at
     most _EXP_SAFE_SQUARINGS squarings cannot overflow; only when some
     matrix needs more is the result checked, and a row that is not finite
-    raises DomainError naming its element, the matching row of U.
+    raises DomainError naming its element, the matching row of U. norm
+    is _inf_norm(M), when the caller has it.
     """
-    norm = _inf_norm(M)
+    norm = _inf_norm(M) if norm is None else norm
     counts = _squarings(norm)
     if M.ndim == 2:
         mul = np.dot
@@ -369,14 +371,19 @@ def coadjoint_move(alg: algebra.LieAlgebra, F, U) -> np.ndarray:
 def _move(alg: algebra.LieAlgebra, F: np.ndarray, U: np.ndarray) -> np.ndarray:
     """coadjoint_move of a checked float covector or stack F and element
     or stack U."""
-    E = _expm(algebra._ad(alg, U), U)
-    if E.ndim == 2:  # one element, so F is one covector
-        G = np.dot(F, E)
-        if not all(map(math.isfinite, G.tolist())):
-            raise _overflow("the coadjoint image", U, None)
-        return G
+    if U.ndim == 1:  # one element, so F is one covector
+        M = algebra._ad(alg, U)
+        norm = _inf_norm(M)
+        E = _expm(M, U, norm)
+        a, b, c, d, e = F.tolist()
+        # |G_j| <= ||F||_1 ||E||inf <= 1e85 * e^512 ~ 2e307 at norm <= 256
+        if norm <= 256.0 and abs(a) + abs(b) + abs(c) + abs(d) + abs(e) <= 1e85:
+            return np.dot(F, E)
+    else:
+        E = _expm(algebra._ad(alg, U), U)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        G = np.matmul(F[..., None, :], E)[..., 0, :]
+        G = (np.dot(F, E) if E.ndim == 2
+             else np.matmul(F[..., None, :], E)[..., 0, :])
     _refuse_non_finite("the coadjoint image", U, G)
     return G
 

@@ -12,9 +12,9 @@ second moves the probes of every disjoint pair by exp_action._move_items,
 whole pairs stacked, and screens each probe row against its own pair's
 partner base in one orbits._screen call. Only probes admitted by the
 partner's guards and signs get residuals; they are counted, and failures
-are listed in pair order, then probe order. The chart probe is
-verify_proposition's sample of one base (orbits._case_sample) under
-kirillov's chart rule (_charted_rank3).
+are listed in pair order, then probe order. The chart probe is the
+one-base case of verify_proposition's block sampler (orbits._case_sample)
+under kirillov's chart rule (_charted_rank3).
 """
 
 import dataclasses
@@ -206,7 +206,7 @@ def local_triviality_probe(family, params, case_index, n: int = 100,
     case_index = orbits._checked_case(alg.family, case_index)
     base = (orbits.canonical_bases(alg.family, case_index)[0] if base is None
             else algebra.as_vector5(base, "base covector"))
-    desc, pts = orbits._case_sample(alg, base, case_index, n, seed, radius)
+    desc, pts = orbits._case_sample(alg, base[None], case_index, n, [seed], radius)
     if desc.dim != 2:
         raise DomainError(
             f"case {case_index} of family {alg.family} is a single point; "

@@ -24,9 +24,9 @@ whose specs are a builder.
 The checks (residuals, tangency, Jacobian rank, finite-difference
 gradients) and the one screen _masks (the guard mask, then the sign mask,
 each in one loop) take one point or an (n, 5) stack; a single point is the
-n = 1 case, and verify_proposition runs them on whole samples. It computes
-each base's residual rows once, and the adjudication record reads the
-adjudicated columns from them.
+n = 1 case. verify_proposition runs them once per block of bases of one
+zero pattern, computes its residual rows once, and the adjudication record
+reads the adjudicated columns from them.
 
 A descriptor may also hold an (n, 5) stack of bases that share one zero
 pattern: the compiled displays read each base coordinate as an (n,)
@@ -598,15 +598,17 @@ def _screen(family, p, bases, points):
     codes = _pattern(*bases.T[2:])
     guarded, signed = np.zeros((2, len(points)), dtype=bool)
     worst = np.full(len(points), np.inf)
-    for code in np.unique(codes):
-        rows = np.flatnonzero(codes == code)
-        desc = _descriptor(family, p, bases[rows])
-        guarded[rows], signed[rows] = _masks(desc, points[rows])
-        ok = rows[guarded[rows] & signed[rows]]
-        if 0 < len(ok) < len(rows):
-            desc = _descriptor(family, p, bases[ok])
-        if len(ok):
-            worst[ok] = np.max(np.abs(_residual_rows(desc, points[ok])), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN fail a row
+        for code in np.unique(codes):
+            rows = np.flatnonzero(codes == code)
+            desc = _descriptor(family, p, bases[rows])
+            guarded[rows], signed[rows] = _masks(desc, points[rows])
+            ok = rows[guarded[rows] & signed[rows]]
+            if 0 < len(ok) < len(rows):
+                desc = _descriptor(family, p, bases[ok])
+            if len(ok):
+                res = _residual_rows(desc, points[ok])
+                worst[ok] = np.max(np.abs(res), axis=-1)
     return guarded, signed, worst
 
 
@@ -802,19 +804,19 @@ def _fd_rows(desc, P, J, step):
     """gradient_fd_error of an (n, 5) stack with constraint Jacobians J.
 
     The 10 shifted copies of P (+step, then -step, in each coordinate j)
-    are one (10n, 5) stack, so each constraint is evaluated once.
+    are one (2, 5, n, 5) stack, so each constraint is evaluated once, and
+    the per-row base coordinates of a stacked descriptor broadcast over it.
     """
     n = P.shape[0]
     shifted = np.broadcast_to(P, (2, 5, n, 5)).copy()
     axes = np.arange(5)
     shifted[0, axes, :, axes] += step
     shifted[1, axes, :, axes] -= step
-    shifted = shifted.reshape(10 * n, 5)
     worst = np.zeros(n)
     for c, con in enumerate(desc.constraints):
         G = J[:, c, :]
         denom = np.maximum(1.0, np.max(np.abs(G), axis=-1))
-        plus, minus = np.reshape(con.fn(shifted), (2, 5, n))
+        plus, minus = con.fn(shifted)
         fd = (plus - minus) / (2.0 * step)  # row j: the difference along j
         worst = np.maximum(worst, np.max(np.abs(fd - G.T) / denom, axis=0))
     return worst
@@ -874,27 +876,34 @@ def _checked_case(family, case_index) -> int:
     return case_index
 
 
-def _case_sample(alg, base, case_index, n, seed, radius):
-    """(descriptor, sample_orbit points) of a finite float base covector,
-    refusing a base outside the case, and a motion past the float range
-    with the family, case and base first (exp_action._move_items)."""
-    desc = _descriptor(alg.family, alg.params, base.copy())
+# Sample rows per block of verify_proposition's bases (see its docstring).
+_VERIFY_ROWS = 1000
+
+
+def _case_sample(alg, bases, case_index, n, seeds, radius):
+    """(descriptor, sample_orbit points) of an (m, 5) stack of bases of one
+    zero pattern, base k moved by the n draws of seeds[k] and checked on its
+    own rows (one base: a one-base descriptor). Refuses bases outside the
+    case, and a motion past the float range naming family, case and base."""
+    desc = _descriptor(alg.family, alg.params, bases[0].copy() if len(bases)
+                       == 1 else np.repeat(bases, n, axis=0))
     if desc.case_index != case_index:
-        raise DomainError(f"base {base.tolist()} lies in case "
+        raise DomainError(f"base {bases[0].tolist()} lies in case "
                           f"{desc.case_index}, not requested case {case_index}")
-    U = exp_action._draws([seed], n, radius)
-    return desc, exp_action._move_items(alg, base[None], U, n, lambda k: (
-        f"family {alg.family} case {case_index}, base {base.tolist()}"))
+    U = exp_action._draws(seeds, n, radius)
+    return desc, exp_action._move_items(alg, bases, U, n, lambda k: (
+        f"family {alg.family} case {case_index}, base {bases[k].tolist()}"))
 
 
-def _adjudication_entry(desc, Pm, res):
-    """The case's adjudication record on the guarded rows Pm of the sample,
-    or None. res holds the normalized residual rows of Pm: an index or
-    slice slot reads its columns, and only an alternative display is built
-    and evaluated."""
+def _adjudicate(prov, desc, Pm, res):
+    """Merge the case's adjudication record on the guarded rows Pm of a
+    sample into the dict prov, keyed by its equation: a slot keeps its
+    worst value over the samples (None: not evaluated). res holds the
+    normalized residual rows of Pm: an index or slice slot reads its
+    columns, and only an alternative display is built and evaluated."""
     adj = _CASES[desc.family, desc.case_index].adjudication
     if adj is None:
-        return None
+        return
 
     def worst(slot):
         if slot is None or not len(Pm):
@@ -905,14 +914,14 @@ def _adjudication_entry(desc, Pm, res):
         return float(np.max(np.abs(con.fn(Pm) / _scale(Pm))))
 
     eq = desc.constraints[adj.equation]
-    return {
-        "equation": "; ".join(c.expr for c in (
-            eq if isinstance(eq, tuple) else (eq,))),
-        "literal_residual": worst(adj.literal),
-        "corrected_residual": worst(adj.corrected),
-        "adopted": adj.adopted,
-        "note": adj.note,
-    }
+    label = "; ".join(c.expr for c in (eq if isinstance(eq, tuple) else (eq,)))
+    entry = prov.setdefault(label, {
+        "equation": label, "literal_residual": None,
+        "corrected_residual": None, "adopted": adj.adopted, "note": adj.note})
+    for key, slot in (("literal_residual", adj.literal),
+                      ("corrected_residual", adj.corrected)):
+        vals = [r for r in (entry[key], worst(slot)) if r is not None]
+        entry[key] = float(np.max(vals)) if vals else None
 
 
 @dataclass
@@ -958,10 +967,11 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
     dimension, and analytic gradients against central differences. The base
     covectors are canonical_bases(family, case), one per sign pattern of
     the case, unless an explicit base is given; base k samples with
-    seed + 7919*k. The case index must be an integer case of the family
-    and the tolerances and grad_step finite and positive (DomainError
-    otherwise). A motion beyond the float range raises DomainError naming
-    the family, case and base.
+    seed + 7919*k, in blocks of whole bases of one zero pattern and at most
+    _VERIFY_ROWS rows; the report does not depend on the blocks. The case
+    index must be an integer case of the family and the tolerances and
+    grad_step finite and positive (DomainError otherwise). A motion beyond
+    the float range raises DomainError naming the family, case and base.
     """
     alg = algebra.build_algebra(family, params)
     n = algebra.as_count("sample count", n, 1)
@@ -980,35 +990,38 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
     sign_violations = jacobian_failures = dimension_mismatches = 0
     prov_acc = {}
 
+    codes = [_pattern(*B.tolist()[2:]) for B in bases]
+    groups = [[k for k, c in enumerate(codes) if c == code]
+              for code in dict.fromkeys(codes)]  # in the order of first base
+    size = max(1, _VERIFY_ROWS // n)  # whole bases per block
+    blocks = [g[i:i + size] for g in groups for i in range(0, len(g), size)]
     descs = []
-    for k, B in enumerate(bases):
-        desc, P = _case_sample(alg, B, case_index, n, seed + 7919 * k, radius)
-        descs.append(desc)
-        guarded, signed = _masks(desc, P)
-        sign_violations += int(P.shape[0] - np.count_nonzero(guarded & signed))
-
-        Pm = P[guarded]  # the checks run on every guarded row
-        res = _residual_rows(desc, Pm)
-        if len(Pm):  # np.max keeps a NaN
-            forms = kirillov.kirillov_forms(alg, Pm)
-            J = _jacobian(desc, Pm)
-            max_residual = float(np.max(np.abs(res), initial=max_residual))
-            tangency_max = float(np.max(_tangency_rows(Pm, forms, J),
-                                        initial=tangency_max))
-            if desc.dim == 2:
-                ranks = kirillov.certified_svd_ranks(J, rank_tol)
-                jacobian_failures += int(np.count_nonzero(ranks != 3))
-            dimension_mismatches += int(np.count_nonzero(
-                kirillov.skew_ranks(forms, rank_tol) != desc.dim))
-            grad_worst = float(np.max(_fd_rows(desc, Pm, J, grad_step),
-                                      initial=grad_worst))
-
-        entry = _adjudication_entry(desc, Pm, res)
-        if entry is not None:
-            old = prov_acc.setdefault(entry["equation"], entry)
-            for slot in ("literal_residual", "corrected_residual"):
-                vals = [r for r in (old[slot], entry[slot]) if r is not None]
-                old[slot] = float(np.max(vals)) if vals else None
+    with np.errstate(over="ignore", invalid="ignore"):  # inf fails a check
+        for ks in blocks:
+            desc, P = _case_sample(alg, np.array([bases[k] for k in ks]),
+                                   case_index, n, [seed + 7919 * k for k in ks],
+                                   radius)
+            descs.append(desc)
+            guarded, signed = _masks(desc, P)
+            sign_violations += len(P) - int(np.count_nonzero(guarded & signed))
+            res, P = None, P[guarded]  # the checks run on every guarded row
+            if desc.base.ndim == 2 and 0 < len(P) < len(guarded):
+                desc = _descriptor(alg.family, alg.params, desc.base[guarded])
+            if len(P):  # np.max keeps a NaN
+                res = _residual_rows(desc, P)
+                forms = kirillov.kirillov_forms(alg, P)
+                J = _jacobian(desc, P)
+                max_residual = float(np.max(np.abs(res), initial=max_residual))
+                tangency_max = float(np.max(_tangency_rows(P, forms, J),
+                                            initial=tangency_max))
+                if desc.dim == 2:
+                    ranks = kirillov.certified_svd_ranks(J, rank_tol)
+                    jacobian_failures += int(np.count_nonzero(ranks != 3))
+                dimension_mismatches += int(np.count_nonzero(
+                    kirillov.skew_ranks(forms, rank_tol) != desc.dim))
+                grad_worst = float(np.max(_fd_rows(desc, P, J, grad_step),
+                                          initial=grad_worst))
+            _adjudicate(prov_acc, desc, P, res)
 
     passed = (max_residual < member_tol and tangency_max < tangency_tol
               and sign_violations == 0 and jacobian_failures == 0

@@ -437,11 +437,26 @@ def test_radius_with_an_overflowing_cube_exits_2(run_cli, args):
 def test_probe_overflow_exits_2_naming_the_pair(run_cli):
     r = run_cli("check-foliation", "--family", "5.3.1", "--pairs", "3",
                 "--radius", "8e307", "--seed", "1")
-    # numpy's overflow warnings come first; the refusal is the last line
+    # the refusal is the last line (and the only one, as
+    # test_foliation_refusals_print_no_numpy_warning shows)
     line = r.stderr.splitlines()[-1]
     assert r.returncode == 2 and r.stdout == ""
     assert line.startswith("error: family 5.3.1, pair 0, base [")
     assert "]: the coadjoint image overflows at row 1, U = [" in line
+
+
+@pytest.mark.parametrize("fam, pairs, radius", [("5.3.3", "5", "1e300"),
+                                                ("5.3.1", "3", "8e307")])
+def test_foliation_refusals_print_no_numpy_warning(run_cli, fam, pairs,
+                                                   radius):
+    # the membership screens of covectors near the float range overflow
+    # before the refusal (in the affine product on 5.3.3, in a compiled
+    # display on 5.3.1); a residual that is not finite fails its row quietly
+    r = run_cli("check-foliation", "--family", fam, "--pairs", pairs,
+                "--radius", radius, "--seed", "1")
+    assert r.returncode == 2 and r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith(f"error: family {fam}")
 
 
 def test_non_numeric_covector_exits_2(run_cli, tmp_path):

@@ -471,7 +471,8 @@ def test_overflow_is_refused_on_every_motion_route():
         img = kb.coadjoint_move(alg, F, V)
         assert np.max(np.abs(img - kb.coadjoint_move_531(None, F, V))) < 1e-12
     # a finite exponential whose product with a huge covector is not: the
-    # product overflows inside numpy, which warns before the refusal
+    # product overflows inside numpy (without a warning, as
+    # test_one_element_product_overflow_is_refused_without_a_warning shows)
     for move in (lambda F, U: kb.coadjoint_move(alg, F, U),
                  lambda F, U: kb.coadjoint_move(alg, F, [U])[0],
                  lambda F, U: kb.coadjoint_move(alg, [F], [U])[0],
@@ -480,6 +481,25 @@ def test_overflow_is_refused_on_every_motion_route():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 move([0, 0, 0, 1e300, 1e300], [0, 200.0, 0, 0, 0])
+
+
+def test_one_element_product_overflow_is_refused_without_a_warning():
+    # one element's F @ exp(ad U) runs under np.errstate only where its
+    # bound, ||F||_1 <= 1e85 and ||ad U||inf <= 256, does not rule out an
+    # overflow; either way the image is np.dot(F, E), bit for bit
+    alg = kb.build_algebra("5.3.1", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as err:
+            kb.coadjoint_move(alg, [0, 0, 0, 1e300, 1e300], [0, 200.0, 0, 0, 0])
+        assert str(err.value) == ("the coadjoint image " + _overflow_line(
+            [0, 200.0, 0, 0, 0]))
+        for F, U in (([1.0, -2.0, 3.0, 0.5, 1.0], [0.3, 1.2, -0.5, 0.7, 2.0]),
+                     ([1.0, -2.0, 3.0, 0.5, 1.0], [0.0, 100.0, 0.0, 0.0, 0.0]),
+                     ([0, 0, 0, 1e200, 1e200], [0.3, 1.2, -0.5, 0.7, 2.0])):
+            E = kb.exp_ad(alg, U).m
+            assert _same_bits(kb.coadjoint_move(alg, F, U),
+                              np.dot(np.array(F, dtype=float), E))
 
 
 def test_item_motion_edges_and_refusals():

@@ -357,6 +357,120 @@ def test_adjudicated_residuals_equal_direct_slot_evaluation():
     assert kinds == {"int", "slice", "str"}
 
 
+def _per_base_verification(fam, params, c, n, seed, radius=2.0,
+                           rank_tol=1e-9, step=1e-6):
+    """The check fields of verify_proposition, built base by base from
+    public calls and merged as the former per-base loop merged them; an
+    FD step across a guard gives NaN, without a warning as in verify."""
+    alg = kb.build_algebra(fam, params)
+    got = dict(max_residual=0.0, tangency_max=0.0, sign_violations=0,
+               jacobian_failures=0, dimension_mismatches=0,
+               gradient_max_rel_err=0.0)
+    prov = {}
+    for k, base in enumerate(kb.canonical_bases(fam, c)):
+        desc = kb.classify_orbit(fam, params, base)
+        P = kb.sample_orbit(alg, base, n, seed=seed + 7919 * k,
+                            radius=radius).points
+        guarded = np.ones(n, dtype=bool)
+        for con in desc.constraints:
+            for g in con.guards:
+                guarded &= g.fn(P) > 0.0
+        signed = np.ones(n, dtype=bool)
+        for sp in desc.signs:
+            signed &= sp.fn(P) > 0.0
+        got["sign_violations"] += n - int(np.count_nonzero(guarded & signed))
+        Pm = P[guarded]
+        if len(Pm):
+            with np.errstate(invalid="ignore"):
+                fd = kb.gradient_fd_error(desc, Pm, step)
+            for key, vals in (
+                    ("max_residual",
+                     np.abs(kb.constraint_residuals(desc, Pm))),
+                    ("tangency_max", kb.tangency_residual(alg, desc, Pm)),
+                    ("gradient_max_rel_err", fd)):
+                got[key] = float(np.max(vals, initial=got[key]))
+            if desc.dim == 2:
+                ranks = kb.jacobian_rank_check(desc, Pm, rank_tol)
+                got["jacobian_failures"] += int(np.count_nonzero(ranks != 3))
+            forms = kb.kirillov_forms(alg, Pm)
+            got["dimension_mismatches"] += int(np.count_nonzero(
+                kirillov.skew_ranks(forms, rank_tol) != desc.dim))
+        adj = orbits._CASES[fam, c].adjudication
+        if adj is None:
+            continue
+        eq = desc.constraints[adj.equation]
+        label = "; ".join(con.expr for con in (
+            eq if isinstance(eq, tuple) else (eq,)))
+        entry = prov.setdefault(label, {
+            "equation": label, "literal_residual": None,
+            "corrected_residual": None, "adopted": adj.adopted,
+            "note": adj.note})
+        for name, slot in (("literal_residual", adj.literal),
+                           ("corrected_residual", adj.corrected)):
+            if slot is not None and len(Pm):
+                r = _slot_worst(desc, slot, Pm)
+                entry[name] = (r if entry[name] is None
+                               else float(np.max([entry[name], r])))
+    got["provenance"] = list(prov.values())
+    return got
+
+
+def test_verify_blocks_match_per_base_reference_bitwise(monkeypatch):
+    # the bases of a case are checked in blocks of one zero pattern with one
+    # stacked descriptor; the report does not depend on the block size and
+    # equals, bit for bit, each base checked alone by the public calls. At
+    # radius 6 some FD steps cross a guard. At radius 800 a few draws
+    # underflow a coordinate to 0 while none overflows, so some rows of a
+    # base fail a guard and others pass (seeds found by search; s on 5.3.1
+    # case 4, t on 5.3.5 case 3).
+    runs = [(fam, c, 40, seed, radius)
+            for seed, radius in ((3, 2.0), (20240811, 2.0), (5, 6.0))
+            for fam in algebra.FAMILY_TAGS for c in kb.case_indices(fam)]
+    runs += [("5.3.1", 4, 3, 4026, 800.0), ("5.3.1", 4, 3, 4932, 800.0),
+             ("5.3.5", 3, 3, 67, 800.0)]
+    blocks = orbits._VERIFY_ROWS
+    for fam, c, n, seed, radius in runs:
+        want = _per_base_verification(fam, None, c, n, seed, radius)
+        if radius == 800.0:
+            assert want["sign_violations"] > 0
+        # one block per zero pattern, one base per block (limits 1 and
+        # n + 1), and blocks of three bases
+        for limit in (blocks, 1, n + 1, 3 * n):
+            monkeypatch.setattr(orbits, "_VERIFY_ROWS", limit)
+            doc = kb.verify_proposition(fam, None, c, n=n, seed=seed,
+                                        radius=radius).to_json_dict()
+            got = {key: doc[key] for key in want}
+            assert repr(got) == repr(want), (fam, c, seed, limit)
+
+
+def test_verify_overflow_names_the_first_refused_base(monkeypatch):
+    # at radius 400 a refused motion names the family, the case and the
+    # first canonical base whose own sample_orbit call is refused, with
+    # that call's message, whatever the block size
+    n, seed, named = 50, 1, 0
+    for limit in (orbits._VERIFY_ROWS, 1):
+        monkeypatch.setattr(orbits, "_VERIFY_ROWS", limit)
+        for fam in algebra.FAMILY_TAGS:
+            alg = kb.build_algebra(fam, None)
+            for c in kb.case_indices(fam):
+                want = None
+                for k, base in enumerate(kb.canonical_bases(fam, c)):
+                    try:
+                        kb.sample_orbit(alg, base, n, seed=seed + 7919 * k,
+                                        radius=400.0)
+                    except DomainError as exc:
+                        want = f"family {fam} case {c}, base {base.tolist()}: {exc}"
+                        break
+                if want is None:  # every motion is finite
+                    continue
+                with pytest.raises(DomainError) as err:
+                    kb.verify_proposition(fam, None, c, n=n, seed=seed,
+                                          radius=400.0)
+                assert str(err.value) == want
+                named += 1
+    assert named
+
+
 def test_verify_quarter_turn_branch():
     rep = kb.verify_proposition("5.3.8", {"lambda": 1.0, "phi": math.pi / 2},
                                 3, n=80, seed=8)
@@ -800,6 +914,43 @@ def test_stacked_fd_rows_match_per_shift_loop_bitwise():
                         ref = _fd_rows_per_shift(desc, P, J, step)
                     assert np.array_equal(got.view(np.int64),
                                           ref.view(np.int64)), (fam, c, k)
+                    seen_nan |= bool(np.isnan(got).any())
+    assert seen_nan
+
+
+def test_stacked_descriptor_fd_rows_match_per_base_bitwise():
+    # the stacked-descriptor case: one (2, 5, n, 5) FD over a block of the
+    # bases of one zero pattern, each row against its own base, equals
+    # the FD rows of each base alone bit for bit
+    seen_nan = False
+    for fam, params in CANONICAL:
+        alg = kb.build_algebra(fam, params)
+        for c in kb.case_indices(fam):
+            bases = kb.canonical_bases(fam, c)
+            codes = [orbits._pattern(*b.tolist()[2:]) for b in bases]
+            for code in dict.fromkeys(codes):
+                for radius, step in ((1.5, 1e-6), (6.0, 1e-4)):
+                    Ps, Bs, want = [], [], []
+                    for k in np.flatnonzero(np.array(codes) == code):
+                        desc = kb.classify_orbit(fam, params, bases[k])
+                        P = kb.sample_orbit(alg, bases[k], 40, seed=int(k),
+                                            radius=radius).points
+                        P = P[orbits._masks(desc, P)[0]]
+                        with np.errstate(all="ignore"):
+                            want.append(kb.gradient_fd_error(desc, P, step))
+                        Ps.append(P)
+                        Bs.append(np.repeat(bases[k][None], len(P), axis=0))
+                    P = np.concatenate(Ps)
+                    if not len(P):
+                        continue
+                    desc = orbits._descriptor(fam, alg.params,
+                                              np.concatenate(Bs))
+                    with np.errstate(all="ignore"):
+                        got = orbits._fd_rows(desc, P,
+                                              orbits._jacobian(desc, P), step)
+                    assert np.array_equal(
+                        got.view(np.int64),
+                        np.concatenate(want).view(np.int64)), (fam, c, code)
                     seen_nan |= bool(np.isnan(got).any())
     assert seen_nan
 
