@@ -8,12 +8,12 @@ rank 0 exactly on the gamma = delta = sigma = 0 stratum.
 kirillov_forms builds a stack of forms from the nonzero entries of the
 structure tensor, with the einsum's arithmetic and exact skewness. It
 stores them entry-major, so skew_ranks reads each entry as one contiguous
-vector. md_scan is three steps: draw its covectors at once, rank their
-forms in blocks of _SCAN_ROWS rows (small enough that the buffers stay
-resident between blocks and calls) into one rank vector, and read the
-histogram and both failure lists off that vector. A
-Kirillov form's rank has one rule: its Pfaffians (skew_ranks,
-and orbit_dimension for one covector), so it is even by construction.
+vector and leaves out exactly those that are all zero: all but four on
+these families, and with them every Pfaffian product. md_scan draws its
+covectors at once, ranks their forms in blocks of _SCAN_ROWS rows into one
+rank vector, and reads the histogram and both failure lists off it. A
+Kirillov form's rank has one rule: its Pfaffians (skew_ranks, and
+orbit_dimension for one covector), so it is even by construction.
 
 Constraint Jacobians are certificate-then-SVD, with one certificate:
 _certified3 proves from Cauchy-Binet sums of squared minors that some
@@ -204,23 +204,27 @@ def skew_ranks(B, tol: float) -> np.ndarray:
     w1^2 + w2^2 = |B|_F^2 / 2 and w1 * w2 = |pf|, where pf holds its five
     4x4 principal Pfaffians (Wimmer, ACM TOMS 38(4), 2012). Each pair
     counts against svd_ranks' threshold tol * max(1, w1). Only the strict
-    upper triangle is read, so skewness is the caller's guarantee.
+    upper triangle is read, so skewness is the caller's guarantee. An
+    all-zero entry vector, and each Pfaffian product it is a factor of, is
+    left out: exact +-0 terms, so no bit moves (non-finite ones are kept).
     """
     tol = algebra.as_tolerance("rank tolerance", tol)
     B = np.asarray(B, dtype=float)
     if B.ndim != 3 or B.shape[1:] != (5, 5):
         raise DomainError(
             f"skew_ranks expects an (n, 5, 5) stack, got shape {B.shape}")
-    # one (n,) vector per entry keeps every temporary at n floats; the
-    # vectors are contiguous when B comes from kirillov_forms
+    # (n,) entry vectors: n-float temporaries, contiguous from kirillov_forms
     E = B.transpose(1, 2, 0)
-    s = sum(E[i, j] * E[i, j]
-            for i, j in itertools.combinations(range(5), 2))  # w1^2 + w2^2
-    p2 = 0.0
+    live = [ij for ij in itertools.combinations(range(5), 2) if E[ij].any()]
+    s = sum((E[ij] * E[ij] for ij in live), np.zeros(len(B)))  # w1^2 + w2^2
+    p2 = np.zeros(len(B))
     for a, b, c, d in itertools.combinations(range(5), 4):
         # the 4x4 principal Pfaffian on rows and columns a < b < c < d
-        pf = E[a, b] * E[c, d] - E[a, c] * E[b, d] + E[a, d] * E[b, c]
-        p2 = p2 + pf * pf
+        terms = [sign * E[x] * E[y] for sign, x, y in (
+            (1, (a, b), (c, d)), (-1, (a, c), (b, d)), (1, (a, d), (b, c)))
+            if x in live and y in live]
+        if terms:
+            p2 += sum(terms) ** 2
     p = np.sqrt(p2)  # w1 * w2
     # w1 +- w2 = sqrt(s +- 2p); rounding can leave s - 2p just below 0
     w1 = 0.5 * (np.sqrt(s + 2.0 * p) + np.sqrt(np.maximum(s - 2.0 * p, 0.0)))

@@ -45,7 +45,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, partial, reduce
 from operator import add, mul, neg, sub, truediv
 
 import numpy as np
@@ -608,7 +608,7 @@ def _screen(family, p, bases, points):
                 desc = _descriptor(family, p, bases[ok])
             if len(ok):
                 res = _residual_rows(desc, points[ok])
-                worst[ok] = np.max(np.abs(res), axis=-1)
+                worst[ok] = reduce(np.maximum, np.abs(res).T)
     return guarded, signed, worst
 
 
@@ -716,8 +716,9 @@ def _residual_rows(desc, P):
 
 
 def _scale(P):
-    """1 + |p|_inf per row: the normalization of residuals and tangency."""
-    return 1.0 + np.max(np.abs(P), axis=-1)
+    """1 + |p|_inf per row: the normalization of residuals and tangency. A
+    chain of np.maximum over the columns keeps np.max's bits, and is faster."""
+    return 1.0 + reduce(np.maximum, np.abs(P).T)
 
 
 def _stack(p):
@@ -772,9 +773,13 @@ def tangency_residual(alg: algebra.LieAlgebra, desc: OrbitDescriptor, p):
 
 
 def _tangency_rows(P, B, J):
-    """tangency_residual of P, with Kirillov forms B and Jacobians J."""
-    v = np.einsum("nij,ncj->nci", B, J)
-    return np.max(np.abs(v), axis=(1, 2)) / _scale(P)
+    """tangency_residual of P, with Kirillov forms B and Jacobians J: the
+    einsum("nij,ncj->nci") bits, without B's all-zero entry vectors."""
+    Jt = np.ascontiguousarray(J.T)  # (5, c, n)
+    v = 0.0 * Jt  # the diagonal terms: NaN where J is not finite
+    for i, j in zip(*np.nonzero(B.any(axis=0))):  # i, then j, ascending
+        v[i] += B[:, i, j] * Jt[j]
+    return np.max(np.abs(v), axis=(0, 1)) / _scale(P)
 
 
 def jacobian_rank_check(desc: OrbitDescriptor, p, tol: float = 1e-9):
@@ -815,7 +820,7 @@ def _fd_rows(desc, P, J, step):
     worst = np.zeros(n)
     for c, con in enumerate(desc.constraints):
         G = J[:, c, :]
-        denom = np.maximum(1.0, np.max(np.abs(G), axis=-1))
+        denom = np.maximum(1.0, reduce(np.maximum, np.abs(G).T))
         plus, minus = con.fn(shifted)
         fd = (plus - minus) / (2.0 * step)  # row j: the difference along j
         worst = np.maximum(worst, np.max(np.abs(fd - G.T) / denom, axis=0))
@@ -970,8 +975,8 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
     seed + 7919*k, in blocks of whole bases of one zero pattern and at most
     _VERIFY_ROWS rows; the report does not depend on the blocks. The case
     index must be an integer case of the family and the tolerances and
-    grad_step finite and positive (DomainError otherwise). A motion beyond
-    the float range raises DomainError naming the family, case and base.
+    grad_step finite and positive (DomainError otherwise). A refused motion
+    or Kirillov form names the family, case and base.
     """
     alg = algebra.build_algebra(family, params)
     n = algebra.as_count("sample count", n, 1)
@@ -1017,8 +1022,19 @@ def verify_proposition(family, params, case_index, n: int, seed: int,
                 if desc.dim == 2:
                     ranks = kirillov.certified_svd_ranks(J, rank_tol)
                     jacobian_failures += int(np.count_nonzero(ranks != 3))
-                dimension_mismatches += int(np.count_nonzero(
-                    kirillov.skew_ranks(forms, rank_tol) != desc.dim))
+                try:
+                    dims = kirillov.skew_ranks(forms, rank_tol)
+                except DomainError as exc:  # named by its first base refused
+                    owner = np.flatnonzero(guarded) // n
+                    for k in range(len(ks)):
+                        try:
+                            kirillov.skew_ranks(forms[owner == k], rank_tol)
+                        except DomainError:
+                            raise DomainError(
+                                f"family {alg.family} case {case_index}, "
+                                f"base {bases[ks[k]].tolist()}: {exc}") from None
+                    raise
+                dimension_mismatches += int(np.count_nonzero(dims != desc.dim))
                 grad_worst = float(np.max(_fd_rows(desc, P, J, grad_step),
                                           initial=grad_worst))
             _adjudicate(prov_acc, desc, P, res)

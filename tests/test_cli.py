@@ -419,6 +419,17 @@ def test_overflowing_motion_exits_2(run_cli):
             2, f"error: {prefix}{line}", ""), args
 
 
+def test_verify_rank_refusal_names_its_base(run_cli):
+    # the radius-400 motions of 5.3.4 case 2 stay finite, but squares of
+    # their Kirillov forms do not; the refusal names the family, the case
+    # and the base, on one stderr line
+    r = run_cli("verify-props", "--family", "5.3.4", "--case", "2",
+                "--n", "50", "--radius", "400", "--seed", "1")
+    assert (r.returncode, r.stderr, r.stdout) == (
+        2, "error: family 5.3.4 case 2, base [1.0, 1.0, 0.0, 0.0, 1.0]: "
+        "skew_ranks needs finite forms with finite squared Pfaffians\n", "")
+
+
 @pytest.mark.parametrize("args", [
     ("sample-orbit", "--family", "5.3.1", "--covector", "1,1,1,1,1",
      "--n", "3"),

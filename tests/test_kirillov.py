@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -286,6 +287,122 @@ def test_skew_ranks_refuses_non_finite_form(value):
     B[1, 0, 1], B[1, 1, 0] = value, -value
     with pytest.raises(DomainError, match="finite"):
         kirillov.skew_ranks(B, 1e-9)
+
+
+def _dense_skew_ranks(B, tol):
+    """skew_ranks as it was before it skipped zero entry vectors: every
+    square and every Pfaffian product, zero or not."""
+    E = B.transpose(1, 2, 0)
+    s = sum(E[i, j] * E[i, j] for i, j in itertools.combinations(range(5), 2))
+    p2 = 0.0
+    for a, b, c, d in itertools.combinations(range(5), 4):
+        pf = E[a, b] * E[c, d] - E[a, c] * E[b, d] + E[a, d] * E[b, c]
+        p2 = p2 + pf * pf
+    p = np.sqrt(p2)
+    w1 = 0.5 * (np.sqrt(s + 2.0 * p) + np.sqrt(np.maximum(s - 2.0 * p, 0.0)))
+    if not np.all(np.isfinite(w1)):
+        raise DomainError("skew_ranks needs finite forms with finite "
+                          "squared Pfaffians")
+    thr = tol * np.maximum(1.0, w1)
+    return 2 * (w1 > thr) + 2 * (p > thr * w1), w1
+
+
+def _assert_dense_bits(B):
+    """skew_ranks(B) equals the dense formula at two tolerances, and at
+    the two tolerances that pin w1's bits on rows with w1 < 1: w1 > w1
+    is false and w1 > its predecessor true, so a w1 one ulp off flips one
+    of them. Returns the ranks at tol 1e-9."""
+    want, w1 = _dense_skew_ranks(B, 1e-9)
+    small = w1[(w1 > 0.0) & (w1 < 1.0)]
+    tols = [1e-9, 1e-3] + [float(t) for w in small[:8]
+                           for t in (w, np.nextafter(w, 0.0))]
+    for tol in tols:
+        got = kirillov.skew_ranks(B, tol)
+        ref = _dense_skew_ranks(B, tol)[0]
+        assert got.shape == ref.shape == (len(B),)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref), tol
+    return want
+
+
+def _dense_skew(rng, n, scale=1.0):
+    """Exactly skew forms with every upper entry nonzero."""
+    U = rng.uniform(0.5, 1.0, (n, 5, 5)) * rng.choice([-1.0, 1.0], (n, 5, 5))
+    U *= scale * 10.0 ** rng.uniform(-3.0, 1.0, (n, 1, 1))
+    upper = np.triu(U, 1)
+    return upper - upper.transpose(0, 2, 1)
+
+
+def test_skew_ranks_match_dense_formula_bitwise():
+    rng = np.random.default_rng(23)
+    # dense skew stacks: no entry is zero, every Pfaffian product is formed
+    ranks = _assert_dense_bits(_dense_skew(rng, 2000))
+    assert np.all(ranks == 4)
+    # every family's forms, on all eight zero patterns of (gamma, delta,
+    # sigma) and with -0.0 coordinates
+    for alg in _form_algebras():
+        F = rng.uniform(-10.0, 10.0, (400, 5)) * 10.0 ** rng.uniform(
+            -4.0, 1.0, (400, 1))
+        for k, zeros in enumerate(itertools.product((0.0, -0.0, None),
+                                                    repeat=3)):
+            for c, z in enumerate(zeros):
+                if z is not None:
+                    F[k::27, 2 + c] = z
+        _assert_dense_bits(kb.kirillov_forms(alg, F))
+    # all-zero entry vectors, +0.0 or -0.0, beside dense ones, and -0.0
+    # entries inside a live vector
+    for zero in (0.0, -0.0):
+        for drop in itertools.combinations(
+                list(itertools.combinations(range(5), 2)), 3):
+            B = _dense_skew(rng, 60)
+            for i, j in drop:
+                B[:, i, j] = zero
+                B[:, j, i] = -zero
+            B[::7, 0, 4], B[::7, 4, 0] = -0.0, 0.0
+            _assert_dense_bits(B)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_skew_ranks_of_an_all_zero_stack_keep_shape_and_dtype(n):
+    for zero in (0.0, -0.0):
+        B = np.full((n, 5, 5), zero)
+        got = kirillov.skew_ranks(B, 1e-9)
+        ref = _dense_skew_ranks(B, 1e-9)[0]
+        assert got.shape == ref.shape == (n,)
+        assert got.dtype == ref.dtype
+        assert np.all(got == 0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_skew_ranks_refuse_non_finite_rows_as_the_dense_formula(value):
+    # the non-finite entry alone in its form, in a vector whose Pfaffian
+    # partners are all zero (the dense formula reads 0 * inf there), and
+    # in a dense stack: both refuse, with one text
+    message = "^skew_ranks needs finite forms with finite squared Pfaffians$"
+    rng = np.random.default_rng(5)
+    for B in (np.zeros((3, 5, 5)), _dense_skew(rng, 3)):
+        for i, j in itertools.combinations(range(5), 2):
+            C = B.copy()
+            C[1, i, j], C[1, j, i] = value, -value
+            for ranks in (kirillov.skew_ranks,
+                          lambda M, tol: _dense_skew_ranks(M, tol)[0]):
+                with pytest.raises(DomainError, match=message):
+                    ranks(C, 1e-9)
+
+
+def test_skew_ranks_skip_is_decided_by_the_data():
+    # a structure tensor with an extra (2, 3) support edge, [X3, X4] = X1:
+    # its forms have rank 4 where F_1 != 0, which only Pfaffian products
+    # the eight families never form can show
+    alg = kb.build_algebra("5.3.4", None)
+    c = alg.c.copy()
+    c[2, 3, 0], c[3, 2, 0] = 1.0, -1.0
+    alg4 = dataclasses.replace(alg, c=c)
+    F = np.random.default_rng(3).uniform(-5.0, 5.0, (500, 5))
+    F[::5, 0] = 0.0
+    ranks = _assert_dense_bits(kb.kirillov_forms(alg4, F))
+    assert np.array_equal(ranks, np.where(F[:, 0] != 0.0, 4, 2))
 
 
 # md_scan's zero-coordinate subsets of (gamma, delta, sigma), written out

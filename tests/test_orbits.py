@@ -471,6 +471,36 @@ def test_verify_overflow_names_the_first_refused_base(monkeypatch):
     assert named
 
 
+@pytest.mark.parametrize("fam,c,radius,seed,first", [
+    ("5.3.4", 2, 400.0, 1, 0), ("5.3.4", 8, 360.0, 10, 1),
+    ("5.3.7", 5, 400.0, 1, 0)])
+def test_verify_rank_refusal_names_the_first_refused_base(
+        monkeypatch, fam, c, radius, seed, first):
+    # every motion is finite, but some Kirillov forms square past the float
+    # range: the refusal names the family, the case and the first base
+    # whose own check is refused, whatever the block size (at radius 360
+    # on 5.3.4 case 8, not the first base of the block; seed found by
+    # search)
+    n = 50
+    bases = kb.canonical_bases(fam, c)
+    want = None
+    for k, base in enumerate(bases):
+        try:
+            kb.verify_proposition(fam, None, c, n=n, seed=seed + 7919 * k,
+                                  radius=radius, base=base)
+        except DomainError as exc:
+            want = str(exc)
+            break
+    assert want == (f"family {fam} case {c}, base {base.tolist()}: skew_ranks "
+                    "needs finite forms with finite squared Pfaffians")
+    assert k == first
+    for limit in (orbits._VERIFY_ROWS, 1, 3 * n):
+        monkeypatch.setattr(orbits, "_VERIFY_ROWS", limit)
+        with pytest.raises(DomainError) as err:
+            kb.verify_proposition(fam, None, c, n=n, seed=seed, radius=radius)
+        assert str(err.value) == want, limit
+
+
 def test_verify_quarter_turn_branch():
     rep = kb.verify_proposition("5.3.8", {"lambda": 1.0, "phi": math.pi / 2},
                                 3, n=80, seed=8)
@@ -953,6 +983,63 @@ def test_stacked_descriptor_fd_rows_match_per_base_bitwise():
                         np.concatenate(want).view(np.int64)), (fam, c, code)
                     seen_nan |= bool(np.isnan(got).any())
     assert seen_nan
+
+
+def _einsum_tangency_rows(P, B, J):
+    """_tangency_rows as the dense contraction it replaced: the bitwise
+    reference, zero entries of the forms included."""
+    v = np.einsum("nij,ncj->nci", B, J)
+    return np.max(np.abs(v), axis=(1, 2)) / (1.0 + np.max(np.abs(P), axis=-1))
+
+
+def test_tangency_rows_match_einsum_bitwise():
+    # the samples of every case as verify_proposition draws them, each
+    # block of bases of one zero pattern with one stacked descriptor, then
+    # the same rows with inf, -inf or NaN Jacobian entries: those rows
+    # read NaN, as the einsum's 0 * inf does
+    seen = 0
+    for fam, params in CANONICAL:
+        alg = kb.build_algebra(fam, params)
+        for c in kb.case_indices(fam):
+            bases = np.array(kb.canonical_bases(fam, c))
+            codes = np.array([orbits._pattern(*b.tolist()[2:]) for b in bases])
+            for code in np.unique(codes):
+                block = bases[codes == code]
+                desc, P = orbits._case_sample(alg, block, c, 30,
+                                              range(len(block)), 2.0)
+                guarded = orbits._masks(desc, P)[0]
+                P = P[guarded]
+                if desc.base.ndim == 2:
+                    desc = orbits._descriptor(fam, alg.params,
+                                              desc.base[guarded])
+                B, J = kb.kirillov_forms(alg, P), orbits._jacobian(desc, P)
+                bad = J.copy()
+                bad[::5, 0, 1], bad[1::5, -1, 4] = np.inf, np.nan
+                bad[2::5, 1, 0] = -np.inf
+                for Jx in (J, bad):
+                    with np.errstate(invalid="ignore"):
+                        got = orbits._tangency_rows(P, B, Jx)
+                        ref = _einsum_tangency_rows(P, B, Jx)
+                    assert np.array_equal(got.view(np.int64),
+                                          ref.view(np.int64)), (fam, c, code)
+                assert np.array_equal(np.isnan(got),
+                                      np.arange(len(P)) % 5 < 3)
+                seen += len(P)
+    assert seen
+
+
+def test_scale_matches_np_max_bitwise_on_non_finite_rows():
+    # the chain of np.maximum over the columns keeps np.max's bits: inf
+    # rows read inf, NaN rows NaN (also beside an inf), -0.0 reads as 0.0
+    P = np.random.default_rng(8).uniform(-3.0, 3.0, (48, 5))
+    P[::6, 2], P[1::6, 4], P[2::6, 0] = np.inf, -np.inf, np.nan
+    P[3::6, 1], P[3::6, 3] = np.inf, np.nan
+    P[4::6] = -0.0
+    got = orbits._scale(P)
+    ref = 1.0 + np.max(np.abs(P), axis=-1)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    assert np.array_equal(np.isnan(got), np.isin(np.arange(48) % 6, (2, 3)))
+    assert orbits._scale(np.empty((0, 5))).shape == (0,)
 
 
 def test_jacobian_rank_check_matches_svd_reference(monkeypatch):
